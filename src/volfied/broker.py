@@ -76,18 +76,42 @@ class _PoaState:
         self.contrib: dict[int, set[int]] = {}
 
 
+def _same_ad(a: Ad, b: Ad) -> bool:
+    return a is b or (
+        a.base_value == b.base_value
+        and a.target_poa == b.target_poa
+        and np.array_equal(a.features, b.features)
+    )
+
+
 class RevenueEstimator:
     """Incremental R(a, u) over fixed per-PoA candidate sets.
 
     `registry` maps vehicle id to the set of ad ids already broadcast
     while that vehicle was present and detected; such pairs never earn
     credit again anywhere.
+
+    Profiles and candidate sets are fixed, so a vehicle's relevant ads are
+    found by one scan of the union of all candidate sets, on its first
+    detected enter, and remembered; every enter then costs O(relevant).
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
         self.params = params
         self.registry: dict[int, set[int]] = {}
         self._poas = {pid: _PoaState(pid, ads) for pid, ads in candidates_by_poa.items()}
+        union: dict[int, Ad] = {}
+        for pid, ads in candidates_by_poa.items():
+            for a in ads:
+                first = union.setdefault(a.ad_id, a)
+                if not _same_ad(first, a):
+                    raise ValueError(f"ad id {a.ad_id} names different ads at poa {pid}")
+        self._union_ids = np.array(list(union), dtype=np.int64)
+        self._union_feats = (
+            np.stack([a.features for a in union.values()]) if union else np.zeros((0, 0))
+        )
+        # vehicle id -> (profile scanned, ids of the union ads relevant to it)
+        self._relevant: dict[int, tuple[VehicleProfile, frozenset[int]]] = {}
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
         self.max_event_examined = 0
@@ -123,16 +147,30 @@ class RevenueEstimator:
             st.contrib[v.vehicle_id] = set()
             self._note_event(0)
             return
-        dists = distances_to(self.params.metric, v.interests, st.feats)
-        relevant = np.flatnonzero((dists <= self.params.d_max) & (st.values > 0))
-        self._note_event(int(relevant.size))
+        pos_of, values = st.pos_of, st.values
+        relevant = {
+            ad_id
+            for ad_id in self._relevant_ids(v)
+            if ad_id in pos_of and values[pos_of[ad_id]] > 0
+        }
+        self._note_event(len(relevant))
         served = self.registry.get(v.vehicle_id)
         if served:
-            relevant = np.array(
-                [p for p in relevant if int(st.ids[p]) not in served], dtype=np.int64
-            )
-        st.counts[relevant] += 1
-        st.contrib[v.vehicle_id] = set(int(p) for p in relevant)
+            relevant = relevant - served
+        positions = {pos_of[ad_id] for ad_id in relevant}
+        st.counts[list(positions)] += 1
+        st.contrib[v.vehicle_id] = positions
+
+    def _relevant_ids(self, v: VehicleProfile) -> frozenset[int]:
+        """Ids of the candidate ads, at any PoA, within d_max of v; scanned
+        once per profile object and remembered under its vehicle id."""
+        seen = self._relevant.get(v.vehicle_id)
+        if seen is not None and seen[0] is v:
+            return seen[1]
+        dists = distances_to(self.params.metric, v.interests, self._union_feats)
+        ids = frozenset(self._union_ids[dists <= self.params.d_max].tolist())
+        self._relevant[v.vehicle_id] = (v, ids)
+        return ids
 
     def on_vehicle_exit(self, poa: int, vehicle_id: int) -> None:
         """Remove the vehicle's credits; no-op for vehicles never detected."""

@@ -138,7 +138,10 @@ def distances_to(metric: DistanceMetric, f: FeatureVector, others: np.ndarray) -
     norms = np.linalg.norm(others, axis=1)
     if nf == 0.0 or np.any(norms == 0.0):
         raise ValueError("angular distance undefined for zero vectors")
-    cos_sim = (others @ f) / (norms * nf)
+    # A row-wise reduction, like the norms: a matrix-vector product can
+    # round a row differently depending on where it sits in `others`, and a
+    # row's distance must not depend on which other rows came with it.
+    cos_sim = (others * f).sum(axis=1) / (norms * nf)
     return np.arccos(np.clip(cos_sim, -1.0, 1.0))
 
 

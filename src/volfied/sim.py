@@ -34,7 +34,6 @@ __all__ = [
     "SimConfig",
     "StepMetrics",
     "STRATEGIES",
-    "coverage",
     "load_trace",
     "rng_stream",
     "run",
@@ -183,6 +182,8 @@ class SimConfig:
             raise ValueError("n_ads, n_vehicles, steps must be >= 0 and n_poas >= 1")
         if not 0.0 <= self.global_fraction <= 1.0:
             raise ValueError("global_fraction must lie in [0, 1]")
+        if self.cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
 
     @property
     def selection_params(self) -> SelectionParams:
@@ -198,19 +199,12 @@ class StepMetrics:
     broadcasts_cum: int
 
 
-def coverage(poas: Sequence[PoA], x_m: float, y_m: float) -> Optional[int]:
-    """PoA the position associates with: nearest one whose range covers it
-    (boundary inclusive), ties to the lowest PoA id; None when uncovered."""
-    best: tuple[float, int] | None = None
-    for p in sorted(poas, key=lambda p: p.poa_id):
-        d2 = (x_m - p.x_m) ** 2 + (y_m - p.y_m) ** 2
-        if d2 <= p.range_m * p.range_m and (best is None or d2 < best[0]):
-            best = (d2, p.poa_id)
-    return None if best is None else best[1]
-
-
 class _CoverageIndex:
-    """Vectorized nearest-covering-PoA lookup for a fixed PoA layout."""
+    """Vectorized nearest-covering-PoA lookup for a fixed PoA layout.
+
+    A position associates with the nearest PoA whose range covers it
+    (boundary inclusive), ties to the lowest PoA id; None when uncovered.
+    """
 
     def __init__(self, poas: Sequence[PoA]):
         ordered = sorted(poas, key=lambda p: p.poa_id)
@@ -338,7 +332,10 @@ def run(
         for vid in vids:
             state = states[vid]
             poa = current_poa[vid]
-            received = [by_ad_id[i] for i in selected[poa]] if poa is not None else []
+            incoming = selected[poa] if poa is not None else ()
+            if not incoming and not state.cache:
+                continue  # nothing to pool: the display step is a no-op
+            received = [by_ad_id[i] for i in incoming]
             for ad_id, dist in step_display(
                 state, received, poa, params, config.cache_size
             ):

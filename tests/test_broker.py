@@ -7,7 +7,9 @@ selection expectations are hand-traces of the greedy scan.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import volfied.broker
 from volfied.broker import (
     RevenueEstimator,
     SelectionParams,
@@ -18,9 +20,18 @@ from volfied.broker import (
     select_volfied,
     structurally_conflict_free,
 )
-from volfied.model import Ad, DistanceMetric, VehicleProfile, distance, is_relevant
+from volfied.model import (
+    Ad,
+    DistanceMetric,
+    VehicleProfile,
+    ad_value,
+    distance,
+    distances_to,
+    is_relevant,
+)
 
 EUCL = DistanceMetric.EUCLIDEAN
+ANG = DistanceMetric.ANGULAR
 
 
 def params(k=2, m=1, d_max=0.15):
@@ -39,8 +50,6 @@ def example1():
 
 def recompute_revenue(candidates, present_profiles, registry, poa_id, d_max, metric):
     """Reference: R(a) from scratch per the additive definition."""
-    from volfied.model import ad_value
-
     out = {}
     for a in candidates:
         total = 0.0
@@ -317,3 +326,181 @@ class TestParamsValidation:
             SelectionParams(k=0, m=1, d_max=0.15, metric=EUCL)
         with pytest.raises(ValueError):
             SelectionParams(k=1, m=1, d_max=0.0, metric=EUCL)
+
+
+class ScanningEstimator:
+    """Reference bookkeeping that scans the PoA's own candidate rows with
+    distances_to on every detected enter, as the estimator did before it
+    remembered each vehicle's relevant ads."""
+
+    def __init__(self, p, candidates_by_poa):
+        self.p = p
+        self.registry = {}
+        self.ids = {pid: [a.ad_id for a in ads] for pid, ads in candidates_by_poa.items()}
+        self.feats = {pid: np.stack([a.features for a in ads]) for pid, ads in candidates_by_poa.items()}
+        self.values = {
+            pid: np.array([ad_value(a, pid) for a in ads]) for pid, ads in candidates_by_poa.items()
+        }
+        self.counts = {pid: np.zeros(len(ads), dtype=np.int64) for pid, ads in candidates_by_poa.items()}
+        self.contrib = {pid: {} for pid in candidates_by_poa}
+        self.last_event_examined = 0
+
+    def enter(self, poa, v, detected):
+        self.last_event_examined = 0
+        if not detected:
+            return
+        dists = distances_to(self.p.metric, v.interests, self.feats[poa])
+        relevant = np.flatnonzero((dists <= self.p.d_max) & (self.values[poa] > 0)).tolist()
+        self.last_event_examined = len(relevant)
+        served = self.registry.get(v.vehicle_id, set())
+        credited = {i for i in relevant if self.ids[poa][i] not in served}
+        for i in credited:
+            self.counts[poa][i] += 1
+        self.contrib[poa][v.vehicle_id] = credited
+
+    def exit(self, poa, vid):
+        credited = self.contrib[poa].pop(vid, set())
+        self.last_event_examined = len(credited)
+        for i in credited:
+            self.counts[poa][i] -= 1
+
+    def broadcast(self, poa, selected):
+        for ad_id in selected:
+            i = self.ids[poa].index(ad_id)
+            for vid, credited in self.contrib[poa].items():
+                self.registry.setdefault(vid, set()).add(ad_id)
+                if i in credited:
+                    credited.discard(i)
+                    self.counts[poa][i] -= 1
+
+
+# Quarter-step coordinates make many distances exact, so d_max drawn from
+# them (or copied from a vehicle-ad distance) puts ads on the threshold.
+_COORD = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def estimator_world(draw):
+    metric = draw(st.sampled_from([EUCL, ANG]))
+    n_dims = draw(st.integers(1, 3))
+    n_poas = draw(st.integers(1, 3))
+    vec = st.lists(_COORD, min_size=n_dims, max_size=n_dims).map(np.array)
+    ads = [
+        Ad(
+            ad_id=i,
+            features=draw(vec),
+            base_value=draw(st.sampled_from([0.5, 1.0, 2.0])),
+            target_poa=draw(st.one_of(st.none(), st.integers(0, n_poas))),
+        )
+        for i in range(draw(st.integers(1, 10)))
+    ]
+    # each PoA gets its own subset; Locals of other PoAs are worth 0 there
+    candidates = {
+        pid: [a for a in ads if draw(st.booleans())] or [ads[0]] for pid in range(n_poas)
+    }
+    # two profile objects per vehicle id; a re-entry may bring either
+    profiles = {
+        vid: [VehicleProfile(vid, draw(vec)), VehicleProfile(vid, draw(vec))]
+        for vid in range(draw(st.integers(1, 4)))
+    }
+    d_max = draw(st.sampled_from([0.25, 0.5, 0.6, 1.0]))
+    if draw(st.booleans()):
+        ad = draw(st.sampled_from(ads))
+        prof = profiles[draw(st.sampled_from(sorted(profiles)))][0]
+        on_edge = float(distances_to(metric, prof.interests, ad.features[None, :])[0])
+        if on_edge > 0:
+            d_max = on_edge
+    return SelectionParams(k=3, m=1, d_max=d_max, metric=metric), candidates, profiles
+
+
+class TestRelevanceMemo:
+    @given(world=estimator_world(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_poa_scan(self, world, data):
+        p, candidates, profiles = world
+        est = RevenueEstimator(p, candidates)
+        ref = ScanningEstimator(p, candidates)
+        at = {}  # vehicle id -> PoA it is under
+        for _ in range(data.draw(st.integers(1, 25))):
+            kind = data.draw(st.sampled_from(["enter", "exit", "broadcast"]))
+            if kind == "enter":
+                vid = data.draw(st.sampled_from(sorted(profiles)))
+                if vid in at:
+                    continue
+                poa = data.draw(st.sampled_from(sorted(candidates)))
+                v = profiles[vid][data.draw(st.integers(0, 1))]
+                detected = data.draw(st.booleans())
+                est.on_vehicle_enter(poa, v, detected=detected)
+                ref.enter(poa, v, detected)
+                at[vid] = poa
+            elif kind == "exit":
+                if not at:
+                    continue
+                vid = data.draw(st.sampled_from(sorted(at)))
+                poa = at.pop(vid)
+                est.on_vehicle_exit(poa, vid)
+                ref.exit(poa, vid)
+            else:
+                poa = data.draw(st.sampled_from(sorted(candidates)))
+                ids = ref.ids[poa]
+                selected = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
+                est.on_broadcast(poa, selected)
+                ref.broadcast(poa, selected)
+                continue
+            assert est.last_event_examined == ref.last_event_examined
+            for pid in candidates:
+                assert est._poas[pid].counts.tolist() == ref.counts[pid].tolist()
+                assert est._poas[pid].contrib == ref.contrib[pid]
+        assert est.registry == ref.registry
+
+    def test_boundary_ad_is_credited(self):
+        on_edge = Ad(ad_id=1, features=np.array([0.25]), base_value=1.0)
+        beyond = Ad(ad_id=2, features=np.array([np.nextafter(0.25, 1.0)]), base_value=1.0)
+        est = RevenueEstimator(params(d_max=0.25), {0: [on_edge, beyond]})
+        est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.0])), detected=True)
+        assert (est.revenue(0, 1), est.revenue(0, 2)) == (1.0, 0.0)
+
+    def test_one_scan_per_vehicle(self, monkeypatch):
+        scans = []
+
+        def counting(metric, f, others):
+            scans.append(len(others))
+            return distances_to(metric, f, others)
+
+        monkeypatch.setattr(volfied.broker, "distances_to", counting)
+        shared = Ad(ad_id=1, features=np.array([0.1]), base_value=1.0)
+        local = Ad(ad_id=2, features=np.array([0.05]), base_value=1.0, target_poa=1)
+        est = RevenueEstimator(params(), {0: [shared], 1: [shared, local]})
+        v = VehicleProfile(0, np.array([0.0]))
+        est.on_vehicle_enter(0, v, detected=False)
+        assert scans == []
+        for poa in (0, 1, 0):
+            est.on_vehicle_enter(poa, v, detected=True)
+            est.on_vehicle_exit(poa, 0)
+        # one scan over both ads, the union of the two candidate sets
+        assert scans == [2]
+        est.on_vehicle_enter(1, v, detected=True)
+        assert (est.revenue(1, 1), est.revenue(1, 2), est.last_event_examined) == (1.0, 1.0, 2)
+
+    def test_new_profile_under_seen_id_is_rescanned(self):
+        near = Ad(ad_id=1, features=np.array([0.0]), base_value=1.0)
+        far = Ad(ad_id=2, features=np.array([1.0]), base_value=1.0)
+        est = RevenueEstimator(params(), {0: [near, far]})
+        est.on_vehicle_enter(0, VehicleProfile(5, np.array([0.0])), detected=True)
+        assert (est.revenue(0, 1), est.revenue(0, 2)) == (1.0, 0.0)
+        est.on_vehicle_exit(0, 5)
+        est.on_vehicle_enter(0, VehicleProfile(5, np.array([1.0])), detected=True)
+        assert (est.revenue(0, 1), est.revenue(0, 2)) == (0.0, 1.0)
+
+    def test_one_id_two_ads_rejected(self):
+        a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
+        b = Ad(ad_id=3, features=np.array([0.2]), base_value=1.0)
+        with pytest.raises(ValueError, match="ad id 3"):
+            RevenueEstimator(params(), {0: [a], 1: [b]})
+
+    def test_equal_ads_under_one_id_accepted(self):
+        a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
+        b = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
+        est = RevenueEstimator(params(), {0: [a], 1: [b]})
+        est.on_vehicle_enter(1, VehicleProfile(0, np.array([0.0])), detected=True)
+        assert est.revenue(1, 3) == 1.0

@@ -162,6 +162,14 @@ class TestSweep:
                      "--sweep", "speed=1,2"]) != 0
         assert "speed" in capsys.readouterr().err
 
+    def test_negative_cache_size_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--seed", "1", "--strategy", "volfied", "--sweep", "C=-1"]) == 1
+        assert "cache_size" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSparsify:
     def test_line_catalog(self, tmp_path):

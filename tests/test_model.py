@@ -133,6 +133,21 @@ class TestBatchConsistency:
             assert batch[i] == pytest.approx(distance(metric, f, others[i]), abs=1e-9)
 
     @pytest.mark.parametrize("metric", [EUCL, ANG])
+    def test_row_depends_on_that_row_alone(self, metric):
+        # The estimator scans the union of all PoAs' candidates once per
+        # vehicle, so a row's distance must be the same bits whatever its
+        # position and whichever rows come with it.
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 5, 9):
+            f = rng.uniform(0.01, 1.0, size=n)
+            others = rng.uniform(0.01, 1.0, size=(200, n))
+            full = distances_to(metric, f, others)
+            subset = rng.permutation(200)[:57]
+            assert np.array_equal(distances_to(metric, f, others[subset]), full[subset])
+            for i in range(200):
+                assert distances_to(metric, f, others[i : i + 1])[0] == full[i]
+
+    @pytest.mark.parametrize("metric", [EUCL, ANG])
     def test_pairwise_matches_scalar(self, metric):
         rng = np.random.default_rng(23)
         a = rng.uniform(0.01, 1.0, size=(12, 4))

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import volfied.sim
 from conftest import estimator_for
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.model import Ad, DistanceMetric, PoA, VehicleProfile
 from volfied.oracle import OracleInstance
 from volfied.scenario import gen_poas, gen_population, gen_synthetic
-from volfied.sim import MobilityTrace, SimConfig, coverage, load_trace, run, write_trace_csv
+from volfied.sim import MobilityTrace, SimConfig, _CoverageIndex, load_trace, run, write_trace_csv
+from volfied.vehicle import VehicleState, step_display
 
 EUCL = DistanceMetric.EUCLIDEAN
 
@@ -144,6 +146,11 @@ class TestGenPoas:
         assert gen_poas(cfg) == poas
 
 
+def lookup_one(poas, x_m, y_m):
+    """The PoA one position associates with, by the simulator's lookup."""
+    return _CoverageIndex(poas).lookup(np.array([[x_m, y_m]]))[0]
+
+
 class TestCoverage:
     POAS = [
         PoA(poa_id=0, x_m=0.0, y_m=0.0, range_m=150.0),
@@ -151,27 +158,35 @@ class TestCoverage:
     ]
 
     def test_inside_range(self):
-        assert coverage(self.POAS, 149.9, 0.0) == 0
+        assert lookup_one(self.POAS, 149.9, 0.0) == 0
 
     def test_boundary_inclusive(self):
-        assert coverage(self.POAS, 150.0, 0.0) == 0
+        assert lookup_one(self.POAS, 150.0, 0.0) == 0
 
     def test_out_of_range(self):
-        assert coverage(self.POAS, 200.0, 100.0) is None
+        assert lookup_one(self.POAS, 200.0, 100.0) is None
 
     def test_tie_lowest_poa_id(self):
         poas = [
             PoA(poa_id=0, x_m=0.0, y_m=0.0, range_m=300.0),
             PoA(poa_id=1, x_m=400.0, y_m=0.0, range_m=300.0),
         ]
-        assert coverage(poas, 200.0, 0.0) == 0
+        assert lookup_one(poas, 200.0, 0.0) == 0
 
     def test_nearest_wins(self):
         poas = [
             PoA(poa_id=0, x_m=0.0, y_m=0.0, range_m=300.0),
             PoA(poa_id=1, x_m=400.0, y_m=0.0, range_m=300.0),
         ]
-        assert coverage(poas, 250.0, 0.0) == 1
+        assert lookup_one(poas, 250.0, 0.0) == 1
+
+    def test_batch_lookup_matches_single(self):
+        points = [(149.9, 0.0), (150.0, 0.0), (200.0, 100.0), (400.0, 10.0)]
+        batch = _CoverageIndex(self.POAS).lookup(np.array(points))
+        assert batch == [lookup_one(self.POAS, x, y) for x, y in points] == [0, 0, None, 1]
+
+    def test_no_positions(self):
+        assert _CoverageIndex(self.POAS).lookup(np.zeros((0, 2))) == []
 
 
 def tiny_scenario(strategy="volfied", steps=3, **cfg_over):
@@ -269,7 +284,7 @@ class TestRun:
             pos = trace0.get(prof.vehicle_id)
             if pos is None:
                 continue
-            pid = coverage(poas, pos[0], pos[1])
+            pid = lookup_one(poas, pos[0], pos[1])
             if pid is not None:
                 est.on_vehicle_enter(pid, prof, detected=True)
                 entered[prof.vehicle_id] = pid
@@ -277,6 +292,58 @@ class TestRun:
             chosen = select_volfied(est, p.poa_id, params)
             expected += sum(est.revenue(p.poa_id, ad_id) for ad_id in chosen)
         assert metrics[0].revenue_cum == pytest.approx(expected, abs=1e-9)
+
+
+class _NonEmpty(list):
+    def __bool__(self):
+        return True
+
+
+class _AlwaysPooling(VehicleState):
+    """A vehicle state whose cache never tests empty, so run() advances its
+    display on every step, idle or not."""
+
+    @property
+    def cache(self):
+        return _NonEmpty(self._cache)
+
+    @cache.setter
+    def cache(self, value):
+        self._cache = list(value)
+
+
+class TestIdleSkip:
+    @pytest.mark.parametrize("strategy", ["volfied", "topk"])
+    @pytest.mark.parametrize("cache_size", [0, 3])
+    def test_display_runs_only_for_busy_vehicles(self, monkeypatch, strategy, cache_size):
+        cfg, trace, ads, profiles, poas = random_run_scenario(seed=11, strategy=strategy)
+        cfg = dataclasses.replace(cfg, cache_size=cache_size)
+        calls = []
+
+        def counting(state, received, *args):
+            cached = [ad.ad_id for ad, _ in state.cache]
+            calls.append((state.profile.vehicle_id, [ad.ad_id for ad in received], cached))
+            return step_display(state, received, *args)
+
+        monkeypatch.setattr(volfied.sim, "step_display", counting)
+        skipping = run(cfg, trace, ads, profiles, poas)
+        made = list(calls)
+        calls.clear()
+        monkeypatch.setattr(volfied.sim, "VehicleState", _AlwaysPooling)
+        every_step = run(cfg, trace, ads, profiles, poas)
+
+        assert skipping == every_step
+        assert len(calls) == cfg.steps * len(profiles)
+        busy = [call for call in calls if call[1] or call[2]]
+        assert made == busy
+        assert 0 < len(busy) < len(calls)
+        if strategy == "topk" and cache_size:
+            # topk sends conflicting ads, so some steps display from the cache alone
+            assert any(not received and cached for _, received, cached in made)
+
+    def test_negative_cache_size_rejected(self):
+        with pytest.raises(ValueError, match="cache_size"):
+            SimConfig(cache_size=-1)
 
 
 def random_run_scenario(seed, strategy="volfied", steps=8):
