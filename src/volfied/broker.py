@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Ad, DistanceMetric, VehicleProfile, ad_value, distances_to, is_relevant
+from .model import Ad, DistanceMetric, VehicleProfile, distances_to
 
 __all__ = [
     "SelectionParams",
@@ -56,20 +56,19 @@ class SelectionStats:
 
 
 class _PoaState:
-    """Candidate arrays and contributor bookkeeping for one PoA."""
+    """Candidates (as rows of the estimator's union feature matrix), their
+    values, and contributor bookkeeping for one PoA."""
 
-    __slots__ = ("ads", "ids", "pos_of", "feats", "values", "counts", "contrib")
+    __slots__ = ("ads", "ids", "pos_of", "rows", "values", "counts", "contrib")
 
-    def __init__(self, poa_id: int, ads: list[Ad]):
+    def __init__(self, poa_id: int, ads: list[Ad], rows: np.ndarray, values: np.ndarray):
         self.ads = list(ads)
         self.ids = np.array([a.ad_id for a in ads], dtype=np.int64)
         if len(set(self.ids.tolist())) != len(ads):
             raise ValueError(f"duplicate ad ids in candidates for poa {poa_id}")
         self.pos_of = {a.ad_id: i for i, a in enumerate(ads)}
-        self.feats = (
-            np.stack([a.features for a in ads]) if ads else np.zeros((0, 0))
-        )
-        self.values = np.array([ad_value(a, poa_id) for a in ads], dtype=float)
+        self.rows = rows
+        self.values = values
         self.counts = np.zeros(len(ads), dtype=np.int64)
         # vehicle id -> positions currently credited; keys are exactly the
         # detected vehicles present under this PoA
@@ -99,7 +98,6 @@ class RevenueEstimator:
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
         self.params = params
         self.registry: dict[int, set[int]] = {}
-        self._poas = {pid: _PoaState(pid, ads) for pid, ads in candidates_by_poa.items()}
         union: dict[int, Ad] = {}
         for pid, ads in candidates_by_poa.items():
             for a in ads:
@@ -110,6 +108,17 @@ class RevenueEstimator:
         self._union_feats = (
             np.stack([a.features for a in union.values()]) if union else np.zeros((0, 0))
         )
+        row_of = {ad_id: i for i, ad_id in enumerate(union)}
+        base = np.array([a.base_value for a in union.values()], dtype=float)
+        is_global = np.array([a.is_global for a in union.values()], dtype=bool)
+        target = np.array([-1 if a.is_global else a.target_poa for a in union.values()])
+        self._poas = {}
+        for pid, ads in candidates_by_poa.items():
+            rows = np.array([row_of[a.ad_id] for a in ads], dtype=np.int64)
+            # ad_value over all candidates at once: in scope, base value; else 0
+            in_scope = is_global[rows] | (target[rows] == pid)
+            values = np.where(in_scope, base[rows], 0.0)
+            self._poas[pid] = _PoaState(pid, ads, rows, values)
         # vehicle id -> (profile scanned, ids of the union ads relevant to it)
         self._relevant: dict[int, tuple[VehicleProfile, frozenset[int]]] = {}
         # per-event instrumentation: ads touched by the last / any event
@@ -223,21 +232,24 @@ def select_volfied(
     skipped: they cannot contribute revenue but could block a slot.
     """
     st = est._poas[poa]
+    feats = est._union_feats
     chosen: list[int] = []
-    chosen_feats: list[np.ndarray] = []
+    chosen_feats = np.empty((params.k, feats.shape[1]))
     for pos, _, ad_id in est._positive_by_revenue(poa):
-        if len(chosen) >= params.k:
+        n = len(chosen)
+        if n >= params.k:
             break
-        if chosen_feats:
-            d = distances_to(params.metric, st.feats[pos], np.stack(chosen_feats))
+        f = feats[st.rows[pos]]
+        if n:
+            d = distances_to(params.metric, f, chosen_feats[:n])
             if stats is not None:
-                stats.distance_evals += len(chosen_feats)
+                stats.distance_evals += n
             blockers = int(np.count_nonzero(d <= 2.0 * params.d_max))
         else:
             blockers = 0
         if blockers < params.m:
+            chosen_feats[n] = f
             chosen.append(ad_id)
-            chosen_feats.append(st.feats[pos])
     return chosen
 
 

@@ -8,9 +8,9 @@ target PoA.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "pairwise_distances",
     "ad_value",
     "is_relevant",
+    "rank_relevant",
 ]
 
 # Features are 1-D float arrays of a common dimension n.
@@ -96,53 +97,39 @@ class VehicleProfile:
         as_features(self.interests)
 
 
-def _check_same_dim(f1: FeatureVector, f2: FeatureVector) -> None:
-    if f1.shape != f2.shape:
-        raise ValueError(f"dimension mismatch: {f1.shape} vs {f2.shape}")
-
-
 def distance(metric: DistanceMetric, f1: FeatureVector, f2: FeatureVector) -> float:
-    """Distance between two feature vectors under the given metric.
-
-    Euclidean is the 2-norm of the difference. Angular is the angle
-    arccos(cos_sim) with the cosine clamped to [-1, 1] for numerical
-    safety, so identical vectors are at distance 0. Angular distance is
-    undefined for zero vectors and raises ValueError.
-    """
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    _check_same_dim(f1, f2)
-    if metric is DistanceMetric.EUCLIDEAN:
-        return float(np.linalg.norm(f1 - f2))
-    n1 = float(np.linalg.norm(f1))
-    n2 = float(np.linalg.norm(f2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("angular distance undefined for zero vectors")
-    # dot/(n1*n2) can round to just below 1 for equal inputs, and arccos
-    # amplifies that to ~1e-8; equal vectors must come out at exactly 0.
-    if np.array_equal(f1, f2):
-        return 0.0
-    cos_sim = float(np.dot(f1, f2)) / (n1 * n2)
-    return math.acos(max(-1.0, min(1.0, cos_sim)))
+    """Distance between two feature vectors: the one-row case of
+    `distances_to`, so a pair gets the same bits on every code path."""
+    return float(distances_to(metric, f1, np.asarray(f2, dtype=float)[None, :])[0])
 
 
 def distances_to(metric: DistanceMetric, f: FeatureVector, others: np.ndarray) -> np.ndarray:
-    """Distances from one vector to each row of `others` (shape (m, n))."""
+    """Distances from one vector to each row of `others` (shape (m, n)).
+
+    Euclidean is the 2-norm of the difference. Angular is the angle
+    arccos(cos_sim) with the cosine clamped to [-1, 1] for numerical
+    safety; it is undefined for zero vectors and raises ValueError. Each
+    row is reduced on its own, and `f` as a row, so a row's distance does
+    not depend on the other rows and `f` may swap with a one-row `others`.
+    """
     f = np.asarray(f, dtype=float)
     others = np.asarray(others, dtype=float)
-    if others.ndim != 2 or others.shape[1] != f.shape[0]:
-        raise ValueError(f"expected rows of dim {f.shape[0]}, got shape {others.shape}")
+    if f.ndim != 1 or others.ndim != 2 or others.shape[1] != f.shape[0]:
+        raise ValueError(f"expected rows of dim {f.shape}, got shape {others.shape}")
     if metric is DistanceMetric.EUCLIDEAN:
         return np.linalg.norm(others - f, axis=1)
-    nf = float(np.linalg.norm(f))
+    nf = np.linalg.norm(f[None, :], axis=1)[0]
     norms = np.linalg.norm(others, axis=1)
     if nf == 0.0 or np.any(norms == 0.0):
         raise ValueError("angular distance undefined for zero vectors")
     # A row-wise reduction, like the norms: a matrix-vector product can
-    # round a row differently depending on where it sits in `others`, and a
-    # row's distance must not depend on which other rows came with it.
+    # round a row differently depending on where it sits in `others`.
     cos_sim = (others * f).sum(axis=1) / (norms * nf)
-    return np.arccos(np.clip(cos_sim, -1.0, 1.0))
+    dists = np.arccos(np.clip(cos_sim, -1.0, 1.0))
+    # dot/(n1*n2) can round to just below 1 for equal inputs, and arccos
+    # amplifies that to ~1e-8; equal vectors must come out at exactly 0.
+    dists[(others == f).all(axis=1)] = 0.0
+    return dists
 
 
 def pairwise_distances(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,6 +165,30 @@ def ad_value(ad: Ad, poa_id: int | None) -> float:
     return 0.0
 
 
+def rank_relevant(
+    ads: Iterable[Ad],
+    profile: VehicleProfile,
+    poa_id: int | None,
+    d_max: float,
+    metric: DistanceMetric,
+    exclude: Container[int] = frozenset(),
+) -> list[tuple[Ad, float]]:
+    """(ad, distance) pairs for the ads not in `exclude` that are relevant
+    to the profile at the given PoA, sorted by (distance, ad_id): the one
+    "relevant, unseen, closest first" rule that displays take a prefix of.
+
+    Relevant means in scope at the PoA (positive `ad_value`) and within
+    d_max of the profile, ties relevant.
+    """
+    scoped = [a for a in ads if a.ad_id not in exclude and ad_value(a, poa_id) > 0.0]
+    if not scoped:
+        return []
+    dists = distances_to(metric, profile.interests, np.stack([a.features for a in scoped]))
+    ranked = [(a, float(d)) for a, d in zip(scoped, dists) if d <= d_max]
+    ranked.sort(key=lambda pair: (pair[1], pair[0].ad_id))
+    return ranked
+
+
 def is_relevant(
     ad: Ad,
     profile: VehicleProfile,
@@ -187,6 +198,4 @@ def is_relevant(
 ) -> bool:
     """True iff the ad is within d_max of the profile (ties relevant) and
     its scope admits the vehicle's current PoA."""
-    if not (ad.is_global or ad.target_poa == poa_id):
-        return False
-    return distance(metric, ad.features, profile.interests) <= d_max
+    return bool(rank_relevant([ad], profile, poa_id, d_max, metric))

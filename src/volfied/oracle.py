@@ -17,7 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .broker import SelectionParams
-from .model import Ad, DistanceMetric, VehicleProfile, ad_value, distance, is_relevant
+from .model import Ad, DistanceMetric, VehicleProfile, ad_value, rank_relevant
+# perfbench/tracer.py wraps `distance` under this module's name.
+from .model import distance  # noqa: F401
 
 __all__ = [
     "MAX_CANDIDATES",
@@ -84,7 +86,7 @@ def simulate_display(
     """
     params = instance.params
     by_id = {a.ad_id: a for a in instance.ads}
-    clean: dict[int, list[int]] = {}
+    clean: dict[int, list[Ad]] = {}
     for pid, ad_ids in broadcast.items():
         unique = list(dict.fromkeys(ad_ids))
         if len(unique) > params.k:
@@ -92,7 +94,7 @@ def simulate_display(
         for ad_id in unique:
             if ad_id not in by_id:
                 raise ValueError(f"broadcast references unknown ad {ad_id}")
-        clean[pid] = unique
+        clean[pid] = [by_id[ad_id] for ad_id in unique]
 
     displays: dict[int, list[int]] = {v.vehicle_id: [] for v in instance.vehicles}
     per_poa: dict[int, list[VehicleProfile]] = {}
@@ -106,18 +108,9 @@ def simulate_display(
         subtotal = 0.0
         for prof in sorted(per_poa[poa], key=lambda p: p.vehicle_id):
             seen = instance.displayed.get(prof.vehicle_id, frozenset())
-            pool = []
-            for ad_id in clean[poa]:
-                if ad_id in seen:
-                    continue
-                ad = by_id[ad_id]
-                if not is_relevant(ad, prof, poa, params.d_max, params.metric):
-                    continue
-                d = distance(params.metric, ad.features, prof.interests)
-                pool.append((d, ad_id, ad))
-            pool.sort(key=lambda t: (t[0], t[1]))
-            for _, ad_id, ad in pool[: params.m]:
-                displays[prof.vehicle_id].append(ad_id)
+            ranked = rank_relevant(clean[poa], prof, poa, params.d_max, params.metric, seen)
+            for ad, _ in ranked[: params.m]:
+                displays[prof.vehicle_id].append(ad.ad_id)
                 subtotal += ad_value(ad, poa)
         revenue += subtotal
     return displays, revenue
@@ -156,17 +149,9 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
         for vid in covered:
             prof = by_vid[vid]
             seen = instance.displayed.get(vid, frozenset())
-            entries = []
-            for ad in candidates:
-                if ad.ad_id in seen:
-                    continue
-                if not is_relevant(ad, prof, poa, params.d_max, params.metric):
-                    continue
-                d = distance(params.metric, ad.features, prof.interests)
-                entries.append((d, ad.ad_id, ad_value(ad, poa)))
-            entries.sort()
-            if entries:
-                menus.append([(ad_id, value) for _, ad_id, value in entries])
+            ranked = rank_relevant(candidates, prof, poa, params.d_max, params.metric, seen)
+            if ranked:
+                menus.append([(ad.ad_id, ad_value(ad, poa)) for ad, _ in ranked])
 
         cand_ids = [a.ad_id for a in candidates]
         best_rev = 0.0

@@ -102,35 +102,28 @@ class MobilityTrace:
 
 
 def load_trace(path, step_duration_s: float = 1.0) -> MobilityTrace:
-    """Parse a trace CSV; rows may arrive in any step order."""
+    """Parse a trace CSV; rows may arrive in any step order. A malformed or
+    invalid row raises ValueError naming the file and line."""
+    lineno = 1
+
+    def records(fh):
+        nonlocal lineno
+        for lineno, raw in enumerate(fh, start=2):
+            raw = raw.rstrip("\n")
+            if raw:
+                s, v, x, y = raw.split(",")
+                yield int(s), int(v), float(x), float(y)
+
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
             raise ValueError(f"missing or wrong trace header: want {TRACE_HEADER!r}")
-        buckets: dict[int, dict[int, tuple[float, float]]] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            try:
-                s, v, x, y = raw.split(",")
-                step, vid = int(s), int(v)
-                pos = (float(x), float(y))
-                if step < 0:
-                    raise ValueError("negative step")
-                if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
-                    raise ValueError("non-finite position")
-                bucket = buckets.setdefault(step, {})
-                if vid in bucket:
-                    raise ValueError(f"vehicle {vid} appears twice at step {step}")
-                bucket[vid] = pos
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    n_steps = max(buckets) + 1 if buckets else 0
-    return MobilityTrace(
-        per_step=tuple(buckets.get(s, {}) for s in range(n_steps)),
-        step_duration_s=step_duration_s,
-    )
+        try:
+            return MobilityTrace.from_records(records(fh), step_duration_s)
+        except ValueError as exc:
+            # from_records checks each record as it arrives, so the line
+            # last yielded is the one at fault
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
 
 def write_trace_csv(path, trace: MobilityTrace) -> None:

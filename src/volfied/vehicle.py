@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .broker import SelectionParams
-from .model import Ad, VehicleProfile, distance, is_relevant
+from .model import Ad, VehicleProfile, rank_relevant
+# perfbench/tracer.py wraps `distance` under this module's name.
+from .model import distance  # noqa: F401
 
 __all__ = ["VehicleState", "step_display"]
 
@@ -53,22 +55,12 @@ def step_display(
     """
     if cache_capacity < 0:
         raise ValueError("cache_capacity must be >= 0")
-    profile = state.profile
-    pool: dict[int, tuple[Ad, float]] = {}
-    for ad, dist in state.cache:
-        if ad.ad_id in state.displayed:
-            continue
-        if not (ad.is_global or ad.target_poa == current_poa):
-            continue
-        pool[ad.ad_id] = (ad, dist)
+    pool: dict[int, Ad] = {ad.ad_id: ad for ad, _ in state.cache}
     for ad in received:
-        if ad.ad_id in state.displayed or ad.ad_id in pool:
-            continue
-        if not is_relevant(ad, profile, current_poa, params.d_max, params.metric):
-            continue
-        pool[ad.ad_id] = (ad, distance(params.metric, ad.features, profile.interests))
-
-    ranked = sorted(pool.values(), key=lambda pair: (pair[1], pair[0].ad_id))
+        pool.setdefault(ad.ad_id, ad)
+    ranked = rank_relevant(
+        pool.values(), state.profile, current_poa, params.d_max, params.metric, state.displayed
+    )
     shown = ranked[: params.m]
     state.cache = ranked[params.m : params.m + cache_capacity]
 

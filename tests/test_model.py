@@ -54,6 +54,8 @@ class TestDistance:
         # The uncorrected 1 - cos_sim form would give pi/2 here.
         f = np.array([0.5, 0.5])
         assert distance(ANG, f, f.copy()) == 0.0
+        rows = np.array([[0.1, 0.9], [0.5, 0.5]])
+        assert distances_to(ANG, f, rows)[1] == 0.0
 
     def test_angular_scale_invariant(self):
         f1 = np.array([0.2, 0.7, 0.1])
@@ -130,7 +132,19 @@ class TestBatchConsistency:
         others = rng.uniform(0.01, 1.0, size=(64, 5))
         batch = distances_to(metric, f, others)
         for i in range(64):
-            assert batch[i] == pytest.approx(distance(metric, f, others[i]), abs=1e-9)
+            assert batch[i] == distance(metric, f, others[i])
+
+    @pytest.mark.parametrize("metric", [EUCL, ANG])
+    def test_scalar_is_batch_with_roles_swapped(self, metric):
+        # The vehicle side asks distance(ad, profile) and the broker asks
+        # distances_to(profile, ads): both must give the same bits, or an ad
+        # on the d_max sphere is relevant to one side and not the other.
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 5, 9):
+            for _ in range(300):
+                a = rng.uniform(0.01, 1.0, size=n)
+                b = rng.uniform(0.01, 1.0, size=n)
+                assert distance(metric, a, b) == distances_to(metric, b, a[None])[0]
 
     @pytest.mark.parametrize("metric", [EUCL, ANG])
     def test_row_depends_on_that_row_alone(self, metric):

@@ -1,13 +1,15 @@
 """Exact enumeration solver: hand-checked optima, bounds, budget guards."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import clustered_instance, random_instance, realized_revenue
+from conftest import clustered_instance, estimator_for, random_instance, realized_revenue
 from volfied.broker import SelectionParams, select_volfied
-from volfied.model import Ad, DistanceMetric, VehicleProfile
+from volfied.model import Ad, DistanceMetric, VehicleProfile, distance, distances_to
 from volfied.oracle import (
     OracleInstance,
     instance_from_json,
@@ -15,8 +17,10 @@ from volfied.oracle import (
     simulate_display,
     solve_exact,
 )
+from volfied.vehicle import VehicleState, step_display
 
 EUCL = DistanceMetric.EUCLIDEAN
+ANG = DistanceMetric.ANGULAR
 
 
 def example1(k=2, m=1):
@@ -215,6 +219,116 @@ class TestOracleBounds:
                 opt = solve_exact(inst).revenue
                 _, rev_v = realized_revenue(inst, "volfied")
                 assert rev_v == opt
+
+
+def credited_ids(est, poa):
+    """Ad ids the estimator credits to each detected vehicle under `poa`."""
+    state = est._poas[poa]
+    return {vid: {int(state.ids[p]) for p in pos} for vid, pos in state.contrib.items()}
+
+
+@st.composite
+def single_poa_instances(draw):
+    """Vehicles under PoA 0 or uncovered, Global and Local ads, display
+    histories, and d_max copied from one vehicle-ad distance so that pair
+    sits exactly on the threshold; a vehicle may sit on an ad."""
+    metric = draw(st.sampled_from([EUCL, ANG]))
+    n_dims = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ads = draw(st.integers(1, 8))
+    ads = tuple(
+        Ad(
+            ad_id=i + 1,
+            features=rng.uniform(0.01, 1.0, n_dims),
+            base_value=float(rng.uniform(0.1, 1.0)),
+            target_poa=draw(st.sampled_from([None, None, 0, 1])),
+        )
+        for i in range(n_ads)
+    )
+    interests = [rng.uniform(0.01, 1.0, n_dims) for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        interests[0] = ads[draw(st.integers(0, n_ads - 1))].features.copy()
+    vehicles = tuple(VehicleProfile(vehicle_id=v, interests=f) for v, f in enumerate(interests))
+    on = draw(st.integers(0, n_ads - 1))
+    d_max = distance(metric, ads[on].features, interests[draw(st.integers(0, len(interests) - 1))])
+    assume(d_max > 0)
+    m = draw(st.integers(1, 3))
+    params = SelectionParams(k=draw(st.integers(m, 5)), m=m, d_max=d_max, metric=metric)
+    ad_ids = [a.ad_id for a in ads]
+    coverage = {v.vehicle_id: draw(st.sampled_from([0, 0, None])) for v in vehicles}
+    displayed = {
+        v.vehicle_id: frozenset(draw(st.lists(st.sampled_from(ad_ids), max_size=2)))
+        for v in vehicles
+    }
+    inst = OracleInstance(
+        ads=ads, vehicles=vehicles, coverage=coverage, params=params, displayed=displayed
+    )
+    broadcast = draw(st.lists(st.sampled_from(ad_ids), unique=True, max_size=params.k))
+    return inst, broadcast
+
+
+class TestOneDisplayRule:
+    """Broker, vehicle and oracle answer "is this ad relevant to this
+    vehicle?" with the same bits, so the estimate is what gets displayed."""
+
+    # A 5-D pair whose distance through the row-wise kernel is one ulp
+    # above the 1-D norm of its difference (0.9115371632577578 against
+    # 0.9115371632577577): with d_max at the smaller value, a kernel that
+    # differs between the broker and the display side splits on the pair.
+    WITNESS_AD = [0.8, 0.32, 0.8, 0.23, 0.36]
+    WITNESS_VEHICLE = [0.42, 0.54, 0.11, 0.41, 0.0]
+
+    def test_boundary_witness_estimate_is_displayed(self):
+        ad_f = np.array(self.WITNESS_AD)
+        far = np.array(self.WITNESS_VEHICLE)
+        d_max = float(np.linalg.norm(ad_f - far))
+        assert distances_to(EUCL, far, ad_f[None, :])[0] > d_max
+        ad = Ad(ad_id=1, features=ad_f, base_value=1.0)
+        vehicles = (
+            VehicleProfile(vehicle_id=0, interests=ad_f.copy()),
+            VehicleProfile(vehicle_id=1, interests=far),
+        )
+        params = SelectionParams(k=1, m=1, d_max=d_max, metric=EUCL)
+        inst = OracleInstance(ads=(ad,), vehicles=vehicles, coverage={0: 0, 1: 0}, params=params)
+
+        est = estimator_for(inst)
+        credited = {vid for vid, ids in credited_ids(est, 0).items() if ids}
+        displays, revenue = simulate_display({0: [1]}, inst)
+        assert credited == {vid for vid, shown in displays.items() if shown}
+        assert revenue == est.revenue(0, 1)
+        for prof in vehicles:
+            shown = step_display(VehicleState(profile=prof), [ad], 0, params)
+            assert bool(shown) == (prof.vehicle_id in credited)
+
+    @given(single_poa_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_simulate_display_is_step_display(self, drawn):
+        inst, broadcast = drawn
+        displays, _ = simulate_display({0: broadcast}, inst)
+        by_id = {a.ad_id: a for a in inst.ads}
+        for prof in inst.vehicles:
+            vid = prof.vehicle_id
+            poa = inst.coverage[vid]
+            received = [by_id[i] for i in broadcast] if poa is not None else []
+            state = VehicleState(profile=prof, displayed=set(inst.displayed[vid]))
+            shown = step_display(state, received, poa, inst.params, cache_capacity=0)
+            assert [ad_id for ad_id, _ in shown] == displays[vid]
+
+    @given(single_poa_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_estimator_credits_what_is_displayed(self, drawn):
+        inst, _ = drawn
+        everything = [a.ad_id for a in inst.ads]
+        n = len(everything)
+        inst = OracleInstance(
+            ads=inst.ads,
+            vehicles=inst.vehicles,
+            coverage={v.vehicle_id: 0 for v in inst.vehicles},
+            params=dataclasses.replace(inst.params, k=n, m=n),
+        )
+        credited = credited_ids(estimator_for(inst), 0)
+        displays, _ = simulate_display({0: everything}, inst)
+        assert credited == {vid: set(shown) for vid, shown in displays.items()}
 
 
 class TestInstanceValidation:
