@@ -206,16 +206,14 @@ class RevenueEstimator:
                     st.contrib[vid].discard(pos)
                     st.counts[pos] -= 1
 
-    def _positive_by_revenue(self, poa: int) -> list[tuple[int, float, int]]:
-        """(position, R, ad_id) for positive-estimate ads, ordered by
+    def _positive_by_revenue(self, poa: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, ad ids) of the positive-estimate ads, ordered by
         R descending then AdId ascending."""
         st = self._poas[poa]
         positions = np.flatnonzero(st.counts > 0)
-        entries = [
-            (int(p), float(st.values[p] * st.counts[p]), int(st.ids[p])) for p in positions
-        ]
-        entries.sort(key=lambda e: (-e[1], e[2]))
-        return entries
+        ids = st.ids[positions]
+        order = np.lexsort((ids, -(st.values[positions] * st.counts[positions])))
+        return positions[order], ids[order]
 
 
 def select_volfied(
@@ -235,7 +233,8 @@ def select_volfied(
     feats = est._union_feats
     chosen: list[int] = []
     chosen_feats = np.empty((params.k, feats.shape[1]))
-    for pos, _, ad_id in est._positive_by_revenue(poa):
+    positions, ids = est._positive_by_revenue(poa)
+    for pos, ad_id in zip(positions.tolist(), ids.tolist()):
         n = len(chosen)
         if n >= params.k:
             break
@@ -255,7 +254,7 @@ def select_volfied(
 
 def select_topk(est: RevenueEstimator, poa: int, params: SelectionParams) -> list[int]:
     """The k highest positive-estimate ads."""
-    return [ad_id for _, _, ad_id in est._positive_by_revenue(poa)[: params.k]]
+    return est._positive_by_revenue(poa)[1][: params.k].tolist()
 
 
 def select_random(
@@ -265,12 +264,12 @@ def select_random(
     rng_stream: np.random.Generator,
 ) -> list[int]:
     """Uniform sample without replacement from the positive-estimate ads."""
-    positive = sorted(ad_id for _, _, ad_id in est._positive_by_revenue(poa))
-    if not positive:
+    positive = np.sort(est._positive_by_revenue(poa)[1])
+    if positive.size == 0:
         return []
-    size = min(params.k, len(positive))
-    picked = rng_stream.choice(np.array(positive, dtype=np.int64), size=size, replace=False)
-    return [int(x) for x in picked]
+    size = min(params.k, positive.size)
+    picked = rng_stream.choice(positive, size=size, replace=False)
+    return picked.tolist()
 
 
 def is_conflict_free(

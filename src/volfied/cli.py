@@ -4,8 +4,7 @@ Subcommands: gen-ads, gen-poas, gen-trace, gen-profiles, sparsify, run,
 oracle, sweep. A config file is JSON carrying every simulation field; `run`
 and `sweep` regenerate the scenario deterministically per seed, write one
 metrics CSV per (strategy, seed, sweep value) combination plus a summary
-CSV, and exit 0 only when every combination completed. VOLFIED_THREADS
-caps the sweep worker pool.
+CSV, and exit 0 only when every combination completed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .files import (
     SUMMARY_HEADER,
@@ -31,7 +29,7 @@ from .files import (
 from .model import DistanceMetric, distance
 from .oracle import instance_from_json, result_to_json, solve_exact
 from .scenario import build_scenario, gen_ads, gen_poas, gen_profiles, gen_synthetic
-from .sim import STRATEGIES, SimConfig, run, write_trace_csv
+from .sim import SimConfig, StepMetrics, run, write_trace_csv
 from .sparse import m_sparse_set
 
 __all__ = ["main"]
@@ -71,9 +69,8 @@ def load_config(path: str | None) -> SimConfig:
 
 
 def _workers(n_jobs: int) -> int:
-    env = os.environ.get("VOLFIED_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
+    # Jobs run one after another; perfbench still reports this pool size.
+    return 1
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -81,11 +78,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_strategies(text: str) -> list[str]:
-    names = [tok for tok in text.split(",") if tok != ""]
-    for name in names:
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}; pick from {STRATEGIES}")
-    return names
+    return [tok for tok in text.split(",") if tok != ""]
 
 
 def _parse_sweep(text: str) -> tuple[str, str, type, list[str]]:
@@ -160,21 +153,13 @@ def _cmd_oracle(args) -> int:
 
 def _run_one(config: SimConfig, out_dir: str, strategy: str, seed: int,
              sweep_name: str | None, token: str | None) -> str:
-    metrics, _ = run(config, *_scenario_for(config, seed))
+    ads, profiles, poas, trace = build_scenario(config, seed)
+    metrics, _ = run(config, trace, ads, profiles, poas)
     suffix = f"_{sweep_name}_{token}" if sweep_name else ""
     path = os.path.join(out_dir, f"metrics_{strategy}_seed{seed}{suffix}.csv")
     atomic_write_text(path, render_metrics_csv(strategy, metrics))
-    last = metrics[-1] if metrics else None
-    if last is None:
-        from .sim import StepMetrics
-
-        last = StepMetrics(0, 0.0, 0, 0.0, 0)
+    last = metrics[-1] if metrics else StepMetrics(0, 0.0, 0, 0.0, 0)
     return render_summary_row(strategy, seed, token or "", last)
-
-
-def _scenario_for(config: SimConfig, seed: int):
-    ads, profiles, poas, trace = build_scenario(config, seed)
-    return trace, ads, profiles, poas
 
 
 def _cmd_run(args, sweep_required: bool) -> int:
@@ -198,24 +183,17 @@ def _cmd_run(args, sweep_required: bool) -> int:
                 jobs.append((cfg, strategy, seed, token))
 
     os.makedirs(args.out, exist_ok=True)
-    results: list[str | None] = [None] * len(jobs)
+    rows = [SUMMARY_HEADER]
     failures = []
-    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as pool:
-        futures = {
-            pool.submit(_run_one, cfg, args.out, strategy, seed, sweep_name, token): i
-            for i, (cfg, strategy, seed, token) in enumerate(jobs)
-        }
-        for fut, i in futures.items():
-            _, strategy, seed, token = jobs[i]
+    for cfg, strategy, seed, token in jobs:
+        try:
+            rows.append(_run_one(cfg, args.out, strategy, seed, sweep_name, token))
+        except Exception as exc:
             label = f"strategy={strategy} seed={seed}" + (
                 f" {sweep_name}={token}" if token is not None else ""
             )
-            try:
-                results[i] = fut.result()
-            except Exception as exc:
-                failures.append(f"{label}: {exc}")
+            failures.append(f"{label}: {exc}")
 
-    rows = [SUMMARY_HEADER] + [r for r in results if r is not None]
     atomic_write_text(os.path.join(args.out, "summary.csv"), "\n".join(rows) + "\n")
     for failure in failures:
         print(f"error: run failed: {failure}", file=sys.stderr)

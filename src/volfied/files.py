@@ -1,7 +1,7 @@
 """CSV file formats: catalogs, populations, and plot-ready run outputs.
 
-All writers go through `atomic_write_text` (temp file + rename) so partially
-written files never appear under concurrent sweeps. Feature vectors and
+All writers go through `atomic_write_text` (temp file + rename) so a
+partially written file never appears under its final name. Feature vectors and
 values are stored with full float precision (repr round trip); metrics and
 summary files print reals to 6 decimal places.
 """

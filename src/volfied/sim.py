@@ -49,7 +49,14 @@ STREAM_TRACE = 3
 STREAM_DETECTION = 4
 STREAM_RANDOM_STRATEGY = 5
 
-STRATEGIES = ("volfied", "topk", "random")
+# strategy name -> selector(est, poa, params, stats, rng). Each entry looks
+# its select_* function up in this module when it is called, so a wrapper
+# installed on `volfied.sim.select_volfied` sees every selection.
+STRATEGIES = {
+    "volfied": lambda est, poa, params, stats, rng: select_volfied(est, poa, params, stats),
+    "topk": lambda est, poa, params, stats, rng: select_topk(est, poa, params),
+    "random": lambda est, poa, params, stats, rng: select_random(est, poa, params, rng),
+}
 
 
 def rng_stream(seed: int, tag: int) -> np.random.Generator:
@@ -170,7 +177,9 @@ class SimConfig:
         if self.n_dims < 1:
             raise ValueError("n_dims must be >= 1")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; pick from {STRATEGIES}")
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; pick from {tuple(STRATEGIES)}"
+            )
         if self.n_ads < 0 or self.n_vehicles < 0 or self.steps < 0 or self.n_poas < 1:
             raise ValueError("n_ads, n_vehicles, steps must be >= 0 and n_poas >= 1")
         if not 0.0 <= self.global_fraction <= 1.0:
@@ -250,14 +259,6 @@ def _candidates_by_poa(config: SimConfig, ads: Sequence[Ad], poas: Sequence[PoA]
     return out
 
 
-def _select(strategy, est, poa_id, params, stats, rng):
-    if strategy == "volfied":
-        return select_volfied(est, poa_id, params, stats)
-    if strategy == "topk":
-        return select_topk(est, poa_id, params)
-    return select_random(est, poa_id, params, rng)
-
-
 def run(
     config: SimConfig,
     trace: MobilityTrace,
@@ -276,6 +277,7 @@ def run(
         raise ValueError(f"trace references vehicles without profiles: {missing}")
 
     params = config.selection_params
+    select = STRATEGIES[config.strategy]
     candidates = _candidates_by_poa(config, ads, poas)
     est = RevenueEstimator(params, candidates)
     index = _CoverageIndex(poas)
@@ -317,7 +319,7 @@ def run(
 
         selected: dict[int, list[int]] = {}
         for pid in poa_ids:
-            chosen = _select(config.strategy, est, pid, params, stats, strat_rng)
+            chosen = select(est, pid, params, stats, strat_rng)
             selected[pid] = chosen
             est.on_broadcast(pid, chosen)
             broadcasts += len(chosen)

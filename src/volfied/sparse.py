@@ -136,7 +136,6 @@ def epsilon_set(
     ads: list[Ad],
     epsilon: float,
     metric: DistanceMetric,
-    value_of=None,
     chunk_size: int = 512,
 ) -> SparseAdSet:
     """Single-layer sparse approximation.
@@ -146,11 +145,9 @@ def epsilon_set(
     dropped ad maps to the kept ad that removed it.
     """
     params = SparseApproxParams(epsilon=epsilon, m=1, metric=metric)
-    if value_of is None:
-        value_of = lambda a: a.base_value
     if not ads:
         return SparseAdSet(ads=[], params=params)
-    order = sorted(range(len(ads)), key=lambda i: (-value_of(ads[i]), ads[i].ad_id))
+    order = sorted(range(len(ads)), key=lambda i: (-ads[i].base_value, ads[i].ad_id))
     feats = np.stack([ads[i].features for i in order])
     kept, reps = _greedy_scan(feats, 2.0 * epsilon, metric, chunk_size)
     members = [ads[order[i]] for i in kept]
@@ -164,7 +161,6 @@ def m_sparse_set(
     epsilon: float,
     m: int,
     metric: DistanceMetric,
-    value_of=None,
     chunk_size: int = 512,
 ) -> SparseAdSet:
     """m-layer sparse approximation: layer i is the single-layer build over
@@ -177,7 +173,7 @@ def m_sparse_set(
     for layer in range(1, m + 1):
         if not residual:
             break
-        sub = epsilon_set(residual, epsilon, metric, value_of=value_of, chunk_size=chunk_size)
+        sub = epsilon_set(residual, epsilon, metric, chunk_size=chunk_size)
         for a in sub.ads:
             members.append(a)
             layers[a.ad_id] = layer

@@ -32,8 +32,6 @@ class VehicleState:
     profile: VehicleProfile
     displayed: set[int] = field(default_factory=set)
     cache: list[tuple[Ad, float]] = field(default_factory=list)
-    x_m: float = 0.0
-    y_m: float = 0.0
 
 
 def step_display(

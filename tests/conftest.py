@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from volfied.broker import (
-    RevenueEstimator,
-    SelectionParams,
-    select_random,
-    select_topk,
-    select_volfied,
-)
+from volfied.broker import RevenueEstimator, SelectionParams
 from volfied.model import Ad, DistanceMetric, VehicleProfile
 from volfied.oracle import OracleInstance, simulate_display
+from volfied.sim import STRATEGIES
 
 
 def random_instance(
@@ -110,22 +105,14 @@ def estimator_for(instance):
 def realized_revenue(instance, strategy, rng=None):
     """Select per PoA with the given strategy, then price the displays.
 
-    strategy is one of "volfied", "topk", "random"; returns (broadcasts,
-    revenue) where broadcasts maps poa_id -> chosen ad id list.
+    strategy is a key of sim.STRATEGIES (an unknown one raises KeyError);
+    returns (broadcasts, revenue) where broadcasts maps poa_id -> chosen ad
+    id list.
     """
+    select = STRATEGIES[strategy]
     est = estimator_for(instance)
     poa_ids = sorted({p for p in instance.coverage.values() if p is not None})
-    broadcasts = {}
-    for pid in poa_ids:
-        if strategy == "volfied":
-            chosen = select_volfied(est, pid, instance.params)
-        elif strategy == "topk":
-            chosen = select_topk(est, pid, instance.params)
-        elif strategy == "random":
-            chosen = select_random(est, pid, instance.params, rng)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        broadcasts[pid] = chosen
+    broadcasts = {pid: select(est, pid, instance.params, None, rng) for pid in poa_ids}
     _, revenue = simulate_display(broadcasts, instance)
     return broadcasts, revenue
 

@@ -247,6 +247,30 @@ class TestTopkRandom:
         b = select_random(est, 0, p, np.random.default_rng(42))
         assert a == b and len(a) == 4
 
+    def test_order_is_revenue_desc_then_id_asc(self):
+        rng = np.random.default_rng(3)
+        ads = [
+            Ad(
+                ad_id=int(i),
+                features=rng.uniform(0, 1, 2),
+                base_value=float(rng.choice([0.5, 1.0])),
+            )
+            for i in rng.permutation(40) + 1  # positions do not follow ids
+        ]
+        p = SelectionParams(k=len(ads), m=1, d_max=0.6, metric=EUCL)
+        est = RevenueEstimator(p, {0: ads})
+        for vid in range(6):
+            est.on_vehicle_enter(0, VehicleProfile(vid, rng.uniform(0, 1, 2)), detected=True)
+        positive = [a.ad_id for a in ads if est.revenue(0, a.ad_id) > 0]
+        revenues = [est.revenue(0, i) for i in positive]
+        assert len(set(revenues)) < len(positive)  # ties for the id order to break
+        assert select_topk(est, 0, p) == sorted(positive, key=lambda i: (-est.revenue(0, i), i))
+        # random draws come from the positive ids in ascending order
+        want = np.random.default_rng(5).choice(
+            np.array(sorted(positive), dtype=np.int64), size=len(positive), replace=False
+        )
+        assert select_random(est, 0, p, np.random.default_rng(5)) == want.tolist()
+
 
 class TestConflictFree:
     def test_example1_pair_conflicts(self):

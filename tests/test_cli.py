@@ -121,6 +121,14 @@ class TestRun:
                      "--seed", "1", "--strategy", "volfied"]) != 0
         assert "d_max" in capsys.readouterr().err
 
+    def test_unknown_strategy_named_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--seed", "1", "--strategy", "volfied,bogus"]) == 1
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multiple_seeds(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -132,8 +140,7 @@ class TestRun:
 
 
 class TestSweep:
-    def test_sweep_k(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VOLFIED_THREADS", "1")
+    def test_sweep_k(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out),
@@ -149,6 +156,21 @@ class TestSweep:
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert len(rows) == 4
         assert all(r.split(",")[2] in {"1", "2"} for r in rows)
+
+    def test_failed_jobs_named_in_order_and_others_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out),
+                   "--seed", "1", "--strategy", "volfied,topk", "--sweep", "k=0,1"])
+        assert rc == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith("error: run failed: strategy=volfied seed=1 k=0: ")
+        assert errors[1].startswith("error: run failed: strategy=topk seed=1 k=0: ")
+        names = sorted(p.name for p in out.glob("metrics_*.csv"))
+        assert names == ["metrics_topk_seed1_k_1.csv", "metrics_volfied_seed1_k_1.csv"]
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [["volfied", "1", "1"], ["topk", "1", "1"]]
 
     def test_sweep_requires_param(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

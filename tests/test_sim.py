@@ -1,12 +1,13 @@
 """Trace ingestion, scenario generators, coverage, and the step pipeline."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import volfied.sim
-from conftest import estimator_for
+from conftest import estimator_for, random_instance, realized_revenue
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.model import Ad, DistanceMetric, PoA, VehicleProfile
 from volfied.oracle import OracleInstance
@@ -249,8 +250,12 @@ class TestRun:
 
     def test_unknown_strategy(self):
         cfg, trace, ads, profiles, poas = tiny_scenario()
-        with pytest.raises(ValueError, match="greedy"):
+        message = "unknown strategy 'greedy'; pick from ('volfied', 'topk', 'random')"
+        with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(cfg, strategy="greedy")
+        # the strategy table rejects the name instead of running another strategy
+        with pytest.raises(KeyError, match="greedy"):
+            realized_revenue(random_instance(0), "greedy")
 
     def test_volfied_cache_size_invariant(self):
         cfg, trace, ads, profiles, poas = random_run_scenario(seed=11)
