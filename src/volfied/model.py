@@ -22,7 +22,8 @@ __all__ = [
     "as_features",
     "distance",
     "distances_to",
-    "pairwise_distances",
+    "paired_distances",
+    "count_within",
     "ad_value",
     "is_relevant",
     "rank_relevant",
@@ -104,54 +105,58 @@ def distance(metric: DistanceMetric, f1: FeatureVector, f2: FeatureVector) -> fl
 
 
 def distances_to(metric: DistanceMetric, f: FeatureVector, others: np.ndarray) -> np.ndarray:
-    """Distances from one vector to each row of `others` (shape (m, n)).
-
-    Euclidean is the 2-norm of the difference. Angular is the angle
-    arccos(cos_sim) with the cosine clamped to [-1, 1] for numerical
-    safety; it is undefined for zero vectors and raises ValueError. Each
-    row is reduced on its own, and `f` as a row, so a row's distance does
-    not depend on the other rows and `f` may swap with a one-row `others`.
-    """
+    """Distances from one vector to each row of `others` (shape (m, n)):
+    `paired_distances` with `f` as every row's partner."""
     f = np.asarray(f, dtype=float)
     others = np.asarray(others, dtype=float)
     if f.ndim != 1 or others.ndim != 2 or others.shape[1] != f.shape[0]:
         raise ValueError(f"expected rows of dim {f.shape}, got shape {others.shape}")
+    return paired_distances(metric, f[None, :], others)
+
+
+def paired_distances(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between each row of `a` and the matching row of `b`.
+
+    The last axis holds the features and the leading axes broadcast, so
+    `a[:, None]` against `b[None]` gives a (len(a), len(b)) block. This is
+    the package's one feature-space distance kernel. Euclidean is the 2-norm of the
+    difference. Angular is the angle arccos(cos_sim) with the cosine
+    clamped to [-1, 1] for numerical safety; it is undefined for zero
+    vectors and raises ValueError. Each pair is reduced on its own, so its
+    distance does not depend on the other pairs and the two sides may swap.
+    """
     if metric is DistanceMetric.EUCLIDEAN:
-        return np.linalg.norm(others - f, axis=1)
-    nf = np.linalg.norm(f[None, :], axis=1)[0]
-    norms = np.linalg.norm(others, axis=1)
-    if nf == 0.0 or np.any(norms == 0.0):
+        return np.linalg.norm(b - a, axis=-1)
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    if np.any(na == 0.0) or np.any(nb == 0.0):
         raise ValueError("angular distance undefined for zero vectors")
-    # A row-wise reduction, like the norms: a matrix-vector product can
-    # round a row differently depending on where it sits in `others`.
-    cos_sim = (others * f).sum(axis=1) / (norms * nf)
+    # A row-wise reduction, like the norms: a matrix product can round a
+    # pair differently depending on where it sits in the matrix.
+    cos_sim = (b * a).sum(axis=-1) / (nb * na)
     dists = np.arccos(np.clip(cos_sim, -1.0, 1.0))
     # dot/(n1*n2) can round to just below 1 for equal inputs, and arccos
     # amplifies that to ~1e-8; equal vectors must come out at exactly 0.
-    dists[(others == f).all(axis=1)] = 0.0
+    dists[(b == a).all(axis=-1)] = 0.0
     return dists
 
 
-def pairwise_distances(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance matrix between row sets a (p, n) and b (q, n)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    if metric is DistanceMetric.EUCLIDEAN:
-        # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y, clipped against tiny negatives
-        sq = (
-            np.sum(a * a, axis=1)[:, None]
-            + np.sum(b * b, axis=1)[None, :]
-            - 2.0 * (a @ b.T)
-        )
-        return np.sqrt(np.clip(sq, 0.0, None))
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ValueError("angular distance undefined for zero vectors")
-    cos_sim = (a @ b.T) / np.outer(na, nb)
-    return np.arccos(np.clip(cos_sim, -1.0, 1.0))
+# count_within keeps each kernel temporary below this many, cache-sized, bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def count_within(
+    metric: DistanceMetric, points: np.ndarray, targets: np.ndarray, radius: float
+) -> np.ndarray:
+    """For each row of `points`, how many rows of `targets` lie within
+    `radius` of it (ties inside), evaluated in blocks of points."""
+    step = max(1, _BLOCK_BYTES // max(targets.nbytes, 1))
+    counts = np.zeros(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step, None, :]
+        dists = paired_distances(metric, block, targets[None, :, :])
+        counts[start : start + step] = np.count_nonzero(dists <= radius, axis=1)
+    return counts
 
 
 def ad_value(ad: Ad, poa_id: int | None) -> float:

@@ -9,6 +9,15 @@ epsilon-ball and therefore caps the work any single vehicle event can
 trigger downstream. The revenue guarantee (`verify_analogue_bound`) is
 stated at the same 2*epsilon radius: a covering radius of epsilon cannot
 coexist with the epsilon-ball bound.
+
+Conflicting pairs are found on a uniform grid, not by comparing all
+pairs: ads are binned on their first (at most 5) coordinates into cells a
+little wider than 2*epsilon (angular: the chord 2*sin(epsilon) between
+unit vectors plus a rounding margin), sorted by cell key, and each looks
+up half of its 3^g neighbouring cells with `searchsorted`. Only those
+candidates reach `paired_distances`, the one distance kernel, and a pair
+conflicts when it puts them at most 2*epsilon apart, ties included. Time
+is O(N log N) plus the candidates; memory is O(N + conflicting pairs).
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Ad, DistanceMetric, distance, pairwise_distances
+from .model import Ad, DistanceMetric, count_within, distance, paired_distances
 
 __all__ = [
     "SparseApproxParams",
@@ -32,8 +41,12 @@ __all__ = [
     "verify_analogue_bound",
 ]
 
-# Probe/tail blocks keep pairwise-distance matrices within ~100 MB.
-_TAIL_BLOCK = 16384
+# The grid uses at most this many leading coordinates: 3^5 = 243 cells
+# around each ad, and a projection keeps the prune valid in any dimension.
+_GRID_DIMS = 5
+# Cells per axis stay below this, so fl(x / width) is off by far less than
+# the 1e-9 slack in the cell width (4 * 2^-53 * 2^18 ~ 1.2e-10 cells).
+_MAX_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -69,120 +82,114 @@ class SparseAdSet:
         return [a.ad_id for a in self.ads]
 
 
-def _kill_matrix(metric, feats, half_sq, kept_rows, block_rows, threshold):
-    """Boolean (kept x block) matrix of pairs within `threshold`.
+def _cell_keys(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 cell key of each row of `points`, and the key step of one cell
+    along each axis, on a grid whose cells are wider than `reach`: rows
+    within `reach` in every coordinate land in the same or adjacent cells.
 
-    Euclidean works on squared distances rearranged around the Gram
-    matrix so each block costs one matmul and two elementwise passes.
+    A span too wide for int64 keys widens the cells, still a valid prune.
+    Halving before subtracting keeps max - min finite.
     """
+    g = points.shape[1]
+    lo = points.min(axis=0) * 0.5
+    offsets = points * 0.5 - lo
+    cap = min(_MAX_CELLS, int(2.0 ** (62 / g)) - 3)
+    width = np.maximum(0.5 * reach * (1.0 + 1e-9), offsets.max(axis=0) / cap)
+    # Shifted by one so that a neighbour's cell index is never negative.
+    cells = np.floor(offsets / width).astype(np.int64) + 1
+    radix = [int(r) + 2 for r in cells.max(axis=0)]
+    steps = np.array([math.prod(radix[k + 1 :]) for k in range(g)], dtype=np.int64)
+    return (cells * steps).sum(axis=1), steps
+
+
+def _conflict_pairs(feats: np.ndarray, threshold: float, metric: DistanceMetric):
+    """Index pairs (i, j), i < j, of the rows of `feats` that lie within
+    `threshold` of each other, found on the grid and decided by the kernel,
+    in ascending order."""
+    total, n = feats.shape
+    g = min(n, _GRID_DIMS)
     if metric is DistanceMetric.EUCLIDEAN:
-        g = feats[kept_rows] @ feats[block_rows].T
-        g -= half_sq[block_rows][None, :]
-        return g >= (half_sq[kept_rows] - 0.5 * threshold * threshold)[:, None]
-    return pairwise_distances(metric, feats[kept_rows], feats[block_rows]) <= threshold
+        points, reach = feats[:, :g], threshold
+    else:
+        norms = np.linalg.norm(feats, axis=1)
+        if np.any(norms == 0.0):
+            raise ValueError("angular distance undefined for zero vectors")
+        points = feats[:, :g] / norms[:, None]
+        # Unit vectors an angle t apart are a chord 2*sin(t/2) apart. The
+        # margin bounds how far a rounded cosine, near 1 where arccos is
+        # ill-conditioned, lets a decided pair stray past that chord.
+        margin = 4.0 * math.sqrt((n + 8) * np.finfo(float).eps)
+        reach = 2.0 * math.sin(min(threshold, math.pi) / 2.0) + margin
+    keys, steps = _cell_keys(points, reach)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    cell_keys, cell_start, cell_size = np.unique(
+        sorted_keys, return_index=True, return_counts=True
+    )
+    firsts, seconds = [], []
+    # Each unordered pair of cells is visited once: the own cell (later
+    # rows only) and the offsets whose first nonzero step is +1, which are
+    # the second half in balanced-ternary order. Queries run in sorted key
+    # order, which keeps searchsorted cache-friendly.
+    for offset in list(itertools.product((-1, 0, 1), repeat=g))[3**g // 2 :]:
+        target = sorted_keys + int(np.dot(offset, steps))
+        cell = np.minimum(np.searchsorted(cell_keys, target), len(cell_keys) - 1)
+        start = cell_start[cell]
+        stop = np.where(cell_keys[cell] == target, start + cell_size[cell], start)
+        if not any(offset):
+            start = np.arange(1, total + 1)
+        counts = stop - start
+        src = np.repeat(order, counts)
+        at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        dst = order[at]
+        first, second = np.minimum(src, dst), np.maximum(src, dst)
+        near = paired_distances(metric, feats[first], feats[second]) <= threshold
+        firsts.append(first[near])
+        seconds.append(second[near])
+    return sorted(zip(np.concatenate(firsts).tolist(), np.concatenate(seconds).tolist()))
 
 
-def _greedy_scan(feats: np.ndarray, threshold: float, metric: DistanceMetric, chunk_size: int):
-    """Greedy thinning of `feats` rows taken in index order.
-
-    Keeps a row unless an earlier kept row lies within `threshold`;
-    returns (kept indices, {removed index: index of its remover}). The
-    scan is chunked purely for speed: a chunk is resolved internally with
-    one pairwise matrix, then its kept rows eliminate the tail in blocks.
-    Removal credit goes to the first kept row in index order, matching the
-    one-at-a-time scan.
-    """
-    total = feats.shape[0]
-    half_sq = 0.5 * np.einsum("ij,ij->i", feats, feats)
-    kept: list[int] = []
-    reps: dict[int, int] = {}
-    remaining = np.arange(total)
-    while remaining.size:
-        chunk = remaining[:chunk_size]
-        tail = remaining[chunk_size:]
-        dmat = pairwise_distances(metric, feats[chunk], feats[chunk])
-        chunk_alive = np.ones(chunk.size, dtype=bool)
-        chunk_kept: list[int] = []
-        for i in range(chunk.size):
-            if not chunk_alive[i]:
-                continue
-            chunk_kept.append(i)
-            kill = (dmat[i] <= threshold) & chunk_alive
-            kill[: i + 1] = False
-            for j in np.flatnonzero(kill):
-                reps[int(chunk[j])] = int(chunk[i])
-            chunk_alive[kill] = False
-        kept.extend(int(chunk[i]) for i in chunk_kept)
-        if tail.size:
-            kept_rows = chunk[chunk_kept]
-            survive = np.ones(tail.size, dtype=bool)
-            for start in range(0, tail.size, _TAIL_BLOCK):
-                block = tail[start : start + _TAIL_BLOCK]
-                killed = _kill_matrix(metric, feats, half_sq, kept_rows, block, threshold)
-                hit = killed.any(axis=0)
-                cols = np.flatnonzero(hit)
-                if cols.size:
-                    first = np.argmax(killed[:, cols], axis=0)
-                    for idx, j in enumerate(cols):
-                        reps[int(block[j])] = int(kept_rows[int(first[idx])])
-                    survive[start + cols] = False
-            remaining = tail[survive]
-        else:
-            remaining = tail
-    return kept, reps
-
-
-def epsilon_set(
-    ads: list[Ad],
-    epsilon: float,
-    metric: DistanceMetric,
-    chunk_size: int = 512,
-) -> SparseAdSet:
-    """Single-layer sparse approximation.
+def epsilon_set(ads: list[Ad], epsilon: float, metric: DistanceMetric) -> SparseAdSet:
+    """Single-layer sparse approximation, `m_sparse_set` with m = 1.
 
     Sorts by value descending (AdId ascending on ties), repeatedly keeps
-    the top ad and drops every remaining ad within 2*epsilon of it; each
-    dropped ad maps to the kept ad that removed it.
+    the top ad and drops every remaining ad within 2*epsilon of it (ties
+    dropped, decided by `paired_distances`); each dropped ad maps to the
+    kept ad that removed it.
     """
-    params = SparseApproxParams(epsilon=epsilon, m=1, metric=metric)
-    if not ads:
-        return SparseAdSet(ads=[], params=params)
-    order = sorted(range(len(ads)), key=lambda i: (-ads[i].base_value, ads[i].ad_id))
-    feats = np.stack([ads[i].features for i in order])
-    kept, reps = _greedy_scan(feats, 2.0 * epsilon, metric, chunk_size)
-    members = [ads[order[i]] for i in kept]
-    mapping = {ads[order[j]].ad_id: ads[order[r]].ad_id for j, r in reps.items()}
-    layers = {a.ad_id: 1 for a in members}
-    return SparseAdSet(ads=members, params=params, mapping=mapping, layers=layers)
+    return m_sparse_set(ads, epsilon, 1, metric)
 
 
-def m_sparse_set(
-    ads: list[Ad],
-    epsilon: float,
-    m: int,
-    metric: DistanceMetric,
-    chunk_size: int = 512,
-) -> SparseAdSet:
+def m_sparse_set(ads: list[Ad], epsilon: float, m: int, metric: DistanceMetric) -> SparseAdSet:
     """m-layer sparse approximation: layer i is the single-layer build over
     the ads not selected by layers 1..i-1, and the layers are unioned."""
     params = SparseApproxParams(epsilon=epsilon, m=m, metric=metric)
-    members: list[Ad] = []
-    layers: dict[int, int] = {}
-    mapping: dict[int, int] = {}
-    residual = list(ads)
+    if not ads:
+        return SparseAdSet(ads=[], params=params)
+    ranked = sorted(ads, key=lambda a: (-a.base_value, a.ad_id))
+    pairs = _conflict_pairs(np.stack([a.features for a in ranked]), 2.0 * epsilon, metric)
+    layer_of: dict[int, int] = {}
+    reps: dict[int, int] = {}
     for layer in range(1, m + 1):
-        if not residual:
-            break
-        sub = epsilon_set(residual, epsilon, metric, chunk_size=chunk_size)
-        for a in sub.ads:
-            members.append(a)
-            layers[a.ad_id] = layer
-        mapping.update(sub.mapping)
-        selected = set(sub.layers)
-        residual = [a for a in residual if a.ad_id not in selected]
-    for a in members:
-        mapping.pop(a.ad_id, None)
-    return SparseAdSet(ads=members, params=params, mapping=mapping, layers=layers)
+        pairs = [(i, j) for i, j in pairs if i not in layer_of and j not in layer_of]
+        # Walking the pairs by their earlier row settles each row before it
+        # acts, so a dropped row maps to the first kept row in value order
+        # within 2*epsilon of it, as in a one-at-a-time scan.
+        removed: dict[int, int] = {}
+        for i, j in pairs:
+            if i not in removed and j not in removed:
+                removed[j] = i
+        for i in range(len(ranked)):
+            if i not in layer_of and i not in removed:
+                layer_of[i] = layer
+        reps.update(removed)
+    rows = sorted(layer_of, key=lambda i: (layer_of[i], i))
+    return SparseAdSet(
+        ads=[ranked[i] for i in rows],
+        params=params,
+        mapping={ranked[j].ad_id: ranked[i].ad_id for j, i in reps.items() if j not in layer_of},
+        layers={ranked[i].ad_id: layer_of[i] for i in rows},
+    )
 
 
 def check_ball_bound(sparse: SparseAdSet, probes, radius: float) -> int:
@@ -192,13 +199,7 @@ def check_ball_bound(sparse: SparseAdSet, probes, radius: float) -> int:
     if not sparse.ads or probes.size == 0:
         return 0
     feats = np.stack([a.features for a in sparse.ads])
-    best = 0
-    for start in range(0, probes.shape[0], _TAIL_BLOCK):
-        block = probes[start : start + _TAIL_BLOCK]
-        dists = pairwise_distances(sparse.params.metric, block, feats)
-        counts = np.count_nonzero(dists <= radius, axis=1)
-        best = max(best, int(counts.max()))
-    return best
+    return int(count_within(sparse.params.metric, probes, feats, radius).max())
 
 
 def update_cost_bound(params: SparseApproxParams, d_max: float, n: int, set_size: int) -> int:
@@ -208,15 +209,6 @@ def update_cost_bound(params: SparseApproxParams, d_max: float, n: int, set_size
         raise ValueError("d_max, n, set_size must be positive")
     packing = math.ceil((params.m * d_max / params.epsilon) ** n)
     return min(packing, set_size)
-
-
-def _warn_if_epsilon_large(epsilon: float, d_max: float) -> None:
-    if not d_max > 2.0 * epsilon:
-        warnings.warn(
-            f"analysis assumes d_max > 2*epsilon, got d_max={d_max} epsilon={epsilon}",
-            UserWarning,
-            stacklevel=3,
-        )
 
 
 def _clique_free(members: list[Ad], threshold: float, m: int, metric: DistanceMetric) -> bool:
@@ -266,7 +258,12 @@ def verify_analogue_bound(
     eps = sparse.params.epsilon
     radius = 2.0 * eps
     metric = sparse.params.metric
-    _warn_if_epsilon_large(eps, d_max)
+    if not d_max > radius:
+        warnings.warn(
+            f"analysis assumes d_max > 2*epsilon, got d_max={d_max} epsilon={eps}",
+            UserWarning,
+            stacklevel=2,
+        )
     by_id = {a.ad_id: a for a in original}
     try:
         s_ads = [by_id[i] for i in s]

@@ -164,10 +164,7 @@ def test_02_selection_always_conflict_free(criterion_report):
         selected = [by_id[c] for c in chosen]
         rng = np.random.default_rng(9000 + i)
         n_dims = inst.ads[0].features.shape[0]
-        probes = [
-            VehicleProfile(vehicle_id=j, interests=row)
-            for j, row in enumerate(rng.uniform(0.0, 1.0, (10_000, n_dims)))
-        ]
+        probes = rng.uniform(0.0, 1.0, (10_000, n_dims))
         if not is_conflict_free(selected, list(inst.vehicles), inst.params):
             failures += 1
         elif not is_conflict_free(selected, probes, inst.params):

@@ -306,6 +306,29 @@ class TestConflictFree:
             assert is_conflict_free(chosen, profiles, p)
             assert structurally_conflict_free(chosen, p)
 
+    @pytest.mark.parametrize("metric", [EUCL, ANG])
+    def test_batched_matches_one_vehicle_at_a_time(self, metric):
+        # d_max copied from a vehicle-ad distance puts that ad exactly on
+        # the threshold, where a last-bit difference flips the answer.
+        rng = np.random.default_rng(89)
+        for trial in range(60):
+            n = (2, 3, 5, 9)[trial % 4]
+            ads = [
+                Ad(ad_id=i, features=rng.uniform(-1, 1, n), base_value=0.5)
+                for i in range(int(rng.integers(1, 8)))
+            ]
+            rows = rng.uniform(-1, 1, (int(rng.integers(1, 30)), n))
+            feats = np.stack([a.features for a in ads])
+            d_max = float(rng.choice(distances_to(metric, rows[0], feats)))
+            want_worst = max(
+                sum(distances_to(metric, r, f[None])[0] <= d_max for f in feats) for r in rows
+            )
+            profiles = [VehicleProfile(j, r) for j, r in enumerate(rows)]
+            for m in (1, 2, 3):
+                p = SelectionParams(k=8, m=m, d_max=d_max, metric=metric)
+                assert is_conflict_free(ads, rows, p) == (want_worst <= m)
+                assert is_conflict_free(ads, profiles, p) == (want_worst <= m)
+
 
 class TestEstimatorConsistency:
     def test_random_event_sequences_match_recompute(self):

@@ -17,10 +17,11 @@ from volfied.model import (
     PoA,
     VehicleProfile,
     ad_value,
+    count_within,
     distance,
     distances_to,
     is_relevant,
-    pairwise_distances,
+    paired_distances,
 )
 
 EUCL = DistanceMetric.EUCLIDEAN
@@ -162,15 +163,43 @@ class TestBatchConsistency:
                 assert distances_to(metric, f, others[i : i + 1])[0] == full[i]
 
     @pytest.mark.parametrize("metric", [EUCL, ANG])
-    def test_pairwise_matches_scalar(self, metric):
+    def test_paired_matches_scalar(self, metric):
+        # The sparsifier decides index pairs and the conflict and ball
+        # checks decide broadcast blocks with paired_distances; each entry
+        # must be the one-row distances_to bits, or a pair on the threshold
+        # is decided one way there and the other way everywhere else.
         rng = np.random.default_rng(23)
-        a = rng.uniform(0.01, 1.0, size=(12, 4))
-        b = rng.uniform(0.01, 1.0, size=(9, 4))
-        mat = pairwise_distances(metric, a, b)
-        assert mat.shape == (12, 9)
-        for i in range(12):
-            for j in range(9):
-                assert mat[i, j] == pytest.approx(distance(metric, a[i], b[j]), abs=1e-9)
+        for n in (2, 3, 5, 9):
+            a = rng.uniform(-1.0, 1.0, size=(12, n))
+            b = rng.uniform(-1.0, 1.0, size=(9, n))
+            block = paired_distances(metric, a[:, None, :], b[None, :, :])
+            assert block.shape == (12, 9)
+            first = rng.integers(0, 12, size=40)
+            second = rng.integers(0, 9, size=40)
+            rows = paired_distances(metric, a[first], b[second])
+            for i in range(12):
+                for j in range(9):
+                    assert block[i, j] == distances_to(metric, a[i], b[j][None])[0]
+            for k in range(40):
+                assert rows[k] == distances_to(metric, a[first[k]], b[second[k]][None])[0]
+
+    @pytest.mark.parametrize("metric", [EUCL, ANG])
+    def test_count_within_matches_scalar(self, metric, monkeypatch):
+        # A block of 3 points at a time exercises the chunking, and radii
+        # copied from the kernel put targets exactly on the boundary.
+        import volfied.model as model
+
+        rng = np.random.default_rng(37)
+        for n in (2, 3, 5, 9):
+            points = rng.uniform(-1.0, 1.0, size=(20, n))
+            targets = rng.uniform(-1.0, 1.0, size=(7, n))
+            monkeypatch.setattr(model, "_BLOCK_BYTES", 3 * targets.nbytes)
+            for radius in distances_to(metric, points[0], targets)[:4]:
+                want = [
+                    sum(distances_to(metric, p, t[None])[0] <= radius for t in targets)
+                    for p in points
+                ]
+                assert count_within(metric, points, targets, radius).tolist() == want
 
 
 class TestAdValueAndRelevance:

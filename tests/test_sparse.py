@@ -3,14 +3,17 @@
 The worked five-ad instance is hand-traced: sorting by value and removing
 everything within 2*eps of each kept ad leaves {a1, a4, a5} with a2 and a3
 represented by a1; a second layer over the residual {a2, a3} keeps a2 and
-maps a3 to it. A brute-force reference implementation cross-checks the
-production scan on random instances.
+maps a3 to it. An O(N^2) reference greedy cross-checks the grid-indexed
+scan on random instances and on a hypothesis property that places ads
+exactly 2*eps apart, on cell edges, on top of each other, at negative and
+huge coordinates, and in more dimensions than the grid uses.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from volfied.model import Ad, DistanceMetric
+from volfied.model import Ad, DistanceMetric, distances_to
 from volfied.sparse import (
     SparseAdSet,
     SparseApproxParams,
@@ -38,22 +41,81 @@ def random_ads(rng, count, n):
 
 
 def brute_force_epsilon_set(ads, epsilon, metric):
-    """Straight transcription of the greedy scan, no batching."""
-    from volfied.model import distance
-
+    """Straight transcription of the greedy scan: each kept ad checks
+    every pending ad with `distances_to`, no grid."""
     pending = sorted(ads, key=lambda a: (-a.base_value, a.ad_id))
     kept, mapping = [], {}
     while pending:
         top = pending.pop(0)
         kept.append(top)
+        if not pending:
+            break
+        dists = distances_to(metric, top.features, np.stack([b.features for b in pending]))
         survivors = []
-        for b in pending:
-            if distance(metric, top.features, b.features) <= 2.0 * epsilon:
+        for b, d in zip(pending, dists):
+            if d <= 2.0 * epsilon:
                 mapping[b.ad_id] = top.ad_id
             else:
                 survivors.append(b)
         pending = survivors
     return kept, mapping
+
+
+def brute_force_m_sparse_set(ads, epsilon, m, metric):
+    """(member ids, layers, mapping) of m reference layers, each over the
+    residual of the previous ones."""
+    members, layers, mapping = [], {}, {}
+    residual = list(ads)
+    for layer in range(1, m + 1):
+        kept, layer_map = brute_force_epsilon_set(residual, epsilon, metric)
+        members += [a.ad_id for a in kept]
+        layers.update({a.ad_id: layer for a in kept})
+        mapping.update(layer_map)
+        residual = [a for a in residual if a.ad_id not in layers]
+    for ad_id in members:
+        mapping.pop(ad_id, None)
+    return members, layers, mapping
+
+
+def assert_matches_brute_force(ads, epsilon, m, metric):
+    got = m_sparse_set(ads, epsilon, m, metric)
+    members, layers, mapping = brute_force_m_sparse_set(ads, epsilon, m, metric)
+    assert got.member_ids() == members
+    assert got.layers == layers
+    assert got.mapping == mapping
+
+
+@st.composite
+def hard_catalogs(draw):
+    """Catalogs on a dyadic lattice of step 2*eps, so lattice neighbours sit
+    exactly 2*eps apart, mixed with points on the grid's cell edges, free
+    negative coordinates and duplicated points, in 1 to 7 dimensions."""
+    metric = draw(st.sampled_from([EUCL, ANG]))
+    m = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([1, 2, 3, 5, 6, 7]))
+    eps = draw(st.sampled_from([2.0**-3, 2.0**-4, 2.0**-6]))
+    step, edge = 2.0 * eps, 2.0 * eps * (1.0 + 1e-9)
+    coord = st.one_of(
+        st.integers(-4, 4).map(lambda k: k * step),
+        st.integers(-4, 4).map(lambda k: k * edge),
+        st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=40))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=8))
+    if rows and draw(st.booleans()):
+        # an anchor at the lowest edge puts the edge points on the grid's edges
+        rows.append([-4 * edge] * n)
+    if metric is ANG:
+        rows = [r if any(r) else [step] * n for r in rows]
+    ids = draw(st.permutations(range(len(rows))))
+    count = len(rows)
+    values = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=count, max_size=count))
+    ads = [
+        Ad(ad_id=i, features=np.array(r, dtype=float), base_value=v)
+        for i, r, v in zip(ids, rows, values)
+    ]
+    return ads, eps, m, metric
 
 
 class TestEpsilonSet:
@@ -96,18 +158,72 @@ class TestEpsilonSet:
         assert values == sorted(values, reverse=True)
 
     @pytest.mark.parametrize("metric", [EUCL, ANG])
-    @pytest.mark.parametrize("chunk", [3, 512])
-    def test_matches_brute_force(self, metric, chunk):
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_matches_brute_force(self, metric, n):
+        # 7-D exercises the grid's projection onto the first 5 coordinates.
         rng = np.random.default_rng(29)
         for trial in range(20):
             count = int(rng.integers(1, 120))
-            n = int(rng.integers(1, 5)) if metric is EUCL else int(rng.integers(2, 5))
             eps = float(rng.uniform(0.01, 0.2))
             ads = random_ads(rng, count, n)
-            got = epsilon_set(ads, epsilon=eps, metric=metric, chunk_size=chunk)
+            got = epsilon_set(ads, epsilon=eps, metric=metric)
             want_kept, want_map = brute_force_epsilon_set(ads, eps, metric)
             assert [a.ad_id for a in got.ads] == [a.ad_id for a in want_kept]
             assert got.mapping == want_map
+
+    @settings(max_examples=300, deadline=None)
+    @given(hard_catalogs())
+    def test_property_matches_brute_force(self, case):
+        ads, eps, m, metric = case
+        if metric is ANG and ads:
+            # a row whose norm underflows is a zero vector to the kernel
+            norms = np.linalg.norm(np.stack([a.features for a in ads]), axis=1)
+            if np.any(norms == 0.0):
+                with pytest.raises(ValueError, match="zero vector"):
+                    m_sparse_set(ads, eps, m, metric)
+                return
+        assert_matches_brute_force(ads, eps, m, metric)
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_huge_coordinates_match_brute_force(self, n):
+        # Cell keys must not overflow: the span here is ~2e308 against
+        # cells of 2e-3, far past int64, so the grid has to widen its cells.
+        rng = np.random.default_rng(71)
+        big = np.finfo(float).max
+        choices = np.array([-big, -1e300, -1e300, -1e-3, 1e-3, 2e-3, 1e300, 1e300, big])
+        ads = [
+            Ad(ad_id=i, features=rng.choice(choices, size=n), base_value=float(v))
+            for i, v in enumerate(rng.uniform(0.1, 1.0, 60))
+        ]
+        # Differences and norms this large overflow to inf in the kernel,
+        # which then reads the pair as far apart, on both sides alike.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in (1, 2):
+                assert_matches_brute_force(ads, 1e-3, m, EUCL)
+                assert_matches_brute_force(ads, 1e-3, m, ANG)
+
+    def test_angular_rounded_to_parallel_matches_brute_force(self):
+        # Rows 1 and 2 are 1e-8 rad from row 0, five cells of the chord
+        # 2*sin(epsilon) away on the grid, but their cosines with row 0
+        # round to 1, so the kernel puts them at 0: the grid's margin must
+        # still pair them. Row 3 is far enough to keep.
+        ads = [
+            Ad(ad_id=i, features=np.array([1.0, y]), base_value=1.0 - 0.1 * i)
+            for i, y in enumerate([0.0, 1e-8, -1e-8, 3e-8])
+        ]
+        assert_matches_brute_force(ads, 1e-9, 1, ANG)
+        assert epsilon_set(ads, 1e-9, ANG).mapping == {1: 0, 2: 0}
+
+    def test_angular_zero_vector_raises(self):
+        ads = [
+            Ad(ad_id=1, features=np.array([1.0, 0.0]), base_value=0.9),
+            Ad(ad_id=2, features=np.array([0.0, 0.0]), base_value=0.5),
+            Ad(ad_id=3, features=np.array([0.0, 1.0]), base_value=0.4),
+        ]
+        with pytest.raises(ValueError, match="zero vector"):
+            epsilon_set(ads, epsilon=0.01, metric=ANG)
+        with pytest.raises(ValueError, match="zero vector"):
+            m_sparse_set(ads, 0.01, 2, ANG)
 
 
 class TestMSparseSet:
