@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Ad, DistanceMetric, VehicleProfile, count_within, distances_to, paired_distances
+from .model import Ad, DistanceMetric, VehicleProfile, count_within, distances_to
 
 __all__ = [
     "SelectionParams",
@@ -132,9 +132,6 @@ class RevenueEstimator:
         st = self._poas[poa]
         pos = st.pos_of[ad_id]
         return float(st.values[pos] * st.counts[pos])
-
-    def detected_present(self, poa: int) -> set[int]:
-        return set(self._poas[poa].contrib)
 
     def _note_event(self, examined: int) -> None:
         self.last_event_examined = examined
@@ -272,30 +269,29 @@ def select_random(
     return picked.tolist()
 
 
-def is_conflict_free(
-    selected: list[Ad], vehicles: list[VehicleProfile] | np.ndarray, params: SelectionParams
-) -> bool:
+def is_conflict_free(selected: list[Ad], interests: np.ndarray, params: SelectionParams) -> bool:
     """True iff no vehicle has more than m relevant ads among `selected`.
 
-    `vehicles` are profiles or a (count, n) array of interest rows.
-    Relevance here is the feature-space test alone; pair it with
-    structurally_conflict_free to certify against every possible vehicle
-    rather than a sampled population.
+    `interests` holds one vehicle's interest vector per row, shape
+    (count, n). Relevance here is the feature-space test alone; pair it
+    with structurally_conflict_free to certify against every possible
+    vehicle rather than a sampled population.
     """
-    if not selected or len(vehicles) == 0:
+    if not selected or len(interests) == 0:
         return True
-    if not isinstance(vehicles, np.ndarray):
-        vehicles = np.stack([v.interests for v in vehicles])
     feats = np.stack([a.features for a in selected])
-    return int(count_within(params.metric, vehicles, feats, params.d_max).max()) <= params.m
+    return int(count_within(params.metric, interests, feats, params.d_max).max()) <= params.m
 
 
 def structurally_conflict_free(selected: list[Ad], params: SelectionParams) -> bool:
     """Certify the greedy invariant on an ordered set: each ad saw fewer
     than m predecessors within 2*d_max. By the triangle inequality this
     rules out conflicts for arbitrary vehicles, not just sampled ones."""
-    if not selected:
-        return True
-    feats = np.stack([a.features for a in selected])
-    near = paired_distances(params.metric, feats[:, None], feats[None]) <= 2.0 * params.d_max
-    return all(np.count_nonzero(near[i, :i]) < params.m for i in range(len(selected)))
+    for i, a in enumerate(selected):
+        if i == 0:
+            continue
+        prior = np.stack([b.features for b in selected[:i]])
+        d = distances_to(params.metric, a.features, prior)
+        if int(np.count_nonzero(d <= 2.0 * params.d_max)) >= params.m:
+            return False
+    return True

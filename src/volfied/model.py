@@ -119,11 +119,11 @@ def paired_distances(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> np
 
     The last axis holds the features and the leading axes broadcast, so
     `a[:, None]` against `b[None]` gives a (len(a), len(b)) block. This is
-    the package's one feature-space distance kernel. Euclidean is the 2-norm of the
-    difference. Angular is the angle arccos(cos_sim) with the cosine
-    clamped to [-1, 1] for numerical safety; it is undefined for zero
-    vectors and raises ValueError. Each pair is reduced on its own, so its
-    distance does not depend on the other pairs and the two sides may swap.
+    the package's one feature-space distance kernel. Euclidean is the
+    2-norm of the difference. Angular is the angle arccos(cos_sim) with the
+    cosine clamped to [-1, 1]; it is undefined for zero vectors and raises
+    ValueError. Each pair is reduced on its own, so its distance does not
+    depend on the other pairs and the two sides may swap.
     """
     if metric is DistanceMetric.EUCLIDEAN:
         return np.linalg.norm(b - a, axis=-1)

@@ -10,14 +10,11 @@ trigger downstream. The revenue guarantee (`verify_analogue_bound`) is
 stated at the same 2*epsilon radius: a covering radius of epsilon cannot
 coexist with the epsilon-ball bound.
 
-Conflicting pairs are found on a uniform grid, not by comparing all
-pairs: ads are binned on their first (at most 5) coordinates into cells a
-little wider than 2*epsilon (angular: the chord 2*sin(epsilon) between
-unit vectors plus a rounding margin), sorted by cell key, and each looks
-up half of its 3^g neighbouring cells with `searchsorted`. Only those
-candidates reach `paired_distances`, the one distance kernel, and a pair
-conflicts when it puts them at most 2*epsilon apart, ties included. Time
-is O(N log N) plus the candidates; memory is O(N + conflicting pairs).
+Conflicts are found on a grid of cells a little wider than 2*epsilon over
+the first (at most 5) coordinates. The greedy walks the ads in value order
+in blocks cut to a candidate budget (memory O(N)); only the later ads still
+present in an ad's 3^g neighbouring cells reach `paired_distances` (ties
+conflict).
 """
 
 from __future__ import annotations
@@ -41,12 +38,15 @@ __all__ = [
     "verify_analogue_bound",
 ]
 
-# The grid uses at most this many leading coordinates: 3^5 = 243 cells
-# around each ad, and a projection keeps the prune valid in any dimension.
+# Leading coordinates the grid bins (a projection never brings points closer).
 _GRID_DIMS = 5
-# Cells per axis stay below this, so fl(x / width) is off by far less than
-# the 1e-9 slack in the cell width (4 * 2^-53 * 2^18 ~ 1.2e-10 cells).
-_MAX_CELLS = 1 << 18
+# Cells are this much wider than the reach, relative to it, which absorbs
+# the rounding of two cell indices below 2^28 (2 * 2^-52 * 2^28 = 2^-23).
+_SLACK = 2.0**-20
+# A greedy block has at most this many ads and about this many bytes of
+# candidate temporaries, (n + 8) words each (one ad may exceed it alone).
+_BLOCK_ADS = 1024
+_BLOCK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -82,71 +82,79 @@ class SparseAdSet:
         return [a.ad_id for a in self.ads]
 
 
-def _cell_keys(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Int64 cell key of each row of `points`, and the key step of one cell
-    along each axis, on a grid whose cells are wider than `reach`: rows
-    within `reach` in every coordinate land in the same or adjacent cells.
-
-    A span too wide for int64 keys widens the cells, still a valid prune.
-    Halving before subtracting keeps max - min finite.
-    """
-    g = points.shape[1]
-    lo = points.min(axis=0) * 0.5
-    offsets = points * 0.5 - lo
-    cap = min(_MAX_CELLS, int(2.0 ** (62 / g)) - 3)
-    width = np.maximum(0.5 * reach * (1.0 + 1e-9), offsets.max(axis=0) / cap)
-    # Shifted by one so that a neighbour's cell index is never negative.
-    cells = np.floor(offsets / width).astype(np.int64) + 1
-    radix = [int(r) + 2 for r in cells.max(axis=0)]
-    steps = np.array([math.prod(radix[k + 1 :]) for k in range(g)], dtype=np.int64)
-    return (cells * steps).sum(axis=1), steps
+def _axis_cells(x: np.ndarray, width: float) -> np.ndarray:
+    """Cell index, from 1, of each value of `x` on cells `width` wide: values
+    within `width` share or neighbour a cell. Runs of values at most `width`
+    apart are binned from their own minimum, exact for any finite values,
+    and sit two indices apart, so an outlier does not stretch the axis."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    with np.errstate(over="ignore"):
+        starts = np.concatenate(([True], np.diff(xs) > width))
+    run = np.cumsum(starts) - 1
+    cells = np.floor((xs - xs[starts][run]) / width).astype(np.int64)
+    first = np.cumsum(np.concatenate(([1], cells[np.flatnonzero(starts)[1:] - 1] + 2)))
+    index = np.empty_like(cells)
+    index[order] = first[run] + cells
+    return index
 
 
-def _conflict_pairs(feats: np.ndarray, threshold: float, metric: DistanceMetric):
-    """Index pairs (i, j), i < j, of the rows of `feats` that lie within
-    `threshold` of each other, found on the grid and decided by the kernel,
-    in ascending order."""
-    total, n = feats.shape
-    g = min(n, _GRID_DIMS)
-    if metric is DistanceMetric.EUCLIDEAN:
-        points, reach = feats[:, :g], threshold
-    else:
+def _grid(feats: np.ndarray, threshold: float, metric: DistanceMetric):
+    """Grid on which rows of `feats` within `threshold` are neighbours: rows
+    in key order, sorted keys, each row's key, and the shifts whose runs of
+    three keys (the last axis has step 1) cover the neighbouring cells."""
+    points, reach = feats[:, :_GRID_DIMS], threshold
+    if metric is DistanceMetric.ANGULAR:
         norms = np.linalg.norm(feats, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("angular distance undefined for zero vectors")
-        points = feats[:, :g] / norms[:, None]
+        points = points / norms[:, None]
         # Unit vectors an angle t apart are a chord 2*sin(t/2) apart. The
         # margin bounds how far a rounded cosine, near 1 where arccos is
         # ill-conditioned, lets a decided pair stray past that chord.
-        margin = 4.0 * math.sqrt((n + 8) * np.finfo(float).eps)
+        margin = 4.0 * math.sqrt((feats.shape[1] + 8) * np.finfo(float).eps)
         reach = 2.0 * math.sin(min(threshold, math.pi) / 2.0) + margin
-    keys, steps = _cell_keys(points, reach)
+    columns = [_axis_cells(x, reach * (1.0 + _SLACK)) for x in points.T]
+    radix = [int(col.max()) + 2 for col in columns]  # neighbours fall in 0 .. max + 1
+    # Only the leading axes whose keys fit int64, still a valid prune.
+    g = max(k for k in range(1, len(radix) + 1) if math.prod(radix[:k]) < 1 << 62)
+    steps = [math.prod(radix[k + 1 : g]) for k in range(g)]
+    keys = sum(col * step for col, step in zip(columns, steps))
+    offsets = itertools.product((-1, 0, 1), repeat=g - 1)
+    shifts = np.array([sum(d * t for d, t in zip(o, steps)) for o in offsets], dtype=np.int64)
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    cell_keys, cell_start, cell_size = np.unique(
-        sorted_keys, return_index=True, return_counts=True
-    )
-    firsts, seconds = [], []
-    # Each unordered pair of cells is visited once: the own cell (later
-    # rows only) and the offsets whose first nonzero step is +1, which are
-    # the second half in balanced-ternary order. Queries run in sorted key
-    # order, which keeps searchsorted cache-friendly.
-    for offset in list(itertools.product((-1, 0, 1), repeat=g))[3**g // 2 :]:
-        target = sorted_keys + int(np.dot(offset, steps))
-        cell = np.minimum(np.searchsorted(cell_keys, target), len(cell_keys) - 1)
-        start = cell_start[cell]
-        stop = np.where(cell_keys[cell] == target, start + cell_size[cell], start)
-        if not any(offset):
-            start = np.arange(1, total + 1)
-        counts = stop - start
-        src = np.repeat(order, counts)
-        at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        dst = order[at]
-        first, second = np.minimum(src, dst), np.maximum(src, dst)
-        near = paired_distances(metric, feats[first], feats[second]) <= threshold
-        firsts.append(first[near])
-        seconds.append(second[near])
-    return sorted(zip(np.concatenate(firsts).tolist(), np.concatenate(seconds).tolist()))
+    return order, keys[order], keys, shifts
+
+
+def _greedy_layer(feats, grid, threshold, metric, removed, rep) -> None:
+    """One greedy layer over the rows not `removed`, in index order: each
+    row still present is kept and removes the later rows within
+    `threshold`, which it marks in `removed` and records in `rep`."""
+    order, sorted_keys, keys, shifts = grid
+    budget = max(1, _BLOCK_BYTES // (8 * (feats.shape[1] + 8)))
+    for first in range(0, len(feats), _BLOCK_ADS):
+        rows = np.arange(first, min(first + _BLOCK_ADS, len(feats)))
+        while (queries := rows[~removed[rows]]).size:
+            centre = keys[queries][:, None] + shifts
+            start = np.searchsorted(sorted_keys, centre - 1, side="left")
+            counts = np.searchsorted(sorted_keys, centre + 1, side="right") - start
+            per_query = counts.sum(axis=1)
+            take = max(1, int(np.searchsorted(np.cumsum(per_query), budget, side="right")))
+            rows, queries = queries[take:], queries[:take]
+            start, counts = start[:take].ravel(), counts[:take].ravel()
+            at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            src, dst = np.repeat(queries, per_query[:take]), order[at]
+            keep = np.flatnonzero((dst > src) & ~removed[dst])
+            keep = keep[paired_distances(metric, feats[src[keep]], feats[dst[keep]]) <= threshold]
+            src, dst = src[keep], dst[keep]
+            # src ascends, so each query acts after every earlier row settled,
+            # and a removed row maps to the first kept row that reached it.
+            bounds = np.flatnonzero(np.diff(src, prepend=-1, append=len(feats)))
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                if not removed[src[lo]]:
+                    targets = dst[lo:hi][~removed[dst[lo:hi]]]
+                    removed[targets] = True
+                    rep[targets] = src[lo]
 
 
 def epsilon_set(ads: list[Ad], epsilon: float, metric: DistanceMetric) -> SparseAdSet:
@@ -167,28 +175,21 @@ def m_sparse_set(ads: list[Ad], epsilon: float, m: int, metric: DistanceMetric) 
     if not ads:
         return SparseAdSet(ads=[], params=params)
     ranked = sorted(ads, key=lambda a: (-a.base_value, a.ad_id))
-    pairs = _conflict_pairs(np.stack([a.features for a in ranked]), 2.0 * epsilon, metric)
-    layer_of: dict[int, int] = {}
-    reps: dict[int, int] = {}
+    feats = np.stack([a.features for a in ranked])
+    grid = _grid(feats, 2.0 * epsilon, metric)
+    layer_of = np.zeros(len(ranked), dtype=np.int64)
+    rep = np.full(len(ranked), -1, dtype=np.int64)
     for layer in range(1, m + 1):
-        pairs = [(i, j) for i, j in pairs if i not in layer_of and j not in layer_of]
-        # Walking the pairs by their earlier row settles each row before it
-        # acts, so a dropped row maps to the first kept row in value order
-        # within 2*epsilon of it, as in a one-at-a-time scan.
-        removed: dict[int, int] = {}
-        for i, j in pairs:
-            if i not in removed and j not in removed:
-                removed[j] = i
-        for i in range(len(ranked)):
-            if i not in layer_of and i not in removed:
-                layer_of[i] = layer
-        reps.update(removed)
-    rows = sorted(layer_of, key=lambda i: (layer_of[i], i))
+        removed = layer_of > 0
+        _greedy_layer(feats, grid, 2.0 * epsilon, metric, removed, rep)
+        layer_of[~removed] = layer
+    reps, layers = rep.tolist(), layer_of.tolist()
+    rows = sorted(np.flatnonzero(layer_of).tolist(), key=layers.__getitem__)
     return SparseAdSet(
         ads=[ranked[i] for i in rows],
         params=params,
-        mapping={ranked[j].ad_id: ranked[i].ad_id for j, i in reps.items() if j not in layer_of},
-        layers={ranked[i].ad_id: layer_of[i] for i in rows},
+        mapping={ranked[j].ad_id: ranked[reps[j]].ad_id for j, k in enumerate(layers) if not k},
+        layers={ranked[i].ad_id: layers[i] for i in rows},
     )
 
 
@@ -209,6 +210,15 @@ def update_cost_bound(params: SparseApproxParams, d_max: float, n: int, set_size
         raise ValueError("d_max, n, set_size must be positive")
     packing = math.ceil((params.m * d_max / params.epsilon) ** n)
     return min(packing, set_size)
+
+
+def _warn_if_epsilon_large(epsilon: float, d_max: float) -> None:
+    if not d_max > 2.0 * epsilon:
+        warnings.warn(
+            f"analysis assumes d_max > 2*epsilon, got d_max={d_max} epsilon={epsilon}",
+            UserWarning,
+            stacklevel=3,
+        )
 
 
 def _clique_free(members: list[Ad], threshold: float, m: int, metric: DistanceMetric) -> bool:
@@ -258,12 +268,7 @@ def verify_analogue_bound(
     eps = sparse.params.epsilon
     radius = 2.0 * eps
     metric = sparse.params.metric
-    if not d_max > radius:
-        warnings.warn(
-            f"analysis assumes d_max > 2*epsilon, got d_max={d_max} epsilon={eps}",
-            UserWarning,
-            stacklevel=2,
-        )
+    _warn_if_epsilon_large(eps, d_max)
     by_id = {a.ad_id: a for a in original}
     try:
         s_ads = [by_id[i] for i in s]

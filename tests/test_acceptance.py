@@ -165,7 +165,8 @@ def test_02_selection_always_conflict_free(criterion_report):
         rng = np.random.default_rng(9000 + i)
         n_dims = inst.ads[0].features.shape[0]
         probes = rng.uniform(0.0, 1.0, (10_000, n_dims))
-        if not is_conflict_free(selected, list(inst.vehicles), inst.params):
+        vehicles = np.stack([v.interests for v in inst.vehicles])
+        if not is_conflict_free(selected, vehicles, inst.params):
             failures += 1
         elif not is_conflict_free(selected, probes, inst.params):
             failures += 1

@@ -275,9 +275,10 @@ class TestTopkRandom:
 class TestConflictFree:
     def test_example1_pair_conflicts(self):
         _, (a1, a2), v = example1()
-        assert not is_conflict_free([a1, a2], [v], params(m=1))
-        assert is_conflict_free([a1], [v], params(m=1))
-        assert is_conflict_free([], [v], params(m=1))
+        rows = v.interests[None, :]
+        assert not is_conflict_free([a1, a2], rows, params(m=1))
+        assert is_conflict_free([a1], rows, params(m=1))
+        assert is_conflict_free([], rows, params(m=1))
 
     def test_structural_check(self):
         a1 = Ad(ad_id=1, features=np.array([0.0]), base_value=1.0)
@@ -303,7 +304,7 @@ class TestConflictFree:
             by_id = {a.ad_id: a for a in ads}
             # keep admission order: the structural certificate depends on it
             chosen = [by_id[i] for i in chosen_ids]
-            assert is_conflict_free(chosen, profiles, p)
+            assert is_conflict_free(chosen, np.stack([v.interests for v in profiles]), p)
             assert structurally_conflict_free(chosen, p)
 
     @pytest.mark.parametrize("metric", [EUCL, ANG])
@@ -323,11 +324,9 @@ class TestConflictFree:
             want_worst = max(
                 sum(distances_to(metric, r, f[None])[0] <= d_max for f in feats) for r in rows
             )
-            profiles = [VehicleProfile(j, r) for j, r in enumerate(rows)]
             for m in (1, 2, 3):
                 p = SelectionParams(k=8, m=m, d_max=d_max, metric=metric)
                 assert is_conflict_free(ads, rows, p) == (want_worst <= m)
-                assert is_conflict_free(ads, profiles, p) == (want_worst <= m)
 
 
 class TestEstimatorConsistency:

@@ -9,11 +9,14 @@ exactly 2*eps apart, on cell edges, on top of each other, at negative and
 huge coordinates, and in more dimensions than the grid uses.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volfied.model import Ad, DistanceMetric, distances_to
+from volfied import sparse
+from volfied.model import Ad, DistanceMetric, distances_to, paired_distances
 from volfied.sparse import (
     SparseAdSet,
     SparseApproxParams,
@@ -94,7 +97,8 @@ def hard_catalogs(draw):
     m = draw(st.integers(1, 3))
     n = draw(st.sampled_from([1, 2, 3, 5, 6, 7]))
     eps = draw(st.sampled_from([2.0**-3, 2.0**-4, 2.0**-6]))
-    step, edge = 2.0 * eps, 2.0 * eps * (1.0 + 1e-9)
+    # the grid's cells are 2*eps * (1 + 2^-20) wide
+    step, edge = 2.0 * eps, 2.0 * eps * (1.0 + 2.0**-20)
     coord = st.one_of(
         st.integers(-4, 4).map(lambda k: k * step),
         st.integers(-4, 4).map(lambda k: k * edge),
@@ -187,7 +191,7 @@ class TestEpsilonSet:
     @pytest.mark.parametrize("n", [2, 6])
     def test_huge_coordinates_match_brute_force(self, n):
         # Cell keys must not overflow: the span here is ~2e308 against
-        # cells of 2e-3, far past int64, so the grid has to widen its cells.
+        # cells of 2e-3, far past int64, so each axis is numbered in runs.
         rng = np.random.default_rng(71)
         big = np.finfo(float).max
         choices = np.array([-big, -1e300, -1e300, -1e-3, 1e-3, 2e-3, 1e300, 1e300, big])
@@ -224,6 +228,54 @@ class TestEpsilonSet:
             epsilon_set(ads, epsilon=0.01, metric=ANG)
         with pytest.raises(ValueError, match="zero vector"):
             m_sparse_set(ads, 0.01, 2, ANG)
+
+
+    def test_outlier_does_not_merge_cells(self, monkeypatch):
+        # One ad 1e6 out on every axis must not stretch the grid over the
+        # rest: the result is the catalog's own plus the outlier (19,996
+        # kept, 5 mapped, 304 in layer 2, as the former all-pairs scan
+        # gave), the kernel sees a few candidates per ad, and the scan's
+        # temporaries stay small where all pairs would take gigabytes.
+        rng = np.random.default_rng(31)
+        ads = random_ads(rng, 20_000, 5)
+        outlier = Ad(ad_id=20_000, features=np.full(5, 1e6), base_value=0.5)
+        base = m_sparse_set(ads, 0.025, 2, EUCL)
+        evaluated = []
+
+        def counting(metric, a, b):
+            evaluated.append(len(a))
+            return paired_distances(metric, a, b)
+
+        monkeypatch.setattr(sparse, "paired_distances", counting)
+        tracemalloc.start()
+        try:
+            got = m_sparse_set(ads + [outlier], 0.025, 2, EUCL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(got.ads), len(got.mapping)) == (19_996, 5)
+        assert sum(layer == 2 for layer in got.layers.values()) == 304
+        assert got.layers == {**base.layers, 20_000: 1}
+        assert got.mapping == base.mapping
+        assert sum(evaluated) < 5 * len(ads)
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("metric", [EUCL, ANG])
+    def test_shared_cell_matches_brute_force(self, metric):
+        # 7-D ads equal on the five grid coordinates share one Euclidean
+        # cell, so every ad is a candidate of every other and the candidate
+        # budget, not the block length, cuts the blocks.
+        rng = np.random.default_rng(37)
+        ads = [
+            Ad(
+                ad_id=i,
+                features=np.concatenate([np.ones(5), rng.uniform(0.0, 1.0, 2)]),
+                base_value=float(rng.uniform(0.01, 1.0)),
+            )
+            for i in range(1200)
+        ]
+        for m in (1, 2):
+            assert_matches_brute_force(ads, 0.01, m, metric)
 
 
 class TestMSparseSet:
