@@ -9,16 +9,27 @@ exact and enter/exit round trips restore state bit for bit.
 
 from __future__ import annotations
 
+import bisect
+import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .model import Ad, DistanceMetric, VehicleProfile, count_within, distances_to
+from .model import (
+    Ad,
+    DistanceMetric,
+    VehicleProfile,
+    count_within,
+    distances_to,
+    paired_distances,
+)
 
 __all__ = [
     "SelectionParams",
     "SelectionStats",
+    "RelevanceMemo",
     "RevenueEstimator",
     "select_volfied",
     "select_topk",
@@ -55,13 +66,42 @@ class SelectionStats:
     distance_evals: int = 0
 
 
+class RelevanceMemo:
+    """One vehicle profile's relevant ads: the rows of the estimator's union
+    catalog within d_max of it, ascending (their ad ids ascend too), and
+    the distances to them."""
+
+    __slots__ = ("profile", "rows", "ids", "dists")
+
+    def __init__(self, profile: VehicleProfile, rows: np.ndarray, ids: np.ndarray, dists: np.ndarray):
+        self.profile = profile
+        self.rows = rows
+        self.ids = ids
+        self.dists = dists
+
+    def distances(self, ad_ids: Iterable[int]) -> list[float]:
+        """Distance to each ad, inf for an ad that is not relevant."""
+        ids, dists = self.ids.tolist(), self.dists.tolist()
+        out = []
+        for ad_id in ad_ids:
+            i = bisect.bisect_left(ids, ad_id)
+            out.append(dists[i] if i < len(ids) and ids[i] == ad_id else math.inf)
+        return out
+
+
 class _PoaState:
     """Candidates (as rows of the estimator's union feature matrix), their
-    values, and contributor bookkeeping for one PoA."""
+    values and contributor counts, and the detected vehicles present.
 
-    __slots__ = ("ads", "ids", "pos_of", "rows", "values", "counts", "contrib")
+    A present vehicle keeps the positions it was credited for on entering
+    and the broadcast sequence number it entered after; a credited
+    position broadcast since then (`sent` beyond that number) was taken
+    back at the broadcast.
+    """
 
-    def __init__(self, poa_id: int, ads: list[Ad], rows: np.ndarray, values: np.ndarray):
+    __slots__ = ("ads", "ids", "pos_of", "rows", "earning", "values", "counts", "sent", "present")
+
+    def __init__(self, poa_id: int, ads: list[Ad], rows: np.ndarray, values: np.ndarray, n_union: int):
         self.ads = list(ads)
         self.ids = np.array([a.ad_id for a in ads], dtype=np.int64)
         if len(set(self.ids.tolist())) != len(ads):
@@ -69,10 +109,20 @@ class _PoaState:
         self.pos_of = {a.ad_id: i for i, a in enumerate(ads)}
         self.rows = rows
         self.values = values
+        # union row -> position of a candidate worth something here, else -1
+        self.earning = np.full(n_union, -1, dtype=np.int64)
+        positive = np.flatnonzero(values > 0)
+        self.earning[rows[positive]] = positive
         self.counts = np.zeros(len(ads), dtype=np.int64)
-        # vehicle id -> positions currently credited; keys are exactly the
-        # detected vehicles present under this PoA
-        self.contrib: dict[int, set[int]] = {}
+        # position -> sequence number of its last broadcast here (0: never)
+        self.sent = np.zeros(len(ads), dtype=np.int64)
+        # vehicle id -> (positions credited on entering, sequence number then)
+        self.present: dict[int, tuple[np.ndarray, int]] = {}
+
+    def credited(self, vehicle_id: int) -> np.ndarray:
+        """Positions a present vehicle is credited for now."""
+        positions, entered = self.present[vehicle_id]
+        return positions[self.sent[positions] <= entered]
 
 
 def _same_ad(a: Ad, b: Ad) -> bool:
@@ -92,7 +142,11 @@ class RevenueEstimator:
 
     Profiles and candidate sets are fixed, so a vehicle's relevant ads are
     found by one scan of the union of all candidate sets, on its first
-    detected enter, and remembered; every enter then costs O(relevant).
+    detected enter (or first `relevance` call), and remembered in a
+    `RelevanceMemo`, which the display reads too. An enter gathers the
+    memo's rows into the PoA's candidate positions, and a broadcast zeroes
+    the selected ads' counts, since every vehicle credited for them is
+    present; it touches no vehicle's credit but its registry entry.
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
@@ -104,23 +158,25 @@ class RevenueEstimator:
                 first = union.setdefault(a.ad_id, a)
                 if not _same_ad(first, a):
                     raise ValueError(f"ad id {a.ad_id} names different ads at poa {pid}")
-        self._union_ids = np.array(list(union), dtype=np.int64)
+        order = sorted(union)  # union rows ascend with ad id
+        self._union_ids = np.array(order, dtype=np.int64)
         self._union_feats = (
-            np.stack([a.features for a in union.values()]) if union else np.zeros((0, 0))
+            np.stack([union[i].features for i in order]) if union else np.zeros((0, 0))
         )
-        row_of = {ad_id: i for i, ad_id in enumerate(union)}
-        base = np.array([a.base_value for a in union.values()], dtype=float)
-        is_global = np.array([a.is_global for a in union.values()], dtype=bool)
-        target = np.array([-1 if a.is_global else a.target_poa for a in union.values()])
+        base = np.array([union[i].base_value for i in order], dtype=float)
+        is_global = np.array([union[i].is_global for i in order], dtype=bool)
+        target = np.array([-1 if union[i].is_global else union[i].target_poa for i in order])
         self._poas = {}
         for pid, ads in candidates_by_poa.items():
-            rows = np.array([row_of[a.ad_id] for a in ads], dtype=np.int64)
+            rows = np.searchsorted(self._union_ids, [a.ad_id for a in ads]).astype(np.int64)
             # ad_value over all candidates at once: in scope, base value; else 0
             in_scope = is_global[rows] | (target[rows] == pid)
             values = np.where(in_scope, base[rows], 0.0)
-            self._poas[pid] = _PoaState(pid, ads, rows, values)
-        # vehicle id -> (profile scanned, ids of the union ads relevant to it)
-        self._relevant: dict[int, tuple[VehicleProfile, frozenset[int]]] = {}
+            self._poas[pid] = _PoaState(pid, ads, rows, values, len(order))
+        # vehicle id -> memo of the profile last seen under that id
+        self._memos: dict[int, RelevanceMemo] = {}
+        # broadcasts made so far, the sequence number of the last one
+        self._broadcasts = 0
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
         self.max_event_examined = 0
@@ -132,6 +188,11 @@ class RevenueEstimator:
         st = self._poas[poa]
         pos = st.pos_of[ad_id]
         return float(st.values[pos] * st.counts[pos])
+
+    def credited(self, poa: int) -> dict[int, np.ndarray]:
+        """Candidate positions each detected vehicle under `poa` is credited for."""
+        st = self._poas[poa]
+        return {vid: st.credited(vid) for vid in st.present}
 
     def _note_event(self, examined: int) -> None:
         self.last_event_examined = examined
@@ -147,47 +208,50 @@ class RevenueEstimator:
             self._note_event(0)
             return
         st = self._poas[poa]
-        if v.vehicle_id in st.contrib:
+        if v.vehicle_id in st.present:
             raise ValueError(f"vehicle {v.vehicle_id} already present under poa {poa}")
         if st.ids.size == 0:
-            st.contrib[v.vehicle_id] = set()
-            self._note_event(0)
-            return
-        pos_of, values = st.pos_of, st.values
-        relevant = {
-            ad_id
-            for ad_id in self._relevant_ids(v)
-            if ad_id in pos_of and values[pos_of[ad_id]] > 0
-        }
-        self._note_event(len(relevant))
+            positions = _NO_POSITIONS
+        else:
+            memo = self._memos.get(v.vehicle_id)
+            if memo is None or memo.profile is not v:
+                memo = self.relevance(v)
+            positions = st.earning[memo.rows]
+            positions = positions[positions >= 0]
+        self._note_event(len(positions))
         served = self.registry.get(v.vehicle_id)
-        if served:
-            relevant = relevant - served
-        positions = {pos_of[ad_id] for ad_id in relevant}
-        st.counts[list(positions)] += 1
-        st.contrib[v.vehicle_id] = positions
+        if served and len(positions):
+            unserved = [i not in served for i in st.ids[positions].tolist()]
+            if not all(unserved):
+                positions = positions[np.array(unserved)]
+        st.counts[positions] += 1
+        st.present[v.vehicle_id] = (positions, self._broadcasts)
 
-    def _relevant_ids(self, v: VehicleProfile) -> frozenset[int]:
-        """Ids of the candidate ads, at any PoA, within d_max of v; scanned
-        once per profile object and remembered under its vehicle id."""
-        seen = self._relevant.get(v.vehicle_id)
-        if seen is not None and seen[0] is v:
-            return seen[1]
-        dists = distances_to(self.params.metric, v.interests, self._union_feats)
-        ids = frozenset(self._union_ids[dists <= self.params.d_max].tolist())
-        self._relevant[v.vehicle_id] = (v, ids)
-        return ids
+    def relevance(self, v: VehicleProfile) -> RelevanceMemo:
+        """The memo of v's relevant candidate ads, at any PoA; scanned once
+        per profile object and remembered under its vehicle id."""
+        memo = self._memos.get(v.vehicle_id)
+        if memo is not None and memo.profile is v:
+            return memo
+        if self._union_ids.size:
+            dists = distances_to(self.params.metric, v.interests, self._union_feats)
+        else:
+            dists = np.zeros(0)
+        rows = np.flatnonzero(dists <= self.params.d_max)
+        memo = RelevanceMemo(v, rows, self._union_ids[rows], dists[rows])
+        self._memos[v.vehicle_id] = memo
+        return memo
 
     def on_vehicle_exit(self, poa: int, vehicle_id: int) -> None:
         """Remove the vehicle's credits; no-op for vehicles never detected."""
         st = self._poas[poa]
-        positions = st.contrib.pop(vehicle_id, None)
-        if positions is None:
+        if vehicle_id not in st.present:
             self._note_event(0)
             return
+        positions = st.credited(vehicle_id)
+        del st.present[vehicle_id]
         self._note_event(len(positions))
-        for p in positions:
-            st.counts[p] -= 1
+        st.counts[positions] -= 1
 
     def on_broadcast(self, poa: int, selected: list[int]) -> None:
         """Register the broadcast for every detected vehicle present and
@@ -195,13 +259,13 @@ class RevenueEstimator:
         if not selected:
             return
         st = self._poas[poa]
-        for ad_id in selected:
-            pos = st.pos_of[ad_id]
-            for vid in st.contrib:
-                self.registry.setdefault(vid, set()).add(ad_id)
-                if pos in st.contrib[vid]:
-                    st.contrib[vid].discard(pos)
-                    st.counts[pos] -= 1
+        positions = [st.pos_of[ad_id] for ad_id in selected]
+        # every vehicle credited for a selected ad is present: none remains
+        st.counts[positions] = 0
+        self._broadcasts += 1
+        st.sent[positions] = self._broadcasts
+        for vid in st.present:
+            self.registry.setdefault(vid, set()).update(selected)
 
     def _positive_by_revenue(self, poa: int) -> tuple[np.ndarray, np.ndarray]:
         """(positions, ad ids) of the positive-estimate ads, ordered by
@@ -211,6 +275,13 @@ class RevenueEstimator:
         ids = st.ids[positions]
         order = np.lexsort((ids, -(st.values[positions] * st.counts[positions])))
         return positions[order], ids[order]
+
+
+_NO_POSITIONS = np.zeros(0, dtype=np.int64)
+
+# select_volfied's first block of candidates, in multiples of k; each later
+# block doubles it.
+_HEAD_PER_SLOT = 4
 
 
 def select_volfied(
@@ -225,28 +296,42 @@ def select_volfied(
     ties) and admits an ad only while fewer than m already-admitted ads
     lie within 2*d_max of it; stops at k admitted. Zero-estimate ads are
     skipped: they cannot contribute revenue but could block a slot.
+
+    The conflict distances come in blocks: the head of the candidate list
+    against itself and the ads admitted before it, by one
+    `paired_distances` call. `stats.distance_evals` counts the pairs the
+    greedy consults, one per admitted ad for every candidate examined.
     """
     st = est._poas[poa]
-    feats = est._union_feats
-    chosen: list[int] = []
-    chosen_feats = np.empty((params.k, feats.shape[1]))
     positions, ids = est._positive_by_revenue(poa)
-    for pos, ad_id in zip(positions.tolist(), ids.tolist()):
-        n = len(chosen)
-        if n >= params.k:
-            break
-        f = feats[st.rows[pos]]
-        if n:
-            d = distances_to(params.metric, f, chosen_feats[:n])
-            if stats is not None:
-                stats.distance_evals += n
-            blockers = int(np.count_nonzero(d <= 2.0 * params.d_max))
-        else:
-            blockers = 0
-        if blockers < params.m:
-            chosen_feats[n] = f
-            chosen.append(ad_id)
-    return chosen
+    rows = st.rows[positions]
+    reach = 2.0 * params.d_max
+    chosen: list[int] = []  # indices into positions
+    chosen_feats = est._union_feats[:0]
+    evals = 0
+    start, size = 0, _HEAD_PER_SLOT * params.k
+    while start < len(positions) and len(chosen) < params.k:
+        stop = min(start + size, len(positions))
+        block = est._union_feats[rows[start:stop]]
+        # columns: the ads admitted before the block, then the block itself
+        prior = len(chosen)
+        against = np.concatenate([chosen_feats, block]) if prior else block
+        near = (paired_distances(params.metric, block[:, None], against[None]) <= reach).tolist()
+        columns = list(range(prior))
+        for i in range(start, stop):
+            n = len(chosen)
+            if n >= params.k:
+                break
+            row = near[i - start]
+            evals += n
+            if sum([row[c] for c in columns]) < params.m:
+                chosen.append(i)
+                columns.append(prior + i - start)
+        chosen_feats = against[columns]
+        start, size = stop, 2 * size
+    if stats is not None:
+        stats.distance_evals += evals
+    return ids[chosen].tolist()
 
 
 def select_topk(est: RevenueEstimator, poa: int, params: SelectionParams) -> list[int]:

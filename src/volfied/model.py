@@ -27,6 +27,7 @@ __all__ = [
     "ad_value",
     "is_relevant",
     "rank_relevant",
+    "rank_for_profile",
 ]
 
 # Features are 1-D float arrays of a common dimension n.
@@ -172,26 +173,43 @@ def ad_value(ad: Ad, poa_id: int | None) -> float:
 
 def rank_relevant(
     ads: Iterable[Ad],
+    dists: Iterable[float],
+    poa_id: int | None,
+    d_max: float,
+    exclude: Container[int] = frozenset(),
+) -> list[tuple[Ad, float]]:
+    """(ad, distance) pairs for the ads not in `exclude` that are relevant
+    at the given PoA, sorted by (distance, ad_id): the one "relevant,
+    unseen, closest first" rule that displays take a prefix of.
+
+    `dists[i]` is the distance from the vehicle's profile to `ads[i]`.
+    Relevant means in scope at the PoA (positive `ad_value`) and within
+    d_max of the profile, ties relevant.
+    """
+    ranked = [
+        (a, d)
+        for a, d in zip(ads, dists)
+        if d <= d_max and a.ad_id not in exclude and ad_value(a, poa_id) > 0.0
+    ]
+    ranked.sort(key=lambda pair: (pair[1], pair[0].ad_id))
+    return ranked
+
+
+def rank_for_profile(
+    ads: Iterable[Ad],
     profile: VehicleProfile,
     poa_id: int | None,
     d_max: float,
     metric: DistanceMetric,
     exclude: Container[int] = frozenset(),
 ) -> list[tuple[Ad, float]]:
-    """(ad, distance) pairs for the ads not in `exclude` that are relevant
-    to the profile at the given PoA, sorted by (distance, ad_id): the one
-    "relevant, unseen, closest first" rule that displays take a prefix of.
-
-    Relevant means in scope at the PoA (positive `ad_value`) and within
-    d_max of the profile, ties relevant.
-    """
+    """`rank_relevant` with the distances evaluated here, by `distances_to`,
+    for the ads in scope and not excluded."""
     scoped = [a for a in ads if a.ad_id not in exclude and ad_value(a, poa_id) > 0.0]
     if not scoped:
         return []
     dists = distances_to(metric, profile.interests, np.stack([a.features for a in scoped]))
-    ranked = [(a, float(d)) for a, d in zip(scoped, dists) if d <= d_max]
-    ranked.sort(key=lambda pair: (pair[1], pair[0].ad_id))
-    return ranked
+    return rank_relevant(scoped, dists.tolist(), poa_id, d_max)
 
 
 def is_relevant(
@@ -203,4 +221,4 @@ def is_relevant(
 ) -> bool:
     """True iff the ad is within d_max of the profile (ties relevant) and
     its scope admits the vehicle's current PoA."""
-    return bool(rank_relevant([ad], profile, poa_id, d_max, metric))
+    return bool(rank_for_profile([ad], profile, poa_id, d_max, metric))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .broker import SelectionParams
-from .model import Ad, DistanceMetric, VehicleProfile, ad_value, rank_relevant
+from .model import Ad, DistanceMetric, VehicleProfile, ad_value, rank_for_profile
 # perfbench/tracer.py wraps `distance` under this module's name.
 from .model import distance  # noqa: F401
 
@@ -108,7 +108,7 @@ def simulate_display(
         subtotal = 0.0
         for prof in sorted(per_poa[poa], key=lambda p: p.vehicle_id):
             seen = instance.displayed.get(prof.vehicle_id, frozenset())
-            ranked = rank_relevant(clean[poa], prof, poa, params.d_max, params.metric, seen)
+            ranked = rank_for_profile(clean[poa], prof, poa, params.d_max, params.metric, seen)
             for ad, _ in ranked[: params.m]:
                 displays[prof.vehicle_id].append(ad.ad_id)
                 subtotal += ad_value(ad, poa)
@@ -149,7 +149,7 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
         for vid in covered:
             prof = by_vid[vid]
             seen = instance.displayed.get(vid, frozenset())
-            ranked = rank_relevant(candidates, prof, poa, params.d_max, params.metric, seen)
+            ranked = rank_for_profile(candidates, prof, poa, params.d_max, params.metric, seen)
             if ranked:
                 menus.append([(ad.ad_id, ad_value(ad, poa)) for ad, _ in ranked])
 

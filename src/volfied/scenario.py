@@ -107,9 +107,9 @@ def gen_synthetic(
     target = rng.uniform((0.0, 0.0), (w, h), size=(n_vehicles, 2))
     hop = speed_mps * step_duration_s
 
-    per_step = []
+    positions = np.empty((steps, n_vehicles, 2))
     for step in range(steps):
-        per_step.append({vid: (float(pos[vid, 0]), float(pos[vid, 1])) for vid in range(n_vehicles)})
+        positions[step] = pos
         if step == steps - 1:
             break
         delta = target - pos
@@ -120,7 +120,9 @@ def gen_synthetic(
         pos[moving] += delta[moving] * (hop / dist[moving])[:, None]
         if arriving.any():
             target[arriving] = rng.uniform((0.0, 0.0), (w, h), size=(int(arriving.sum()), 2))
-    return MobilityTrace(per_step=tuple(per_step), step_duration_s=step_duration_s)
+    # a vehicle has a column only when it is present at some step
+    ids = np.arange(n_vehicles if steps else 0, dtype=np.int64)
+    return MobilityTrace(positions=positions[:, : len(ids)], ids=ids, step_duration_s=step_duration_s)
 
 
 def build_scenario(config: SimConfig, seed: int):

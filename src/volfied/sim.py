@@ -12,8 +12,8 @@ estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,48 +64,68 @@ def rng_stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag,))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobilityTrace:
-    """Vehicle positions per step; step index equals list index."""
+    """Vehicle positions per step.
 
-    per_step: tuple[dict[int, tuple[float, float]], ...]
+    `positions[step, j]` is the (x, y) of vehicle `ids[j]` at that step,
+    NaN where the vehicle is absent; `ids` are the distinct vehicle ids,
+    ascending, each present at some step.
+    """
+
+    positions: np.ndarray  # (steps, vehicles, 2) float
+    ids: np.ndarray  # (vehicles,) int64
     step_duration_s: float = 1.0
+
+    def __eq__(self, other):
+        if not isinstance(other, MobilityTrace):
+            return NotImplemented
+        return (
+            self.step_duration_s == other.step_duration_s
+            and np.array_equal(self.ids, other.ids)
+            and np.array_equal(self.positions, other.positions, equal_nan=True)
+        )
 
     @property
     def n_steps(self) -> int:
-        return len(self.per_step)
+        return self.positions.shape[0]
 
     def positions_at(self, step: int) -> dict[int, tuple[float, float]]:
-        if 0 <= step < len(self.per_step):
-            return self.per_step[step]
-        return {}
+        """Vehicle id -> position at `step`, built on each call; empty
+        outside the trace."""
+        if not 0 <= step < self.n_steps:
+            return {}
+        xy = self.positions[step]
+        here = ~np.isnan(xy[:, 0])
+        return dict(zip(self.ids[here].tolist(), map(tuple, xy[here].tolist())))
 
     def vehicle_ids(self) -> set[int]:
-        ids: set[int] = set()
-        for step in self.per_step:
-            ids.update(step)
-        return ids
+        return set(self.ids.tolist())
 
     @staticmethod
     def from_records(
         records: Iterable[tuple[int, int, float, float]],
         step_duration_s: float = 1.0,
     ) -> "MobilityTrace":
-        buckets: dict[int, dict[int, tuple[float, float]]] = {}
+        seen: set[tuple[int, int]] = set()
+        steps, vids, xs, ys = [], [], [], []
         for step, vid, x, y in records:
             if step < 0:
                 raise ValueError(f"negative step {step}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"non-finite position for vehicle {vid} at step {step}")
-            bucket = buckets.setdefault(step, {})
-            if vid in bucket:
+            if (step, vid) in seen:
                 raise ValueError(f"vehicle {vid} appears twice at step {step}")
-            bucket[vid] = (float(x), float(y))
-        n_steps = max(buckets) + 1 if buckets else 0
-        return MobilityTrace(
-            per_step=tuple(buckets.get(s, {}) for s in range(n_steps)),
-            step_duration_s=step_duration_s,
-        )
+            seen.add((step, vid))
+            steps.append(step)
+            vids.append(vid)
+            xs.append(float(x))
+            ys.append(float(y))
+        ids, column = np.unique(np.array(vids, dtype=np.int64), return_inverse=True)
+        positions = np.full((max(steps, default=-1) + 1, len(ids), 2), np.nan)
+        positions[steps, column, 0] = xs
+        positions[steps, column, 1] = ys
+        return MobilityTrace(positions=positions, ids=ids, step_duration_s=step_duration_s)
 
 
 def load_trace(path, step_duration_s: float = 1.0) -> MobilityTrace:
@@ -138,10 +158,10 @@ def write_trace_csv(path, trace: MobilityTrace) -> None:
 
     lines = [TRACE_HEADER]
     for step in range(trace.n_steps):
-        positions = trace.positions_at(step)
-        for vid in sorted(positions):
-            x, y = positions[vid]
-            lines.append(f"{step},{vid},{repr(x)},{repr(y)}")
+        xy = trace.positions[step]
+        here = ~np.isnan(xy[:, 0])
+        for vid, (x, y) in zip(trace.ids[here].tolist(), xy[here].tolist()):
+            lines.append(f"{step},{vid},{x!r},{y!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -217,17 +237,15 @@ class _CoverageIndex:
         self.xy = np.array([[p.x_m, p.y_m] for p in ordered], dtype=float)
         self.r2 = np.array([p.range_m * p.range_m for p in ordered], dtype=float)
 
-    def lookup(self, positions: np.ndarray) -> list[Optional[int]]:
-        if positions.size == 0:
-            return []
+    def lookup(self, positions: np.ndarray) -> np.ndarray:
+        """Index into `ids` of the PoA each position associates with, -1
+        where none covers it."""
         diff = positions[:, None, :] - self.xy[None, :, :]
         d2 = np.einsum("vpc,vpc->vp", diff, diff)
         d2[d2 > self.r2[None, :]] = np.inf
         best = np.argmin(d2, axis=1)
         covered = np.isfinite(d2[np.arange(len(positions)), best])
-        return [
-            int(self.ids[b]) if ok else None for b, ok in zip(best, covered)
-        ]
+        return np.where(covered, best, -1)
 
 
 def _candidates_by_poa(config: SimConfig, ads: Sequence[Ad], poas: Sequence[PoA]):
@@ -281,17 +299,21 @@ def run(
     candidates = _candidates_by_poa(config, ads, poas)
     est = RevenueEstimator(params, candidates)
     index = _CoverageIndex(poas)
+    poa_ids = index.ids.tolist()
     by_ad_id = {a.ad_id: a for a in ads}
-    states = {vid: VehicleState(profile=prof) for vid, prof in by_vid.items()}
     vids = sorted(by_vid)
+    states = [VehicleState(profile=by_vid[vid]) for vid in vids]
+    # trace column -> vehicle index
+    column = np.searchsorted(np.array(vids, dtype=np.int64), trace.ids)
 
     det_rng = rng_stream(config.seed, STREAM_DETECTION)
     strat_rng = rng_stream(config.seed, STREAM_RANDOM_STRATEGY)
     stats = SelectionStats()
-    poa_ids = sorted(p.poa_id for p in poas)
 
-    current_poa: dict[int, Optional[int]] = {vid: None for vid in vids}
-    detected: dict[int, bool] = {vid: False for vid in vids}
+    # per vehicle: index into poa_ids of the PoA it is under (-1: none),
+    # and whether its cache holds anything to display later
+    current = np.full(len(vids), -1, dtype=np.int64)
+    cached = np.array([bool(s.cache) for s in states], dtype=bool)
     metrics: list[StepMetrics] = []
     revenue = 0.0
     impressions = 0
@@ -299,44 +321,52 @@ def run(
     broadcasts = 0
 
     for step in range(config.steps):
-        positions = trace.positions_at(step)
-        present = [vid for vid in vids if vid in positions]
-        pos_arr = np.array([positions[vid] for vid in present], dtype=float)
-        lookup = dict(zip(present, index.lookup(pos_arr)))
+        new = np.full(len(vids), -1, dtype=np.int64)
+        present = np.zeros(len(vids), dtype=bool)
+        if step < trace.n_steps:
+            xy = trace.positions[step]
+            here = ~np.isnan(xy[:, 0])
+            present[column[here]] = True
+            new[column[here]] = index.lookup(xy[here])
 
-        for vid in vids:
-            new_poa = lookup.get(vid)
-            old_poa = current_poa[vid]
-            if new_poa == old_poa:
-                continue
-            if old_poa is not None:
-                est.on_vehicle_exit(old_poa, vid)
-            if new_poa is not None:
-                # one detection draw per dwell, aligned across configs
-                detected[vid] = bool(det_rng.uniform() < config.detection_accuracy)
-                est.on_vehicle_enter(new_poa, by_vid[vid], detected=detected[vid])
-            current_poa[vid] = new_poa
+        # events only for the vehicles whose PoA changed, in ascending id;
+        # one detection draw per dwell, aligned across configs
+        changed = np.flatnonzero(new != current)
+        olds, news = current[changed].tolist(), new[changed].tolist()
+        detected = iter(
+            (det_rng.uniform(size=np.count_nonzero(new[changed] >= 0))
+             < config.detection_accuracy).tolist()
+        )
+        for i, old_poa, new_poa in zip(changed.tolist(), olds, news):
+            if old_poa >= 0:
+                est.on_vehicle_exit(poa_ids[old_poa], vids[i])
+            if new_poa >= 0:
+                est.on_vehicle_enter(poa_ids[new_poa], states[i].profile, detected=next(detected))
+        current = new
 
-        selected: dict[int, list[int]] = {}
+        received: list[list] = []
         for pid in poa_ids:
             chosen = select(est, pid, params, stats, strat_rng)
-            selected[pid] = chosen
             est.on_broadcast(pid, chosen)
             broadcasts += len(chosen)
+            received.append([by_ad_id[a] for a in chosen])
+        received.append([])  # what a vehicle under no PoA (index -1) receives
 
-        for vid in vids:
-            state = states[vid]
-            poa = current_poa[vid]
-            incoming = selected[poa] if poa is not None else ()
-            if not incoming and not state.cache:
-                continue  # nothing to pool: the display step is a no-op
-            received = [by_ad_id[i] for i in incoming]
+        # a present vehicle displays when it receives ads or holds a cache;
+        # an absent one keeps its cache for when it is back
+        sending = np.array([bool(ads) for ads in received])
+        for i in np.flatnonzero(present & (sending[current] | cached)).tolist():
+            state = states[i]
+            poa = int(current[i])
+            if state.relevance is None:
+                state.relevance = est.relevance(state.profile)
             for ad_id, dist in step_display(
-                state, received, poa, params, config.cache_size
+                state, received[poa], poa_ids[poa] if poa >= 0 else None, params, config.cache_size
             ):
                 revenue += by_ad_id[ad_id].base_value
                 impressions += 1
                 distance_sum += dist
+            cached[i] = bool(state.cache)
 
         metrics.append(
             StepMetrics(

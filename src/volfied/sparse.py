@@ -11,10 +11,11 @@ stated at the same 2*epsilon radius: a covering radius of epsilon cannot
 coexist with the epsilon-ball bound.
 
 Conflicts are found on a grid of cells a little wider than 2*epsilon over
-the first (at most 5) coordinates. The greedy walks the ads in value order
-in blocks cut to a candidate budget (memory O(N)); only the later ads still
-present in an ad's 3^g neighbouring cells reach `paired_distances` (ties
-conflict).
+the (at most 5) coordinates with the most occupied cells. The greedy walks
+the ads in value order in blocks cut to a candidate budget (memory O(N));
+only the later ads still present in an ad's 3^g neighbouring cells reach
+`paired_distances` (ties conflict). `check_ball_bound` counts on the same
+grid, built over the probes and the members together.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Ad, DistanceMetric, count_within, distance, paired_distances
+from .model import Ad, DistanceMetric, distance, paired_distances
 
 __all__ = [
     "SparseApproxParams",
@@ -38,7 +39,7 @@ __all__ = [
     "verify_analogue_bound",
 ]
 
-# Leading coordinates the grid bins (a projection never brings points closer).
+# Coordinates the grid bins at most (a projection never brings points closer).
 _GRID_DIMS = 5
 # Cells are this much wider than the reach, relative to it, which absorbs
 # the rounding of two cell indices below 2^28 (2 * 2^-52 * 2^28 = 2^-23).
@@ -100,21 +101,26 @@ def _axis_cells(x: np.ndarray, width: float) -> np.ndarray:
 
 
 def _grid(feats: np.ndarray, threshold: float, metric: DistanceMetric):
-    """Grid on which rows of `feats` within `threshold` are neighbours: rows
-    in key order, sorted keys, each row's key, and the shifts whose runs of
-    three keys (the last axis has step 1) cover the neighbouring cells."""
-    points, reach = feats[:, :_GRID_DIMS], threshold
+    """Grid on which rows of `feats` within `threshold` are neighbours: each
+    row's cell key, and the shifts whose runs of three keys (the last axis
+    has step 1) cover the neighbouring cells. The grid bins the (at most 5)
+    axes with the most occupied cells, in coordinate order."""
+    points, reach = feats, threshold
     if metric is DistanceMetric.ANGULAR:
         norms = np.linalg.norm(feats, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("angular distance undefined for zero vectors")
-        points = points / norms[:, None]
+        points = feats / norms[:, None]
         # Unit vectors an angle t apart are a chord 2*sin(t/2) apart. The
         # margin bounds how far a rounded cosine, near 1 where arccos is
         # ill-conditioned, lets a decided pair stray past that chord.
         margin = 4.0 * math.sqrt((feats.shape[1] + 8) * np.finfo(float).eps)
         reach = 2.0 * math.sin(min(threshold, math.pi) / 2.0) + margin
     columns = [_axis_cells(x, reach * (1.0 + _SLACK)) for x in points.T]
+    if len(columns) > _GRID_DIMS:
+        occupied = [len(np.unique(col)) for col in columns]
+        busiest = sorted(range(len(columns)), key=lambda k: -occupied[k])[:_GRID_DIMS]
+        columns = [columns[k] for k in sorted(busiest)]
     radix = [int(col.max()) + 2 for col in columns]  # neighbours fall in 0 .. max + 1
     # Only the leading axes whose keys fit int64, still a valid prune.
     g = max(k for k in range(1, len(radix) + 1) if math.prod(radix[:k]) < 1 << 62)
@@ -122,28 +128,49 @@ def _grid(feats: np.ndarray, threshold: float, metric: DistanceMetric):
     keys = sum(col * step for col, step in zip(columns, steps))
     offsets = itertools.product((-1, 0, 1), repeat=g - 1)
     shifts = np.array([sum(d * t for d, t in zip(o, steps)) for o in offsets], dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    return order, keys[order], keys, shifts
+    return keys, shifts
 
 
-def _greedy_layer(feats, grid, threshold, metric, removed, rep) -> None:
+def _index(keys: np.ndarray, rows: np.ndarray):
+    """`rows` in key order (stable) and their sorted keys: what
+    `_neighbours` looks the rows up in."""
+    order = rows[np.argsort(keys[rows], kind="stable")]
+    return order, keys[order]
+
+
+def _neighbours(keys, shifts, index, queries, budget):
+    """Pairs (query, indexed row) of the rows of `index` in each query's
+    neighbouring cells, for the leading queries whose pairs stay within
+    `budget` (at least one query): (query rows, indexed rows, queries taken).
+    The pairs come query by query, in the order of `queries`."""
+    order, sorted_keys = index
+    centre = keys[queries][:, None] + shifts
+    start = np.searchsorted(sorted_keys, centre - 1, side="left")
+    counts = np.searchsorted(sorted_keys, centre + 1, side="right") - start
+    per_query = counts.sum(axis=1)
+    take = max(1, int(np.searchsorted(np.cumsum(per_query), budget, side="right")))
+    start, counts = start[:take].ravel(), counts[:take].ravel()
+    at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    return np.repeat(queries[:take], per_query[:take]), order[at], take
+
+
+def _budget(feats: np.ndarray) -> int:
+    """Candidate pairs per block: about _BLOCK_BYTES of temporaries, (n + 8)
+    words per pair."""
+    return max(1, _BLOCK_BYTES // (8 * (feats.shape[1] + 8)))
+
+
+def _greedy_layer(feats, keys, shifts, threshold, metric, removed, rep) -> None:
     """One greedy layer over the rows not `removed`, in index order: each
     row still present is kept and removes the later rows within
     `threshold`, which it marks in `removed` and records in `rep`."""
-    order, sorted_keys, keys, shifts = grid
-    budget = max(1, _BLOCK_BYTES // (8 * (feats.shape[1] + 8)))
+    everyone = np.arange(len(feats))
+    index = _index(keys, everyone)
     for first in range(0, len(feats), _BLOCK_ADS):
-        rows = np.arange(first, min(first + _BLOCK_ADS, len(feats)))
+        rows = everyone[first : first + _BLOCK_ADS]
         while (queries := rows[~removed[rows]]).size:
-            centre = keys[queries][:, None] + shifts
-            start = np.searchsorted(sorted_keys, centre - 1, side="left")
-            counts = np.searchsorted(sorted_keys, centre + 1, side="right") - start
-            per_query = counts.sum(axis=1)
-            take = max(1, int(np.searchsorted(np.cumsum(per_query), budget, side="right")))
-            rows, queries = queries[take:], queries[:take]
-            start, counts = start[:take].ravel(), counts[:take].ravel()
-            at = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-            src, dst = np.repeat(queries, per_query[:take]), order[at]
+            src, dst, take = _neighbours(keys, shifts, index, queries, _budget(feats))
+            rows = queries[take:]
             keep = np.flatnonzero((dst > src) & ~removed[dst])
             keep = keep[paired_distances(metric, feats[src[keep]], feats[dst[keep]]) <= threshold]
             src, dst = src[keep], dst[keep]
@@ -176,12 +203,12 @@ def m_sparse_set(ads: list[Ad], epsilon: float, m: int, metric: DistanceMetric) 
         return SparseAdSet(ads=[], params=params)
     ranked = sorted(ads, key=lambda a: (-a.base_value, a.ad_id))
     feats = np.stack([a.features for a in ranked])
-    grid = _grid(feats, 2.0 * epsilon, metric)
+    keys, shifts = _grid(feats, 2.0 * epsilon, metric)
     layer_of = np.zeros(len(ranked), dtype=np.int64)
     rep = np.full(len(ranked), -1, dtype=np.int64)
     for layer in range(1, m + 1):
         removed = layer_of > 0
-        _greedy_layer(feats, grid, 2.0 * epsilon, metric, removed, rep)
+        _greedy_layer(feats, keys, shifts, 2.0 * epsilon, metric, removed, rep)
         layer_of[~removed] = layer
     reps, layers = rep.tolist(), layer_of.tolist()
     rows = sorted(np.flatnonzero(layer_of).tolist(), key=layers.__getitem__)
@@ -195,12 +222,26 @@ def m_sparse_set(ads: list[Ad], epsilon: float, m: int, metric: DistanceMetric) 
 
 def check_ball_bound(sparse: SparseAdSet, probes, radius: float) -> int:
     """Maximum number of set members within the closed `radius`-ball
-    around any probe point."""
+    around any probe point.
+
+    Probes and members share one grid; each member meets only the probes
+    in its neighbouring cells, decided by `paired_distances` (ties inside).
+    """
     probes = np.asarray(probes, dtype=float)
     if not sparse.ads or probes.size == 0:
         return 0
-    feats = np.stack([a.features for a in sparse.ads])
-    return int(count_within(sparse.params.metric, probes, feats, radius).max())
+    members = np.stack([a.features for a in sparse.ads])
+    feats = np.concatenate([members, probes])
+    keys, shifts = _grid(feats, radius, sparse.params.metric)
+    index = _index(keys, np.arange(len(members), len(feats)))
+    inside = np.zeros(len(feats), dtype=np.int64)
+    queries = np.arange(len(members))
+    while queries.size:
+        member, probe, take = _neighbours(keys, shifts, index, queries, _budget(feats))
+        queries = queries[take:]
+        near = paired_distances(sparse.params.metric, feats[probe], feats[member]) <= radius
+        inside += np.bincount(probe[near], minlength=len(feats))
+    return int(inside.max())
 
 
 def update_cost_bound(params: SparseApproxParams, d_max: float, n: int, set_size: int) -> int:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .broker import SelectionParams
-from .model import Ad, VehicleProfile, rank_relevant
+from .broker import RelevanceMemo, SelectionParams
+from .model import Ad, VehicleProfile, rank_for_profile, rank_relevant
 # perfbench/tracer.py wraps `distance` under this module's name.
 from .model import distance  # noqa: F401
 
@@ -26,12 +26,16 @@ class VehicleState:
 
     `displayed` only ever grows: an ad is shown to a vehicle at most once.
     `cache` holds (ad, distance) pairs sorted by (distance, ad_id), disjoint
-    from `displayed`, and no larger than the cache capacity.
+    from `displayed`, and no larger than the cache capacity. `relevance`,
+    when set, is the broker's memo of the ads relevant to `profile` and
+    their distances, which the display then reads instead of evaluating
+    them; it must cover every ad the vehicle receives.
     """
 
     profile: VehicleProfile
     displayed: set[int] = field(default_factory=set)
     cache: list[tuple[Ad, float]] = field(default_factory=list)
+    relevance: RelevanceMemo | None = None
 
 
 def step_display(
@@ -56,9 +60,13 @@ def step_display(
     pool: dict[int, Ad] = {ad.ad_id: ad for ad, _ in state.cache}
     for ad in received:
         pool.setdefault(ad.ad_id, ad)
-    ranked = rank_relevant(
-        pool.values(), state.profile, current_poa, params.d_max, params.metric, state.displayed
-    )
+    if state.relevance is None:
+        ranked = rank_for_profile(
+            pool.values(), state.profile, current_poa, params.d_max, params.metric, state.displayed
+        )
+    else:
+        dists = state.relevance.distances(pool)
+        ranked = rank_relevant(pool.values(), dists, current_poa, params.d_max, state.displayed)
     shown = ranked[: params.m]
     state.cache = ranked[params.m : params.m + cache_capacity]
 

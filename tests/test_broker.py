@@ -496,7 +496,8 @@ class TestRelevanceMemo:
             assert est.last_event_examined == ref.last_event_examined
             for pid in candidates:
                 assert est._poas[pid].counts.tolist() == ref.counts[pid].tolist()
-                assert est._poas[pid].contrib == ref.contrib[pid]
+                credited = {vid: set(pos.tolist()) for vid, pos in est.credited(pid).items()}
+                assert credited == ref.contrib[pid]
         assert est.registry == ref.registry
 
     def test_boundary_ad_is_credited(self):

@@ -223,8 +223,8 @@ class TestOracleBounds:
 
 def credited_ids(est, poa):
     """Ad ids the estimator credits to each detected vehicle under `poa`."""
-    state = est._poas[poa]
-    return {vid: {int(state.ids[p]) for p in pos} for vid, pos in state.contrib.items()}
+    ids = est._poas[poa].ids
+    return {vid: {int(ids[p]) for p in pos} for vid, pos in est.credited(poa).items()}
 
 
 @st.composite

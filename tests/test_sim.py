@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import volfied.sim
 from conftest import estimator_for, random_instance, realized_revenue
@@ -147,9 +148,15 @@ class TestGenPoas:
         assert gen_poas(cfg) == poas
 
 
+def lookup_ids(poas, points):
+    """The PoA id each position associates with (None: uncovered), by the
+    simulator's lookup."""
+    index = _CoverageIndex(poas)
+    return [int(index.ids[i]) if i >= 0 else None for i in index.lookup(np.array(points))]
+
+
 def lookup_one(poas, x_m, y_m):
-    """The PoA one position associates with, by the simulator's lookup."""
-    return _CoverageIndex(poas).lookup(np.array([[x_m, y_m]]))[0]
+    return lookup_ids(poas, [[x_m, y_m]])[0]
 
 
 class TestCoverage:
@@ -183,11 +190,11 @@ class TestCoverage:
 
     def test_batch_lookup_matches_single(self):
         points = [(149.9, 0.0), (150.0, 0.0), (200.0, 100.0), (400.0, 10.0)]
-        batch = _CoverageIndex(self.POAS).lookup(np.array(points))
+        batch = lookup_ids(self.POAS, points)
         assert batch == [lookup_one(self.POAS, x, y) for x, y in points] == [0, 0, None, 1]
 
     def test_no_positions(self):
-        assert _CoverageIndex(self.POAS).lookup(np.zeros((0, 2))) == []
+        assert lookup_ids(self.POAS, np.zeros((0, 2))) == []
 
 
 def tiny_scenario(strategy="volfied", steps=3, **cfg_over):
@@ -369,3 +376,145 @@ def random_run_scenario(seed, strategy="volfied", steps=8):
     ads, profiles = gen_population(cfg, seed=seed)
     trace = gen_synthetic((cfg.area_w_m, cfg.area_h_m), cfg.n_vehicles, steps, 14.0, seed)
     return cfg, trace, ads, profiles, poas
+
+
+class TestAbsentVehicles:
+    def test_absent_vehicle_keeps_its_cache(self):
+        # Two relevant Global ads reach the vehicle at step 0 (topk sends
+        # both): it shows the closer one and caches the other. Absent at
+        # step 1, it shows nothing; back at step 2, out of coverage, it
+        # shows the cached ad.
+        cfg, _, _, profiles, poas = tiny_scenario("topk", steps=3, cache_size=1)
+        ads = [
+            Ad(ad_id=1, features=np.array([0.05]), base_value=0.8),
+            Ad(ad_id=2, features=np.array([0.1]), base_value=0.5),
+        ]
+        trace = MobilityTrace.from_records(
+            [(0, 0, 10.0, 0.0), (2, 0, 900.0, 0.0)], step_duration_s=60.0
+        )
+        metrics, summary = run(cfg, trace, ads, profiles, poas)
+        assert [m.impressions_cum for m in metrics] == [1, 1, 2]
+        assert summary["revenue"] == 0.8 + 0.5
+
+    def test_steps_past_the_trace_are_empty(self):
+        cfg, trace, ads, profiles, poas = tiny_scenario(steps=2)
+        assert trace.positions_at(2) == {} and trace.positions_at(-1) == {}
+        metrics, _ = run(dataclasses.replace(cfg, steps=5), trace, ads, profiles, poas)
+        assert [m.impressions_cum for m in metrics] == [1, 1, 1, 1, 1]
+
+
+# Where a vehicle can be: under PoA 0, under PoA 1, or out of coverage.
+_SPOTS = [(0.0, 0.0), (10.0, 5.0), (400.0, 0.0), (390.0, -5.0), (200.0, 200.0)]
+
+
+@st.composite
+def real_traces(draw):
+    """Traces shaped like real ones: sparse vehicle ids up to 10^12,
+    vehicles that appear late, leave, come back, or never appear (they
+    have a profile but no row), rows in any order, and a run longer than
+    the trace."""
+    ids = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=6, unique=True))
+    n_steps = draw(st.integers(1, 8))
+    records = []
+    for vid in ids:
+        for step in range(n_steps):
+            if draw(st.booleans()):
+                x, y = draw(st.sampled_from(_SPOTS))
+                records.append((step, vid, x, y))
+    records = draw(st.permutations(records))
+    extra = draw(st.integers(1, 3))
+    cache_size = draw(st.integers(0, 2))
+    detection = draw(st.sampled_from([1.0, 0.5]))
+    strategy = draw(st.sampled_from(["volfied", "topk"]))
+    return ids, records, n_steps + extra, cache_size, detection, strategy
+
+
+class TestRealTraceShapes:
+    POAS = [
+        PoA(poa_id=0, x_m=0.0, y_m=0.0, range_m=150.0),
+        PoA(poa_id=1, x_m=400.0, y_m=0.0, range_m=150.0),
+    ]
+
+    @given(real_traces(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, tmp_path_factory, drawn, seed):
+        ids, records, steps, cache_size, detection, strategy = drawn
+        trace = MobilityTrace.from_records(records, step_duration_s=60.0)
+        assert trace.n_steps == max(r[0] for r in records) + 1 if records else trace.n_steps == 0
+        for step in range(steps):
+            want = {vid: (x, y) for s, vid, x, y in records if s == step}
+            assert trace.positions_at(step) == want
+
+        # the CSV form gives back the same array, and the same bytes again
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace_csv(path, trace)
+        back = load_trace(path, step_duration_s=60.0)
+        assert back == trace
+        write_trace_csv(path.with_name("again.csv"), back)
+        assert path.with_name("again.csv").read_bytes() == path.read_bytes()
+
+        rng = np.random.default_rng(seed)
+        cfg = dataclasses.replace(
+            SimConfig(), k=3, m=1, n_dims=2, d_max=0.4, steps=steps, n_poas=2,
+            cache_size=cache_size, detection_accuracy=detection, strategy=strategy, seed=seed,
+        )
+        ads = [
+            Ad(
+                ad_id=i + 1,
+                features=rng.uniform(0.0, 1.0, 2),
+                base_value=float(rng.uniform(0.1, 1.0)),
+                target_poa=[None, None, 0, 1][i % 4],
+            )
+            for i in range(12)
+        ]
+        profiles = [VehicleProfile(vid, rng.uniform(0.0, 1.0, 2)) for vid in ids]
+
+        estimators, displays, clock = [], [], [0]
+
+        class Recording(RevenueEstimator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                estimators.append(self)
+
+        def display(state, received, *args):
+            shown = step_display(state, received, *args)
+            displays.append((clock[0], state.profile.vehicle_id, len(shown)))
+            return shown
+
+        def select(est, poa, *args):
+            if poa == 0:
+                clock[0] += 1  # PoA 0 selects first in every step
+            return chosen_strategy(est, poa, *args)
+
+        chosen_strategy = volfied.sim.STRATEGIES[strategy]
+        patched = [
+            (volfied.sim, "RevenueEstimator", Recording),
+            (volfied.sim, "step_display", display),
+            (volfied.sim.STRATEGIES, strategy, select),
+        ]
+        saved = []
+        try:
+            for owner, name, value in patched:
+                if isinstance(owner, dict):
+                    saved.append((owner, name, owner[name]))
+                    owner[name] = value
+                else:
+                    saved.append((owner, name, getattr(owner, name)))
+                    setattr(owner, name, value)
+            metrics, _ = run(cfg, trace, ads, profiles, self.POAS)
+        finally:
+            for owner, name, value in reversed(saved):
+                if isinstance(owner, dict):
+                    owner[name] = value
+                else:
+                    setattr(owner, name, value)
+
+        # absent vehicles make no display step, so no impressions
+        for step, vid, _ in displays:
+            assert vid in trace.positions_at(step - 1)
+        assert metrics[-1].impressions_cum == sum(n for *_, n in displays)
+        # every vehicle has left by the last step: nothing is credited
+        (est,) = estimators
+        for pid in (0, 1):
+            assert est._poas[pid].counts.tolist() == [0] * len(est.candidate_ads(pid))
+            assert est.credited(pid) == {}

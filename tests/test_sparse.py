@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volfied import sparse
-from volfied.model import Ad, DistanceMetric, distances_to, paired_distances
+from volfied.model import Ad, DistanceMetric, count_within, distances_to, paired_distances
 from volfied.sparse import (
     SparseAdSet,
     SparseApproxParams,
@@ -262,9 +262,8 @@ class TestEpsilonSet:
 
     @pytest.mark.parametrize("metric", [EUCL, ANG])
     def test_shared_cell_matches_brute_force(self, metric):
-        # 7-D ads equal on the five grid coordinates share one Euclidean
-        # cell, so every ad is a candidate of every other and the candidate
-        # budget, not the block length, cuts the blocks.
+        # 7-D ads equal on their first five coordinates: the grid must bin
+        # the two coordinates that vary.
         rng = np.random.default_rng(37)
         ads = [
             Ad(
@@ -276,6 +275,55 @@ class TestEpsilonSet:
         ]
         for m in (1, 2):
             assert_matches_brute_force(ads, 0.01, m, metric)
+
+
+    @pytest.mark.parametrize("metric", [EUCL, ANG])
+    def test_packed_cell_matches_brute_force(self, metric):
+        # 7-D ads inside one cell on every axis: every ad is a candidate of
+        # every other, so the candidate budget, not the block length, cuts
+        # the blocks.
+        rng = np.random.default_rng(37)
+        ads = [
+            Ad(
+                ad_id=i,
+                features=1.0 + rng.uniform(0.0, 0.018, 7),
+                base_value=float(rng.uniform(0.01, 1.0)),
+            )
+            for i in range(1200)
+        ]
+        eps = 0.01 if metric is EUCL else 0.004
+        for m in (1, 2):
+            assert_matches_brute_force(ads, eps, m, metric)
+
+    def test_busiest_axes_are_binned(self, monkeypatch):
+        # 2*10^4 7-D ads equal on their first five coordinates sparsify as
+        # their last two coordinates do (the zeros add nothing to a norm):
+        # 11,010 kept, as the grid on the first five coordinates also gave
+        # after 4,705 kernel pairs per ad. Binning the two that vary leaves
+        # the kernel a few candidates per ad.
+        rng = np.random.default_rng(41)
+        wide = [
+            Ad(
+                ad_id=i,
+                features=np.concatenate([np.full(5, 0.5), rng.uniform(0.01, 1.0, 2)]),
+                base_value=float(rng.uniform(0.01, 1.0)),
+            )
+            for i in range(20_000)
+        ]
+        narrow = [Ad(ad_id=a.ad_id, features=a.features[5:], base_value=a.base_value) for a in wide]
+        evaluated = []
+
+        def counting(metric, a, b):
+            evaluated.append(len(a))
+            return paired_distances(metric, a, b)
+
+        monkeypatch.setattr(sparse, "paired_distances", counting)
+        got = m_sparse_set(wide, 0.0025, 1, EUCL)
+        assert sum(evaluated) < 5 * len(wide)
+        want = m_sparse_set(narrow, 0.0025, 1, EUCL)
+        assert (len(got.ads), len(got.mapping)) == (11_010, 8_990)
+        assert got.member_ids() == want.member_ids()
+        assert got.mapping == want.mapping
 
 
 class TestMSparseSet:
@@ -371,6 +419,28 @@ class TestBallBound:
     def test_empty_set(self):
         out = epsilon_set([], epsilon=0.05, metric=EUCL)
         assert check_ball_bound(out, np.zeros((4, 1)), 0.05) == 0
+
+    @given(case=hard_catalogs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_all_pairs(self, case, data):
+        # Any member set, not only sparse ones; probes on the catalog's own
+        # lattice and cell edges, at the members, and a radius copied from a
+        # probe-member distance, which puts that pair exactly on the ball.
+        ads, eps, m, metric = case
+        if not ads:
+            return
+        members = SparseAdSet(ads=ads, params=SparseApproxParams(eps, m, metric))
+        feats = np.stack([a.features for a in ads])
+        extra = data.draw(st.lists(st.sampled_from(range(len(ads))), max_size=10))
+        probes = np.concatenate([feats[::-1], feats[extra] * data.draw(st.sampled_from([1.0, 0.5, -1.0]))])
+        if metric is ANG:
+            probes = probes[np.linalg.norm(probes, axis=1) > 0]
+        radius = data.draw(st.sampled_from([eps, 2.0 * eps, 0.5]))
+        if data.draw(st.booleans()):
+            on = float(distances_to(metric, probes[0], feats[-1][None, :])[0])
+            radius = on if on > 0 else radius
+        want = int(count_within(metric, probes, feats, radius).max())
+        assert check_ball_bound(members, probes, radius) == want
 
 
 class TestUpdateCostBound:
