@@ -68,16 +68,18 @@ class SelectionStats:
 
 class RelevanceMemo:
     """One vehicle profile's relevant ads: the rows of the estimator's union
-    catalog within d_max of it, ascending (their ad ids ascend too), and
-    the distances to them."""
+    catalog within d_max of it, ascending (their ad ids ascend too), the
+    distances to them, and which of them the vehicle's served registry
+    does not hold yet."""
 
-    __slots__ = ("profile", "rows", "ids", "dists")
+    __slots__ = ("profile", "rows", "ids", "dists", "unserved")
 
-    def __init__(self, profile: VehicleProfile, rows: np.ndarray, ids: np.ndarray, dists: np.ndarray):
+    def __init__(self, profile, rows, ids, dists, unserved):
         self.profile = profile
         self.rows = rows
         self.ids = ids
         self.dists = dists
+        self.unserved = unserved
 
     def distances(self, ad_ids: Iterable[int]) -> list[float]:
         """Distance to each ad, inf for an ad that is not relevant."""
@@ -144,9 +146,11 @@ class RevenueEstimator:
     found by one scan of the union of all candidate sets, on its first
     detected enter (or first `relevance` call), and remembered in a
     `RelevanceMemo`, which the display reads too. An enter gathers the
-    memo's rows into the PoA's candidate positions, and a broadcast zeroes
-    the selected ads' counts, since every vehicle credited for them is
-    present; it touches no vehicle's credit but its registry entry.
+    memo's rows into the PoA's earning candidate positions and drops those
+    the memo marks served. A broadcast zeroes the selected ads' counts,
+    since every vehicle credited for them is present, and registers them
+    for those vehicles (registry and memo); their stored credit is left
+    as it is, and an exit skips the positions broadcast since the enter.
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
@@ -177,6 +181,8 @@ class RevenueEstimator:
         self._memos: dict[int, RelevanceMemo] = {}
         # broadcasts made so far, the sequence number of the last one
         self._broadcasts = 0
+        # union row -> not selected by the broadcast in progress
+        self._unselected = np.ones(len(order), dtype=bool)
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
         self.max_event_examined = 0
@@ -212,18 +218,15 @@ class RevenueEstimator:
             raise ValueError(f"vehicle {v.vehicle_id} already present under poa {poa}")
         if st.ids.size == 0:
             positions = _NO_POSITIONS
+            self._note_event(0)
         else:
             memo = self._memos.get(v.vehicle_id)
             if memo is None or memo.profile is not v:
                 memo = self.relevance(v)
             positions = st.earning[memo.rows]
-            positions = positions[positions >= 0]
-        self._note_event(len(positions))
-        served = self.registry.get(v.vehicle_id)
-        if served and len(positions):
-            unserved = [i not in served for i in st.ids[positions].tolist()]
-            if not all(unserved):
-                positions = positions[np.array(unserved)]
+            relevant = positions >= 0
+            self._note_event(np.count_nonzero(relevant))
+            positions = positions[relevant & memo.unserved]
         st.counts[positions] += 1
         st.present[v.vehicle_id] = (positions, self._broadcasts)
 
@@ -238,7 +241,9 @@ class RevenueEstimator:
         else:
             dists = np.zeros(0)
         rows = np.flatnonzero(dists <= self.params.d_max)
-        memo = RelevanceMemo(v, rows, self._union_ids[rows], dists[rows])
+        ids = self._union_ids[rows]
+        unserved = ~np.isin(ids, list(self.registry.get(v.vehicle_id, ())))
+        memo = RelevanceMemo(v, rows, ids, dists[rows], unserved)
         self._memos[v.vehicle_id] = memo
         return memo
 
@@ -264,13 +269,20 @@ class RevenueEstimator:
         st.counts[positions] = 0
         self._broadcasts += 1
         st.sent[positions] = self._broadcasts
+        rows = st.rows[positions]
+        self._unselected[rows] = False
         for vid in st.present:
             self.registry.setdefault(vid, set()).update(selected)
+            memo = self._memos[vid]
+            memo.unserved &= self._unselected[memo.rows]
+        self._unselected[rows] = True
 
     def _positive_by_revenue(self, poa: int) -> tuple[np.ndarray, np.ndarray]:
         """(positions, ad ids) of the positive-estimate ads, ordered by
         R descending then AdId ascending."""
         st = self._poas[poa]
+        if not st.present:  # every credited vehicle is present: none is credited
+            return _NO_POSITIONS, _NO_POSITIONS
         positions = np.flatnonzero(st.counts > 0)
         ids = st.ids[positions]
         order = np.lexsort((ids, -(st.values[positions] * st.counts[positions])))

@@ -240,8 +240,9 @@ class _CoverageIndex:
     def lookup(self, positions: np.ndarray) -> np.ndarray:
         """Index into `ids` of the PoA each position associates with, -1
         where none covers it."""
-        diff = positions[:, None, :] - self.xy[None, :, :]
-        d2 = np.einsum("vpc,vpc->vp", diff, diff)
+        dx = positions[:, 0, None] - self.xy[:, 0]
+        dy = positions[:, 1, None] - self.xy[:, 1]
+        d2 = dx * dx + dy * dy
         d2[d2 > self.r2[None, :]] = np.inf
         best = np.argmin(d2, axis=1)
         covered = np.isfinite(d2[np.arange(len(positions)), best])
