@@ -281,7 +281,7 @@ class RevenueEstimator:
         """(positions, ad ids) of the positive-estimate ads, ordered by
         R descending then AdId ascending."""
         st = self._poas[poa]
-        if not st.present:  # every credited vehicle is present: none is credited
+        if not st.present:  # counts count the vehicles present: all are 0
             return _NO_POSITIONS, _NO_POSITIONS
         positions = np.flatnonzero(st.counts > 0)
         ids = st.ids[positions]

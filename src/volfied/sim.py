@@ -1,10 +1,12 @@
 """Discrete-time simulation: mobility, coverage, selection, display, metrics.
 
 Each step runs five phases: (1) coverage changes fire enter/exit events
-into the broker-side estimator, with vehicle detection sampled once per
-dwell; (2) every PoA's strategy selects up to k ads; (3) broadcasts update
-the served registry; (4) covered vehicles receive their PoA's set and every
-vehicle advances its display step; (5) cumulative metrics are appended.
+into the broker-side estimator, only for the vehicles whose PoA changed,
+with vehicle detection sampled once per dwell; (2) every PoA's strategy
+selects up to k ads; (3) broadcasts update the served registry; (4)
+covered vehicles receive their PoA's set, and every vehicle present in the
+trace that received ads or holds cached ones advances its display step
+(an absent vehicle keeps its cache); (5) cumulative metrics are appended.
 Revenue accounting uses the displays actually made, never the broker's
 estimates.
 """
@@ -345,7 +347,7 @@ def run(
                 est.on_vehicle_enter(poa_ids[new_poa], states[i].profile, detected=next(detected))
         current = new
 
-        received: list[list] = []
+        received: list[list[Ad]] = []
         for pid in poa_ids:
             chosen = select(est, pid, params, stats, strat_rng)
             est.on_broadcast(pid, chosen)

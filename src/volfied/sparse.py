@@ -222,26 +222,29 @@ def m_sparse_set(ads: list[Ad], epsilon: float, m: int, metric: DistanceMetric) 
 
 def check_ball_bound(sparse: SparseAdSet, probes, radius: float) -> int:
     """Maximum number of set members within the closed `radius`-ball
-    around any probe point.
-
-    Probes and members share one grid; each member meets only the probes
-    in its neighbouring cells, decided by `paired_distances` (ties inside).
-    """
+    around any probe point."""
     probes = np.asarray(probes, dtype=float)
     if not sparse.ads or probes.size == 0:
         return 0
     members = np.stack([a.features for a in sparse.ads])
+    return int(_ball_counts(members, probes, radius, sparse.params.metric).max())
+
+
+def _ball_counts(members: np.ndarray, probes: np.ndarray, radius: float, metric) -> np.ndarray:
+    """For each probe, the members within `radius` of it (ties inside), as
+    `model.count_within` counts them. Probes and members share one grid;
+    each member meets only the probes in its neighbouring cells."""
     feats = np.concatenate([members, probes])
-    keys, shifts = _grid(feats, radius, sparse.params.metric)
+    keys, shifts = _grid(feats, radius, metric)
     index = _index(keys, np.arange(len(members), len(feats)))
     inside = np.zeros(len(feats), dtype=np.int64)
     queries = np.arange(len(members))
     while queries.size:
         member, probe, take = _neighbours(keys, shifts, index, queries, _budget(feats))
         queries = queries[take:]
-        near = paired_distances(sparse.params.metric, feats[probe], feats[member]) <= radius
+        near = paired_distances(metric, feats[probe], feats[member]) <= radius
         inside += np.bincount(probe[near], minlength=len(feats))
-    return int(inside.max())
+    return inside[len(members) :]
 
 
 def update_cost_bound(params: SparseApproxParams, d_max: float, n: int, set_size: int) -> int:

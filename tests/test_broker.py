@@ -88,6 +88,18 @@ class TestEstimatorEvents:
         est.on_vehicle_enter(0, VehicleProfile(7, np.array([0.5])), detected=True)
         assert est.revenue(0, 1) == 0.0
 
+    def test_registry_blocks_credit_on_return(self):
+        # the same profile object comes back: its remembered relevant ads
+        # must know what it was served meanwhile
+        ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
+        v = VehicleProfile(7, np.array([0.5]))
+        est = RevenueEstimator(params(), {0: [ad], 1: [ad]})
+        est.on_vehicle_enter(0, v, detected=True)
+        est.on_broadcast(0, [1])
+        est.on_vehicle_exit(0, 7)
+        est.on_vehicle_enter(1, v, detected=True)
+        assert (est.revenue(1, 1), est.last_event_examined) == (0.0, 1)
+
     def test_enter_exit_round_trip(self):
         rng = np.random.default_rng(5)
         ads = [Ad(ad_id=i, features=rng.uniform(0, 1, 2), base_value=0.5) for i in range(10)]

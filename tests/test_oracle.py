@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import clustered_instance, estimator_for, random_instance, realized_revenue
-from volfied.broker import SelectionParams, select_volfied
+from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.model import Ad, DistanceMetric, VehicleProfile, distance, distances_to
 from volfied.oracle import (
     OracleInstance,
@@ -303,16 +303,22 @@ class TestOneDisplayRule:
     @given(single_poa_instances())
     @settings(max_examples=300, deadline=None)
     def test_simulate_display_is_step_display(self, drawn):
+        # with the distances evaluated by the display or read from the
+        # estimator's relevance memo, as the simulator does
         inst, broadcast = drawn
         displays, _ = simulate_display({0: broadcast}, inst)
         by_id = {a.ad_id: a for a in inst.ads}
+        est = RevenueEstimator(inst.params, {0: list(inst.ads)})
         for prof in inst.vehicles:
             vid = prof.vehicle_id
             poa = inst.coverage[vid]
             received = [by_id[i] for i in broadcast] if poa is not None else []
-            state = VehicleState(profile=prof, displayed=set(inst.displayed[vid]))
-            shown = step_display(state, received, poa, inst.params, cache_capacity=0)
-            assert [ad_id for ad_id, _ in shown] == displays[vid]
+            for memo in (None, est.relevance(prof)):
+                state = VehicleState(
+                    profile=prof, displayed=set(inst.displayed[vid]), relevance=memo
+                )
+                shown = step_display(state, received, poa, inst.params, cache_capacity=0)
+                assert [ad_id for ad_id, _ in shown] == displays[vid]
 
     @given(single_poa_instances())
     @settings(max_examples=300, deadline=None)

@@ -444,6 +444,8 @@ class TestBallBound:
                 check_ball_bound(members, probes, radius)
             return
         assert check_ball_bound(members, probes, radius) == want
+        counts = sparse._ball_counts(feats, probes, radius, metric)
+        assert counts.tolist() == count_within(metric, probes, feats, radius).tolist()
 
 
 class TestUpdateCostBound:
