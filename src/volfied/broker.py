@@ -195,11 +195,6 @@ class RevenueEstimator:
         pos = st.pos_of[ad_id]
         return float(st.values[pos] * st.counts[pos])
 
-    def credited(self, poa: int) -> dict[int, np.ndarray]:
-        """Candidate positions each detected vehicle under `poa` is credited for."""
-        st = self._poas[poa]
-        return {vid: st.credited(vid) for vid in st.present}
-
     def _note_event(self, examined: int) -> None:
         self.last_event_examined = examined
         if examined > self.max_event_examined:

@@ -508,7 +508,8 @@ class TestRelevanceMemo:
             assert est.last_event_examined == ref.last_event_examined
             for pid in candidates:
                 assert est._poas[pid].counts.tolist() == ref.counts[pid].tolist()
-                credited = {vid: set(pos.tolist()) for vid, pos in est.credited(pid).items()}
+                state = est._poas[pid]
+                credited = {vid: set(state.credited(vid).tolist()) for vid in state.present}
                 assert credited == ref.contrib[pid]
         assert est.registry == ref.registry
 

@@ -223,8 +223,8 @@ class TestOracleBounds:
 
 def credited_ids(est, poa):
     """Ad ids the estimator credits to each detected vehicle under `poa`."""
-    ids = est._poas[poa].ids
-    return {vid: {int(ids[p]) for p in pos} for vid, pos in est.credited(poa).items()}
+    st = est._poas[poa]
+    return {vid: {int(st.ids[p]) for p in st.credited(vid)} for vid in st.present}
 
 
 @st.composite

@@ -517,4 +517,4 @@ class TestRealTraceShapes:
         (est,) = estimators
         for pid in (0, 1):
             assert est._poas[pid].counts.tolist() == [0] * len(est.candidate_ads(pid))
-            assert est.credited(pid) == {}
+            assert est._poas[pid].present == {}
