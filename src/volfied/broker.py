@@ -124,7 +124,7 @@ class _PoaState:
     def credited(self, vehicle_id: int) -> np.ndarray:
         """Positions a present vehicle is credited for now."""
         positions, entered = self.present[vehicle_id]
-        return positions[self.sent[positions] <= entered]
+        return positions[self.sent[positions] <= entered] if positions.size else positions
 
 
 def _same_ad(a: Ad, b: Ad) -> bool:
@@ -251,7 +251,8 @@ class RevenueEstimator:
         positions = st.credited(vehicle_id)
         del st.present[vehicle_id]
         self._note_event(len(positions))
-        st.counts[positions] -= 1
+        if positions.size:
+            st.counts[positions] -= 1
 
     def on_broadcast(self, poa: int, selected: list[int]) -> None:
         """Register the broadcast for every detected vehicle present and

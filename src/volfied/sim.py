@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 TRACE_HEADER = "step,vehicle_id,x_m,y_m"
+# vehicle ids are held in an int64 array
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # purpose tags for independent RNG streams derived from one seed
 STREAM_ADS = 1
@@ -114,6 +116,8 @@ class MobilityTrace:
         for step, vid, x, y in records:
             if step < 0:
                 raise ValueError(f"negative step {step}")
+            if not _INT64_MIN <= vid <= _INT64_MAX:
+                raise ValueError(f"vehicle id {vid} does not fit in 64 bits")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"non-finite position for vehicle {vid} at step {step}")
             if (step, vid) in seen:

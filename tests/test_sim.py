@@ -60,6 +60,12 @@ class TestLoadTrace:
         with pytest.raises(ValueError, match="line 3"):
             load_trace(path)
 
+    def test_vehicle_id_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"step,vehicle_id,x_m,y_m\n0,{2**63 - 1},0.0,0.0\n1,{2**63},0.0,0.0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_trace(path)
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("step,vehicle_id,x_m,y_m\n0,1,nan,0.0\n")
