@@ -63,7 +63,7 @@ def write_ads_csv(path, ads: Sequence[Ad]) -> None:
     n_dims = len(np.asarray(ads[0].features)) if ads else 1
     lines = ["ad_id," + ",".join(_feature_header(n_dims)) + ",base_value,scope,target_poa"]
     for ad in ads:
-        feats = ",".join(repr(float(x)) for x in np.asarray(ad.features, dtype=float))
+        feats = ",".join(map(repr, np.asarray(ad.features, dtype=float).tolist()))
         scope = "G" if ad.is_global else "L"
         target = "" if ad.target_poa is None else str(ad.target_poa)
         lines.append(f"{ad.ad_id},{feats},{repr(ad.base_value)},{scope},{target}")
@@ -141,7 +141,7 @@ def write_profiles_csv(path, profiles: Sequence[VehicleProfile]) -> None:
     n_dims = len(np.asarray(profiles[0].interests)) if profiles else 1
     lines = ["vehicle_id," + ",".join(_feature_header(n_dims))]
     for prof in profiles:
-        feats = ",".join(repr(float(x)) for x in np.asarray(prof.interests, dtype=float))
+        feats = ",".join(map(repr, np.asarray(prof.interests, dtype=float).tolist()))
         lines.append(f"{prof.vehicle_id},{feats}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

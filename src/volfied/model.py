@@ -50,7 +50,7 @@ def as_features(coords, n: int | None = None) -> FeatureVector:
         raise ValueError(f"feature vector must be 1-D, got shape {f.shape}")
     if n is not None and f.shape[0] != n:
         raise ValueError(f"expected {n} features, got {f.shape[0]}")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("feature vector contains non-finite values")
     return f
 

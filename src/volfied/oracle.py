@@ -4,12 +4,22 @@ Small instances decompose per PoA because each vehicle associates with at
 most one PoA and display history is fixed within the step, so the optimal
 broadcast for one PoA is independent of the others. Per PoA, every subset
 of eligible ads up to size k is priced through the same display rule the
-vehicles execute, and the best subset wins (ties resolved toward the
-lexicographically smallest ad id set).
+vehicles execute, all subsets in one pass:
+
+- a cached membership table has one column per subset, in
+  `itertools.combinations` order for r = 1..k, and one row per candidate;
+- each covered vehicle's menu is `model.rank_relevant` over one distance
+  block per PoA; vehicles in ascending id, menu in rank order, an ad adds
+  its value to every column that holds it and has shown fewer than m ads
+  to that vehicle (and 0.0, which is exact, to the others), so each
+  subset's revenue has the bits of that subset priced on its own;
+- the best revenue wins, ties going to the lexicographically smallest ad
+  id tuple whatever its size; a best revenue of 0 gives no broadcast.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -17,7 +27,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .broker import SelectionParams
-from .model import Ad, DistanceMetric, VehicleProfile, ad_value, rank_for_profile
+from .model import (
+    Ad,
+    DistanceMetric,
+    VehicleProfile,
+    ad_value,
+    paired_distances,
+    rank_for_profile,
+    rank_relevant,
+)
 # perfbench/tracer.py wraps `distance` under this module's name.
 from .model import distance  # noqa: F401
 
@@ -116,13 +134,31 @@ def simulate_display(
     return displays, revenue
 
 
+@functools.cache
+def _subset_table(n: int, k: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Every subset of n candidate positions up to size k, in
+    `itertools.combinations` order for r = 1..min(k, n): the tuples, and a
+    read-only (n, subsets) membership table with one column per tuple (the
+    cache hands the same table to every caller)."""
+    combos = tuple(
+        c for r in range(1, min(k, n) + 1) for c in itertools.combinations(range(n), r)
+    )
+    table = np.zeros((n, len(combos)), dtype=bool)
+    for col, combo in enumerate(combos):
+        table[combo, col] = True
+    table.flags.writeable = False
+    return table, combos
+
+
 def solve_exact(instance: OracleInstance) -> OracleResult:
     """Optimal broadcast per PoA by exhaustive enumeration.
 
     Eligible ads at a PoA are those with positive value there (Global, or
     Local with matching target). Raises ValueError when the instance
     exceeds the enumeration budget (more than 15 eligible ads at one PoA,
-    or k above 5).
+    or k above 5), and when a PoA's candidates and covered vehicles do
+    not share one feature dimension or, under the angular metric, include
+    a zero vector.
     """
     params = instance.params
     if params.k > MAX_K:
@@ -141,38 +177,33 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
                 f"enumeration budget exceeded: {len(candidates)} eligible ads "
                 f"at PoA {poa} (max {MAX_CANDIDATES})"
             )
-        # per-vehicle relevant candidates, closest first, priced once
-        menus: list[list[tuple[int, float]]] = []
-        covered = sorted(
-            vid for vid, p in instance.coverage.items() if p == poa
-        )
-        for vid in covered:
-            prof = by_vid[vid]
+        broadcasts[poa] = ()
+        if not candidates:
+            continue
+        covered = sorted(vid for vid, p in instance.coverage.items() if p == poa)
+        interests = np.stack([by_vid[vid].interests for vid in covered])
+        features = np.stack([a.features for a in candidates])
+        if interests.shape[1] != features.shape[1]:
+            raise ValueError(
+                f"PoA {poa}: vehicles have {interests.shape[1]} features, "
+                f"ads have {features.shape[1]}"
+            )
+        dists = paired_distances(params.metric, interests[:, None, :], features[None, :, :])
+        table, combos = _subset_table(len(candidates), params.k)
+        pos = {a.ad_id: i for i, a in enumerate(candidates)}
+        rev = np.zeros(table.shape[1])
+        for vid, row in zip(covered, dists.tolist()):
             seen = instance.displayed.get(vid, frozenset())
-            ranked = rank_for_profile(candidates, prof, poa, params.d_max, params.metric, seen)
-            if ranked:
-                menus.append([(ad.ad_id, ad_value(ad, poa)) for ad, _ in ranked])
-
-        cand_ids = [a.ad_id for a in candidates]
-        best_rev = 0.0
-        best_ids: tuple[int, ...] = ()
-        m = params.m
-        for r in range(1, min(params.k, len(cand_ids)) + 1):
-            for combo in itertools.combinations(cand_ids, r):
-                chosen = frozenset(combo)
-                rev = 0.0
-                for menu in menus:
-                    shown = 0
-                    for ad_id, value in menu:
-                        if ad_id in chosen:
-                            rev += value
-                            shown += 1
-                            if shown == m:
-                                break
-                if rev > best_rev or (rev == best_rev and combo < best_ids):
-                    best_rev = rev
-                    best_ids = combo
-        broadcasts[poa] = best_ids
+            shown = np.zeros(table.shape[1], dtype=np.int64)
+            for ad, _ in rank_relevant(candidates, row, poa, params.d_max, seen):
+                hit = table[pos[ad.ad_id]] & (shown < params.m)
+                # adding 0.0 where the ad is not shown leaves those sums exact
+                rev += hit * ad_value(ad, poa)
+                shown += hit
+        best = rev.max()
+        if best > 0.0:
+            combo = min(combos[col] for col in np.flatnonzero(rev == best).tolist())
+            broadcasts[poa] = tuple(candidates[i].ad_id for i in combo)
 
     _, revenue = simulate_display(broadcasts, instance)
     return OracleResult(broadcasts=broadcasts, revenue=revenue)

@@ -60,6 +60,26 @@ class TestAdsCsv:
             load_ads_csv(path)
 
 
+class TestFeatureRendering:
+    # repr round-trips each double: signed zero, the smallest subnormal, a
+    # tiny normal and a sum that is not the decimal it looks like
+    FEATURES = np.array([-0.0, 5e-324, 1e-300, 0.1 + 0.2])
+    RENDERED = "-0.0,5e-324,1e-300,0.30000000000000004"
+
+    def test_ads_csv_bytes(self, tmp_path):
+        path = tmp_path / "ads.csv"
+        write_ads_csv(path, [Ad(ad_id=3, features=self.FEATURES, base_value=0.5)])
+        assert path.read_bytes() == (
+            f"ad_id,f1,f2,f3,f4,base_value,scope,target_poa\n3,{self.RENDERED},0.5,G,\n"
+        ).encode()
+        assert np.array_equal(load_ads_csv(path)[0].features, self.FEATURES)
+
+    def test_profiles_csv_bytes(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        write_profiles_csv(path, [VehicleProfile(vehicle_id=4, interests=self.FEATURES)])
+        assert path.read_bytes() == f"vehicle_id,f1,f2,f3,f4\n4,{self.RENDERED}\n".encode()
+
+
 class TestPoasCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "poas.csv"

@@ -17,6 +17,7 @@ from volfied.model import (
     PoA,
     VehicleProfile,
     ad_value,
+    as_features,
     count_within,
     distance,
     distances_to,
@@ -240,6 +241,14 @@ class TestValidation:
             Ad(ad_id=1, features=np.array([np.nan, 0.5]), base_value=0.5)
         with pytest.raises(ValueError):
             VehicleProfile(vehicle_id=0, interests=np.array([np.inf]))
+
+    def test_feature_shape_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Ad(ad_id=1, features=np.zeros((2, 2)), base_value=0.5)
+        with pytest.raises(ValueError, match="1-D"):
+            VehicleProfile(vehicle_id=0, interests=np.float64(0.5))
+        with pytest.raises(ValueError, match="expected 3 features"):
+            as_features([0.1, 0.2], n=3)
 
     def test_poa_range_positive(self):
         with pytest.raises(ValueError):

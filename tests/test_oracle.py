@@ -1,7 +1,9 @@
 """Exact enumeration solver: hand-checked optima, bounds, budget guards."""
 
 import dataclasses
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import clustered_instance, estimator_for, random_instance, realized_revenue
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
-from volfied.model import Ad, DistanceMetric, VehicleProfile, distance, distances_to
+from volfied.model import (
+    Ad,
+    DistanceMetric,
+    VehicleProfile,
+    ad_value,
+    distance,
+    distances_to,
+    rank_for_profile,
+)
 from volfied.oracle import (
+    MAX_CANDIDATES,
     OracleInstance,
     instance_from_json,
     instance_to_json,
@@ -135,6 +146,65 @@ class TestSolveExact:
         result = solve_exact(inst)
         assert result.broadcasts == {0: (1,)}
 
+    def test_tie_singleton_beats_its_superset(self):
+        # ad 2 is relevant to nobody, so (1,) and (1, 2) both earn 0.7
+        ads = (
+            Ad(ad_id=1, features=np.array([0.1]), base_value=0.7),
+            Ad(ad_id=2, features=np.array([0.9]), base_value=0.7),
+        )
+        inst = OracleInstance(
+            ads=ads,
+            vehicles=(VehicleProfile(vehicle_id=0, interests=np.array([0.0])),),
+            coverage={0: 0},
+            params=SelectionParams(k=2, m=1, d_max=0.15, metric=EUCL),
+        )
+        result = solve_exact(inst)
+        assert result.broadcasts == {0: (1,)}
+        assert result.revenue == 0.7
+
+    def test_tie_pair_beats_later_singleton(self):
+        # m=1. Vehicle 0 at 0.0 sees ad 1 (d 0.05) before ad 2 (d 0.1);
+        # vehicle 1 at 0.2 sees ad 2 (d 0.1) before ad 3 (d 0.12).
+        # (2,) earns 2+2, (1, 3) earns 1+3 and (2, 3) earns 2+2, all 4.0;
+        # (1, 2) earns 1+2 because ad 1 displaces ad 2 at vehicle 0.
+        ads = (
+            Ad(ad_id=1, features=np.array([-0.05]), base_value=1.0),
+            Ad(ad_id=2, features=np.array([0.1]), base_value=2.0),
+            Ad(ad_id=3, features=np.array([0.32]), base_value=3.0),
+        )
+        vehicles = (
+            VehicleProfile(vehicle_id=0, interests=np.array([0.0])),
+            VehicleProfile(vehicle_id=1, interests=np.array([0.2])),
+        )
+        inst = OracleInstance(
+            ads=ads,
+            vehicles=vehicles,
+            coverage={0: 0, 1: 0},
+            params=SelectionParams(k=2, m=1, d_max=0.15, metric=EUCL),
+        )
+        for broadcast, revenue in (((2,), 4.0), ((1, 3), 4.0), ((2, 3), 4.0), ((1, 2), 3.0)):
+            assert simulate_display({0: broadcast}, inst)[1] == revenue
+        result = solve_exact(inst)
+        assert result.broadcasts == {0: (1, 3)}
+        assert result.revenue == 4.0
+
+    def test_zero_best_revenue_broadcasts_nothing(self):
+        # ad 1 is too far and ad 2 was already displayed: every subset earns 0
+        ads = (
+            Ad(ad_id=1, features=np.array([0.9]), base_value=5.0),
+            Ad(ad_id=2, features=np.array([0.05]), base_value=1.0),
+        )
+        inst = OracleInstance(
+            ads=ads,
+            vehicles=(VehicleProfile(vehicle_id=0, interests=np.array([0.0])),),
+            coverage={0: 0},
+            params=SelectionParams(k=2, m=1, d_max=0.15, metric=EUCL),
+            displayed={0: frozenset({2})},
+        )
+        result = solve_exact(inst)
+        assert result.broadcasts == {0: ()}
+        assert result.revenue == 0.0
+
     def test_empty_ads_zero_revenue(self):
         inst = OracleInstance(
             ads=(),
@@ -184,6 +254,137 @@ class TestSolveExact:
         inst = example1(k=6, m=1)
         with pytest.raises(ValueError, match="budget"):
             solve_exact(inst)
+
+    def test_feature_dimension_mismatch_rejected(self):
+        # a 1-D profile would broadcast against 2-D ads without the check
+        inst = OracleInstance(
+            ads=(Ad(ad_id=1, features=np.array([0.1, 0.2]), base_value=1.0),),
+            vehicles=(VehicleProfile(vehicle_id=0, interests=np.array([0.1])),),
+            coverage={0: 0},
+            params=SelectionParams(k=1, m=1, d_max=0.15, metric=EUCL),
+        )
+        with pytest.raises(ValueError, match="features"):
+            solve_exact(inst)
+
+    def test_angular_zero_vector_rejected_even_when_seen(self):
+        ads = (
+            Ad(ad_id=1, features=np.array([0.0, 0.0]), base_value=1.0),
+            Ad(ad_id=2, features=np.array([1.0, 0.0]), base_value=1.0),
+        )
+        inst = OracleInstance(
+            ads=ads,
+            vehicles=(VehicleProfile(vehicle_id=0, interests=np.array([1.0, 0.1])),),
+            coverage={0: 0},
+            params=SelectionParams(k=1, m=1, d_max=0.5, metric=ANG),
+            displayed={0: frozenset({1})},
+        )
+        with pytest.raises(ValueError, match="zero vectors"):
+            solve_exact(inst)
+
+
+def reference_solve(instance):
+    """solve_exact priced one subset at a time: per PoA, each vehicle's
+    menu from `rank_for_profile`, then every subset in combinations order
+    summed over the menus, kept if it earns more than the best so far or
+    as much with a smaller id tuple."""
+    params = instance.params
+    by_vid = {v.vehicle_id: v for v in instance.vehicles}
+    broadcasts = {}
+    for poa in sorted({p for p in instance.coverage.values() if p is not None}):
+        candidates = sorted(
+            (a for a in instance.ads if ad_value(a, poa) > 0.0), key=lambda a: a.ad_id
+        )
+        menus = []
+        for vid in sorted(vid for vid, p in instance.coverage.items() if p == poa):
+            seen = instance.displayed.get(vid, frozenset())
+            ranked = rank_for_profile(
+                candidates, by_vid[vid], poa, params.d_max, params.metric, seen
+            )
+            if ranked:
+                menus.append([(ad.ad_id, ad_value(ad, poa)) for ad, _ in ranked])
+        cand_ids = [a.ad_id for a in candidates]
+        best_rev = 0.0
+        best_ids = ()
+        for r in range(1, min(params.k, len(cand_ids)) + 1):
+            for combo in itertools.combinations(cand_ids, r):
+                chosen = frozenset(combo)
+                rev = 0.0
+                for menu in menus:
+                    shown = 0
+                    for ad_id, value in menu:
+                        if ad_id in chosen:
+                            rev += value
+                            shown += 1
+                            if shown == params.m:
+                                break
+                if rev > best_rev or (rev == best_rev and combo < best_ids):
+                    best_rev = rev
+                    best_ids = combo
+        broadcasts[poa] = best_ids
+    _, revenue = simulate_display(broadcasts, instance)
+    return broadcasts, revenue
+
+
+@st.composite
+def multi_poa_instances(draw):
+    """1-3 covered PoAs, up to 15 Global and Local ads (some Local ones
+    aimed at a PoA nobody is under), vehicles uncovered or under any PoA,
+    display histories and both metrics. Coordinates sit on a coarse grid
+    and base values come from three numbers, so equal distances and equal
+    revenues are common; d_max is one vehicle-ad distance, so that pair
+    sits on the threshold."""
+    metric = draw(st.sampled_from([EUCL, ANG]))
+    n_dims = draw(st.integers(1, 3))
+    n_poas = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ads = draw(st.integers(0, MAX_CANDIDATES))
+    ads = tuple(
+        Ad(
+            ad_id=int(ad_id),
+            features=rng.integers(1, 5, n_dims) / 4.0,
+            base_value=draw(st.sampled_from([0.5, 1.0, 1.5])),
+            target_poa=draw(st.sampled_from([None, *range(n_poas + 1)])),
+        )
+        for ad_id in rng.choice(100, size=n_ads, replace=False)
+    )
+    vehicles = tuple(
+        VehicleProfile(vehicle_id=v, interests=rng.integers(1, 5, n_dims) / 4.0)
+        for v in range(draw(st.integers(1, 8)))
+    )
+    d_max = 0.5
+    if ads:
+        on = distance(
+            metric,
+            ads[draw(st.integers(0, n_ads - 1))].features,
+            vehicles[draw(st.integers(0, len(vehicles) - 1))].interests,
+        )
+        d_max = on if on > 0 else d_max
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # k < m is allowed, with a warning
+        params = SelectionParams(k=k, m=m, d_max=d_max, metric=metric)
+    coverage = {
+        v.vehicle_id: draw(st.sampled_from([None, *range(n_poas)])) for v in vehicles
+    }
+    ad_ids = [a.ad_id for a in ads]
+    displayed = {
+        v.vehicle_id: frozenset(draw(st.lists(st.sampled_from(ad_ids), max_size=3)))
+        for v in vehicles
+        if ad_ids and draw(st.booleans())
+    }
+    return OracleInstance(
+        ads=ads, vehicles=vehicles, coverage=coverage, params=params, displayed=displayed
+    )
+
+
+class TestReferenceEquality:
+    @given(multi_poa_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_solve_exact_is_reference(self, inst):
+        result = solve_exact(inst)
+        broadcasts, revenue = reference_solve(inst)
+        assert result.broadcasts == broadcasts
+        assert np.float64(result.revenue).tobytes() == np.float64(revenue).tobytes()
 
 
 class TestOracleBounds:
