@@ -135,19 +135,17 @@ def simulate_display(
 
 
 @functools.cache
-def _subset_table(n: int, k: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """Every subset of n candidate positions up to size k, in
-    `itertools.combinations` order for r = 1..min(k, n): the tuples, and a
-    read-only (n, subsets) membership table with one column per tuple (the
-    cache hands the same table to every caller)."""
-    combos = tuple(
-        c for r in range(1, min(k, n) + 1) for c in itertools.combinations(range(n), r)
-    )
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """Read-only (n, subsets) membership table of every subset of n
+    candidate positions up to size k, one column per subset in
+    `itertools.combinations` order for r = 1..min(k, n). The cache hands
+    the same table to every caller."""
+    combos = [c for r in range(1, min(k, n) + 1) for c in itertools.combinations(range(n), r)]
     table = np.zeros((n, len(combos)), dtype=bool)
     for col, combo in enumerate(combos):
         table[combo, col] = True
     table.flags.writeable = False
-    return table, combos
+    return table
 
 
 def solve_exact(instance: OracleInstance) -> OracleResult:
@@ -189,7 +187,7 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
                 f"ads have {features.shape[1]}"
             )
         dists = paired_distances(params.metric, interests[:, None, :], features[None, :, :])
-        table, combos = _subset_table(len(candidates), params.k)
+        table = _subset_table(len(candidates), params.k)
         pos = {a.ad_id: i for i, a in enumerate(candidates)}
         rev = np.zeros(table.shape[1])
         for vid, row in zip(covered, dists.tolist()):
@@ -202,7 +200,10 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
                 shown += hit
         best = rev.max()
         if best > 0.0:
-            combo = min(combos[col] for col in np.flatnonzero(rev == best).tolist())
+            combo = min(
+                tuple(np.flatnonzero(table[:, col]).tolist())
+                for col in np.flatnonzero(rev == best).tolist()
+            )
             broadcasts[poa] = tuple(candidates[i].ad_id for i in combo)
 
     _, revenue = simulate_display(broadcasts, instance)
