@@ -327,7 +327,7 @@ def reference_solve(instance):
 
 @st.composite
 def multi_poa_instances(draw):
-    """1-3 covered PoAs, up to 15 Global and Local ads (some Local ones
+    """Up to 3 covered PoAs, up to 15 Global and Local ads (some Local ones
     aimed at a PoA nobody is under), vehicles uncovered or under any PoA,
     display histories and both metrics. Coordinates sit on a coarse grid
     and base values come from three numbers, so equal distances and equal
