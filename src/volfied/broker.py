@@ -10,7 +10,9 @@ exact and enter/exit round trips restore state bit for bit.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -24,6 +26,7 @@ from .model import (
     count_within,
     distances_to,
     paired_distances,
+    window_points,
 )
 
 __all__ = [
@@ -70,9 +73,9 @@ class RelevanceMemo:
     """One vehicle profile's relevant ads: the rows of the estimator's union
     catalog within d_max of it, ascending (their ad ids ascend too), the
     distances to them, and which of them the vehicle's served registry
-    does not hold yet."""
+    does not hold yet. Only `unserved` changes after the scan."""
 
-    __slots__ = ("profile", "rows", "ids", "dists", "unserved")
+    __slots__ = ("profile", "rows", "ids", "dists", "unserved", "_dist_of")
 
     def __init__(self, profile, rows, ids, dists, unserved):
         self.profile = profile
@@ -80,15 +83,12 @@ class RelevanceMemo:
         self.ids = ids
         self.dists = dists
         self.unserved = unserved
+        self._dist_of = dict(zip(ids.tolist(), dists.tolist()))
 
     def distances(self, ad_ids: Iterable[int]) -> list[float]:
         """Distance to each ad, inf for an ad that is not relevant."""
-        ids, dists = self.ids.tolist(), self.dists.tolist()
-        out = []
-        for ad_id in ad_ids:
-            i = bisect.bisect_left(ids, ad_id)
-            out.append(dists[i] if i < len(ids) and ids[i] == ad_id else math.inf)
-        return out
+        dist_of = self._dist_of
+        return [dist_of.get(ad_id, math.inf) for ad_id in ad_ids]
 
 
 class _PoaState:
@@ -101,14 +101,26 @@ class _PoaState:
     back at the broadcast.
     """
 
-    __slots__ = ("ads", "ids", "pos_of", "rows", "earning", "values", "counts", "sent", "present")
+    __slots__ = (
+        "ads", "ids", "by_id", "sorted_ids", "rows", "earning", "values", "counts", "sent", "present"
+    )
 
-    def __init__(self, poa_id: int, ads: list[Ad], rows: np.ndarray, values: np.ndarray, n_union: int):
-        self.ads = list(ads)
-        self.ids = np.array([a.ad_id for a in ads], dtype=np.int64)
-        if len(set(self.ids.tolist())) != len(ads):
+    def __init__(
+        self,
+        poa_id: int,
+        ads: list[Ad],
+        ids: np.ndarray,
+        rows: np.ndarray,
+        values: np.ndarray,
+        n_union: int,
+    ):
+        self.ads = ads
+        self.ids = ids
+        # positions in ascending ad id, and the ids in that order
+        self.by_id = np.argsort(ids, kind="stable")
+        self.sorted_ids = ids[self.by_id]
+        if np.any(self.sorted_ids[1:] == self.sorted_ids[:-1]):
             raise ValueError(f"duplicate ad ids in candidates for poa {poa_id}")
-        self.pos_of = {a.ad_id: i for i, a in enumerate(ads)}
         self.rows = rows
         self.values = values
         # union row -> position of a candidate worth something here, else -1
@@ -121,10 +133,22 @@ class _PoaState:
         # vehicle id -> (positions credited on entering, sequence number then)
         self.present: dict[int, tuple[np.ndarray, int]] = {}
 
+    def positions(self, ad_ids: list[int]) -> np.ndarray:
+        """Positions of candidate ad ids (KeyError for any other id)."""
+        ids = np.array(ad_ids, dtype=np.int64)
+        if self.ids.size:
+            pos = self.by_id.take(self.sorted_ids.searchsorted(ids), mode="clip")
+            if not (self.ids[pos] != ids).any():
+                return pos
+        raise KeyError(f"not all of {ad_ids} are candidates here")
+
     def credited(self, vehicle_id: int) -> np.ndarray:
         """Positions a present vehicle is credited for now."""
         positions, entered = self.present[vehicle_id]
         return positions[self.sent[positions] <= entered] if positions.size else positions
+
+
+_AD_ID = operator.attrgetter("ad_id")
 
 
 def _same_ad(a: Ad, b: Ad) -> bool:
@@ -143,9 +167,13 @@ class RevenueEstimator:
     credit again anywhere.
 
     Profiles and candidate sets are fixed, so a vehicle's relevant ads are
-    found by one scan of the union of all candidate sets, on its first
-    detected enter (or first `relevance` call), and remembered in a
-    `RelevanceMemo`, which the display reads too. An enter gathers the
+    found once, on its first detected enter (or first `relevance` call),
+    and remembered in a `RelevanceMemo`, which the display reads too. The
+    scan covers the union of all candidate sets through a window: the
+    union rows are sorted once on one coordinate, two `searchsorted` calls
+    take those within reach of the profile on it, a second coordinate
+    drops more, and `distances_to` decides which of the rest lie within
+    d_max. An enter gathers the
     memo's rows into the PoA's earning candidate positions and drops those
     the memo marks served. A broadcast zeroes the selected ads' counts,
     since every vehicle credited for them is present, and registers them
@@ -156,33 +184,56 @@ class RevenueEstimator:
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
         self.params = params
         self.registry: dict[int, set[int]] = {}
-        union: dict[int, Ad] = {}
-        for pid, ads in candidates_by_poa.items():
-            for a in ads:
-                first = union.setdefault(a.ad_id, a)
-                if not _same_ad(first, a):
-                    raise ValueError(f"ad id {a.ad_id} names different ads at poa {pid}")
-        order = sorted(union)  # union rows ascend with ad id
-        self._union_ids = np.array(order, dtype=np.int64)
-        self._union_feats = (
-            np.stack([union[i].features for i in order]) if union else np.zeros((0, 0))
-        )
-        base = np.array([union[i].base_value for i in order], dtype=float)
-        is_global = np.array([union[i].is_global for i in order], dtype=bool)
-        target = np.array([-1 if union[i].is_global else union[i].target_poa for i in order])
+        # every candidate, PoA after PoA; an id's union row holds the first
+        # of them to carry it, and union rows ascend with ad id
+        pids = list(candidates_by_poa)
+        per_poa = [list(ads) for ads in candidates_by_poa.values()]
+        flat = list(itertools.chain.from_iterable(per_poa))
+        ids = np.fromiter(map(_AD_ID, flat), dtype=np.int64, count=len(flat))
+        order = np.argsort(ids, kind="stable")
+        starts = np.ones(len(flat), dtype=bool)
+        starts[1:] = ids[order[1:]] != ids[order[:-1]]
+        holder = order[starts]  # flat index of each union row's ad
+        rows = np.empty(len(flat), dtype=np.int64)
+        rows[order] = np.cumsum(starts) - 1
+        sizes = [len(ads) for ads in per_poa]
+        stops = np.cumsum(sizes).tolist()
+        # an id carried by another object than its row's must name the same ad
+        objects = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
+        for i in np.flatnonzero(objects != objects[holder[rows]]).tolist():
+            if not _same_ad(flat[holder[rows[i]]], flat[i]):
+                pid = pids[bisect.bisect_right(stops, i)]
+                raise ValueError(f"ad id {flat[i].ad_id} names different ads at poa {pid}")
+        union = [flat[i] for i in holder.tolist()]
+        self._union_ids = ids[holder]
+        self._union_feats = np.array([a.features for a in union]) if union else np.zeros((0, 0))
+        base = np.array([a.base_value for a in union], dtype=float)
+        targets = [a.target_poa for a in union]
+        is_global = np.array([t is None for t in targets], dtype=bool)
+        target = np.array([-1 if t is None else t for t in targets])
         self._poas = {}
-        for pid, ads in candidates_by_poa.items():
-            rows = np.searchsorted(self._union_ids, [a.ad_id for a in ads]).astype(np.int64)
+        for pid, ads, stop, size in zip(pids, per_poa, stops, sizes):
+            at = slice(stop - size, stop)
             # ad_value over all candidates at once: in scope, base value; else 0
-            in_scope = is_global[rows] | (target[rows] == pid)
-            values = np.where(in_scope, base[rows], 0.0)
-            self._poas[pid] = _PoaState(pid, ads, rows, values, len(order))
+            in_scope = is_global[rows[at]] | (target[rows[at]] == pid)
+            values = np.where(in_scope, base[rows[at]], 0.0)
+            self._poas[pid] = _PoaState(pid, ads, ids[at], rows[at], values, len(union))
+        # The relevance window: union rows sorted on the first coordinate of
+        # their window points, and the second coordinate (the first again
+        # in 1-D) in the same order.
+        if union:
+            points, self._reach = window_points(params.metric, self._union_feats, params.d_max)
+            self._axes = (0, min(1, points.shape[1] - 1))
+            self._by_first = np.argsort(points[:, 0], kind="stable")
+            self._first = points[self._by_first, 0]
+            self._second = points[self._by_first, self._axes[1]]
+            self._scale = float(np.abs(points[:, self._axes]).max())
         # vehicle id -> memo of the profile last seen under that id
         self._memos: dict[int, RelevanceMemo] = {}
         # broadcasts made so far, the sequence number of the last one
         self._broadcasts = 0
         # union row -> not selected by the broadcast in progress
-        self._unselected = np.ones(len(order), dtype=bool)
+        self._unselected = np.ones(len(union), dtype=bool)
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
         self.max_event_examined = 0
@@ -192,7 +243,7 @@ class RevenueEstimator:
 
     def revenue(self, poa: int, ad_id: int) -> float:
         st = self._poas[poa]
-        pos = st.pos_of[ad_id]
+        pos = st.positions([ad_id])[0]
         return float(st.values[pos] * st.counts[pos])
 
     def _note_event(self, examined: int) -> None:
@@ -232,15 +283,39 @@ class RevenueEstimator:
         if memo is not None and memo.profile is v:
             return memo
         if self._union_ids.size:
-            dists = distances_to(self.params.metric, v.interests, self._union_feats)
+            rows = self._window(v)
+            dists = distances_to(self.params.metric, v.interests, self._union_feats[rows])
         else:
-            dists = np.zeros(0)
-        rows = np.flatnonzero(dists <= self.params.d_max)
+            rows, dists = _NO_POSITIONS, np.zeros(0)
+        relevant = dists <= self.params.d_max
+        rows = rows[relevant]
         ids = self._union_ids[rows]
-        unserved = ~np.isin(ids, list(self.registry.get(v.vehicle_id, ())))
-        memo = RelevanceMemo(v, rows, ids, dists[rows], unserved)
+        served = self.registry.get(v.vehicle_id)
+        unserved = ~np.isin(ids, list(served)) if served else np.ones(ids.size, dtype=bool)
+        memo = RelevanceMemo(v, rows, ids, dists[relevant], unserved)
         self._memos[v.vehicle_id] = memo
         return memo
+
+    def _window(self, v: VehicleProfile) -> np.ndarray:
+        """Union rows, ascending, whose window points lie within the reach
+        of v's on both window coordinates: a superset of the rows within
+        d_max of v, which only `distances_to` decides."""
+        if v.interests.shape != self._union_feats.shape[1:]:
+            raise ValueError(
+                f"vehicle {v.vehicle_id} has {v.interests.size} features, "
+                f"ads have {self._union_feats.shape[1]}"
+            )
+        point, reach = window_points(self.params.metric, v.interests, self.params.d_max)
+        first, second = float(point[self._axes[0]]), float(point[self._axes[1]])
+        # a relative slack for the kernel's rounding, and a few ulps of the
+        # largest coordinate, which also covers differences whose squares
+        # underflow
+        scale = max(self._scale, abs(first), abs(second), _TINY_SCALE)
+        reach = max(reach, self._reach) * (1.0 + _REACH_SLACK) + 4.0 * math.ulp(scale)
+        lo = np.searchsorted(self._first, first - reach, side="left")
+        hi = np.searchsorted(self._first, first + reach, side="right")
+        near = np.abs(self._second[lo:hi] - second) <= reach
+        return np.sort(self._by_first[lo:hi][near])
 
     def on_vehicle_exit(self, poa: int, vehicle_id: int) -> None:
         """Remove the vehicle's credits; no-op for vehicles never detected."""
@@ -260,7 +335,7 @@ class RevenueEstimator:
         if not selected:
             return
         st = self._poas[poa]
-        positions = [st.pos_of[ad_id] for ad_id in selected]
+        positions = st.positions(selected)
         # every vehicle credited for a selected ad is present: none remains
         st.counts[positions] = 0
         self._broadcasts += 1
@@ -286,6 +361,11 @@ class RevenueEstimator:
 
 
 _NO_POSITIONS = np.zeros(0, dtype=np.int64)
+
+# The relevance window's reach is this much wider than d_max, relative to
+# it, and at least a few ulps of this scale wider.
+_REACH_SLACK = 2.0**-20
+_TINY_SCALE = 2.0**-460
 
 # select_volfied's first block of candidates, in multiples of k; each later
 # block doubles it.

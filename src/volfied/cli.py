@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .files import (
     SUMMARY_HEADER,
     atomic_write_text,
@@ -26,7 +28,9 @@ from .files import (
     write_poas_csv,
     write_profiles_csv,
 )
-from .model import DistanceMetric, distance
+from .model import DistanceMetric, paired_distances
+# perfbench/tracer.py wraps `distance` under this module's name.
+from .model import distance  # noqa: F401
 from .oracle import instance_from_json, result_to_json, solve_exact
 from .scenario import build_scenario, gen_ads, gen_poas, gen_profiles, gen_synthetic
 from .sim import SimConfig, StepMetrics, run, write_trace_csv
@@ -131,10 +135,13 @@ def _cmd_sparsify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_ads_csv(os.path.join(args.out, "ads_sparse.csv"), list(sparse.ads))
     by_id = {a.ad_id: a for a in ads}
-    rows = [
-        (removed, rep, distance(config.metric, by_id[removed].features, by_id[rep].features))
-        for removed, rep in sorted(sparse.mapping.items())
-    ]
+    pairs = sorted(sparse.mapping.items())
+    dists = []
+    if pairs:
+        removed = np.array([by_id[r].features for r, _ in pairs], dtype=float)
+        kept = np.array([by_id[k].features for _, k in pairs], dtype=float)
+        dists = paired_distances(config.metric, removed, kept).tolist()
+    rows = [(r, k, d) for (r, k), d in zip(pairs, dists)]
     write_mapping_csv(os.path.join(args.out, "mapping.csv"), rows)
     return 0
 

@@ -8,6 +8,7 @@ target PoA.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Container, Iterable
@@ -24,6 +25,7 @@ __all__ = [
     "distances_to",
     "paired_distances",
     "count_within",
+    "window_points",
     "ad_value",
     "is_relevant",
     "rank_relevant",
@@ -158,6 +160,46 @@ def count_within(
         dists = paired_distances(metric, block, targets[None, :, :])
         counts[start : start + step] = np.count_nonzero(dists <= radius, axis=1)
     return counts
+
+
+# Angular windows give up (infinite reach) on a norm below this: the
+# kernel's products of two such norms can be subnormal, without the
+# relative precision the margin assumes. (A norm that overflows gives a
+# zero point, within 1 of every unit vector, and a kernel angle of pi/2
+# or NaN, whose reach is at least sqrt(2).)
+_NORM_LOW = 2.0**-450
+
+
+def window_points(
+    metric: DistanceMetric, feats: np.ndarray, threshold: float
+) -> tuple[np.ndarray, float]:
+    """Points for `feats` (features along the last axis) and a reach such
+    that two rows that `paired_distances` puts within `threshold` of each
+    other have points at most `reach` apart on every coordinate, up to
+    rounding that a caller absorbs in a small slack.
+
+    Euclidean: the features themselves and the threshold. Each rounding
+    step of the 2-norm is monotone, so one coordinate of the kernel's
+    rounded difference exceeds the rounded norm only by the rounding of a
+    square and a root (or where a square underflows). Angular: the unit
+    vectors, and the chord 2*sin(threshold/2) of unit vectors at that angle
+    plus a margin, which bounds how far a rounded cosine, near 1 where
+    arccos is ill-conditioned, lets a decided pair stray past the chord;
+    the reach is infinite when a norm lies below `_NORM_LOW`. Raises
+    ValueError on a zero vector under the angular metric, as the kernel
+    does.
+    """
+    if metric is DistanceMetric.EUCLIDEAN:
+        return feats, threshold
+    norms = np.linalg.norm(feats, axis=-1)
+    if np.any(norms == 0.0):
+        raise ValueError("angular distance undefined for zero vectors")
+    if norms.size and norms.min() < _NORM_LOW:
+        reach = math.inf
+    else:
+        margin = 4.0 * math.sqrt((feats.shape[-1] + 8) * np.finfo(float).eps)
+        reach = 2.0 * math.sin(min(threshold, math.pi) / 2.0) + margin
+    return feats / norms[..., None], reach
 
 
 def ad_value(ad: Ad, poa_id: int | None) -> float:

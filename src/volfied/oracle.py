@@ -14,7 +14,9 @@ vehicles execute, all subsets in one pass:
   to that vehicle (and 0.0, which is exact, to the others), so each
   subset's revenue has the bits of that subset priced on its own;
 - the best revenue wins, ties going to the lexicographically smallest ad
-  id tuple whatever its size; a best revenue of 0 gives no broadcast.
+  id tuple whatever its size; a best revenue of 0 gives no broadcast;
+- the reported revenue adds the winning columns in ascending PoA id, the
+  sum `simulate_display` makes for the chosen broadcast.
 """
 
 from __future__ import annotations
@@ -165,6 +167,7 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
     poa_ids = sorted({p for p in instance.coverage.values() if p is not None})
     by_vid = {v.vehicle_id: v for v in instance.vehicles}
     broadcasts: dict[int, tuple[int, ...]] = {}
+    revenue = 0.0
     for poa in poa_ids:
         candidates = sorted(
             (a for a in instance.ads if ad_value(a, poa) > 0.0),
@@ -205,8 +208,8 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
                 for col in np.flatnonzero(rev == best).tolist()
             )
             broadcasts[poa] = tuple(candidates[i].ad_id for i in combo)
-
-    _, revenue = simulate_display(broadcasts, instance)
+            # the winning column holds what simulate_display would add up
+            revenue += float(best)
     return OracleResult(broadcasts=broadcasts, revenue=revenue)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Ad, DistanceMetric, distance, paired_distances
+from .model import Ad, DistanceMetric, distance, paired_distances, window_points
 
 __all__ = [
     "SparseApproxParams",
@@ -105,17 +105,7 @@ def _grid(feats: np.ndarray, threshold: float, metric: DistanceMetric):
     row's cell key, and the shifts whose runs of three keys (the last axis
     has step 1) cover the neighbouring cells. The grid bins the (at most 5)
     axes with the most occupied cells, in coordinate order."""
-    points, reach = feats, threshold
-    if metric is DistanceMetric.ANGULAR:
-        norms = np.linalg.norm(feats, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("angular distance undefined for zero vectors")
-        points = feats / norms[:, None]
-        # Unit vectors an angle t apart are a chord 2*sin(t/2) apart. The
-        # margin bounds how far a rounded cosine, near 1 where arccos is
-        # ill-conditioned, lets a decided pair stray past that chord.
-        margin = 4.0 * math.sqrt((feats.shape[1] + 8) * np.finfo(float).eps)
-        reach = 2.0 * math.sin(min(threshold, math.pi) / 2.0) + margin
+    points, reach = window_points(metric, feats, threshold)
     columns = [_axis_cells(x, reach * (1.0 + _SLACK)) for x in points.T]
     if len(columns) > _GRID_DIMS:
         occupied = [len(np.unique(col)) for col in columns]

@@ -564,3 +564,163 @@ class TestRelevanceMemo:
         est = RevenueEstimator(params(), {0: [a], 1: [b]})
         est.on_vehicle_enter(1, VehicleProfile(0, np.array([0.0])), detected=True)
         assert est.revenue(1, 3) == 1.0
+
+    def test_duplicate_ids_at_one_poa_rejected(self):
+        a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
+        with pytest.raises(ValueError, match="duplicate ad ids in candidates for poa 1"):
+            RevenueEstimator(params(), {0: [a], 1: [a, a]})
+
+    def test_first_different_ad_is_named(self):
+        ads = [Ad(ad_id=i, features=np.array([0.1 * i]), base_value=1.0) for i in range(3)]
+        clash = [Ad(ad_id=i, features=np.array([0.5]), base_value=1.0) for i in (2, 1)]
+        with pytest.raises(ValueError, match="ad id 2 names different ads at poa 7"):
+            RevenueEstimator(params(), {4: ads, 7: [ads[0], clash[0]], 5: [clash[1]]})
+
+    def test_unknown_ad_id_is_a_key_error(self):
+        a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
+        est = RevenueEstimator(params(), {0: [a], 1: []})
+        with pytest.raises(KeyError):
+            est.revenue(0, 4)
+        with pytest.raises(KeyError):
+            est.on_broadcast(0, [3, 2])
+        with pytest.raises(KeyError):
+            est.on_broadcast(1, [3])
+
+
+def full_scan(p, ads, v):
+    """Rows, ids and distances of the union rows within d_max of v, from
+    one `distances_to` call over every row, as the estimator once did."""
+    union = sorted({a.ad_id: a for a in ads}.values(), key=lambda a: a.ad_id)
+    if not union:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    dists = distances_to(p.metric, v.interests, np.stack([a.features for a in union]))
+    rows = np.flatnonzero(dists <= p.d_max)
+    return rows, np.array([a.ad_id for a in union], dtype=np.int64)[rows], dists[rows]
+
+
+# Coordinates with ties, differences that round, a far outlier and values
+# near +-1e15, where one unit of rounding is 0.125.
+_WIDE = st.sampled_from(
+    [0.0, 0.1, 0.25, 1 / 3, 0.35, 1.0, -0.75, 3e6, 1e15, 1e15 + 0.125, -1e15, -1e15 - 0.25]
+)
+# Scales for angular vectors, with norms below 2^-450 and past overflow.
+_SCALE = st.sampled_from([1e-150, 1e-3, 1.0, 7.0, 1e3, 1e154])
+
+
+@st.composite
+def window_worlds(draw):
+    metric = draw(st.sampled_from([EUCL, ANG]))
+    n_dims = draw(st.sampled_from([1, 2, 5]))
+
+    def vector():
+        f = np.array(draw(st.lists(_WIDE, min_size=n_dims, max_size=n_dims)))
+        if metric is ANG:
+            f = (f if f.any() else np.ones(n_dims)) * draw(_SCALE)
+        return f
+
+    n_ads = draw(st.integers(0, 12))
+    ids = draw(st.permutations(range(n_ads)))
+    ads = [Ad(ad_id=7 * i + 3, features=vector(), base_value=1.0) for i in ids]
+    if ads and draw(st.booleans()):  # one ad far from the rest
+        ads.append(Ad(ad_id=1000, features=np.full(n_dims, 1e12), base_value=1.0))
+    profiles = [VehicleProfile(vid, vector()) for vid in range(draw(st.integers(1, 3)))]
+    choices = [0.125, 0.25, 1.0, 2.0] + ([np.pi, 4.0] if metric is ANG else [])
+    d_max = draw(st.sampled_from(choices))
+    if ads and draw(st.booleans()):
+        # an ad exactly at d_max, or at the float just past it
+        ad = draw(st.sampled_from(ads))
+        prof = draw(st.sampled_from(profiles))
+        with np.errstate(over="ignore", invalid="ignore"):
+            on = float(distances_to(metric, prof.interests, ad.features[None, :])[0])
+        edge = draw(st.sampled_from([on, float(np.nextafter(on, 0.0))]))
+        if 0.0 < edge < np.inf:
+            d_max = edge
+    return SelectionParams(k=3, m=1, d_max=d_max, metric=metric), ads, profiles
+
+
+class TestRelevanceWindow:
+    """The windowed scan finds the rows a full `distances_to` scan of the
+    union finds, with the same ids and distance bits."""
+
+    @given(world=window_worlds())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_scan(self, world):
+        p, ads, profiles = world
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = RevenueEstimator(p, {0: ads, 1: ads[::2]})
+            for v in profiles:
+                memo = est.relevance(v)
+                rows, ids, dists = full_scan(p, ads, v)
+                assert memo.rows.tolist() == rows.tolist()
+                assert memo.ids.tolist() == ids.tolist()
+                assert memo.dists.tobytes() == dists.tobytes()
+
+    @pytest.mark.parametrize("n_dims", [1, 5])
+    def test_boundary_ads_on_every_axis(self, n_dims):
+        # 0.25 and the float past it, either way along each axis
+        edge, past = 0.25, float(np.nextafter(0.25, 1.0))
+        ads = [
+            Ad(ad_id=i, features=np.eye(n_dims)[i // 4] * offset, base_value=1.0)
+            for i, offset in enumerate([edge, -edge, past, -past] * n_dims)
+        ]
+        est = RevenueEstimator(params(d_max=edge), {0: ads})
+        memo = est.relevance(VehicleProfile(0, np.zeros(n_dims)))
+        assert memo.ids.tolist() == [i for i in range(4 * n_dims) if i % 4 < 2]
+        assert memo.dists.tolist() == [edge] * (2 * n_dims)
+
+    def test_scans_only_the_window(self, monkeypatch):
+        scans = []
+
+        def counting(metric, f, others):
+            scans.append(len(others))
+            return distances_to(metric, f, others)
+
+        monkeypatch.setattr(volfied.broker, "distances_to", counting)
+        ads = [Ad(ad_id=i, features=np.array([i / 64, 0.0]), base_value=1.0) for i in range(100)]
+        est = RevenueEstimator(params(d_max=5 / 64), {0: ads})
+        memo = est.relevance(VehicleProfile(0, np.array([50 / 64, 0.0])))
+        assert memo.ids.tolist() == list(range(45, 56))
+        # only the eleven rows within reach on the first coordinate
+        assert scans == [11]
+
+    def test_offsets_whose_squares_underflow(self):
+        # 1e-170 squared underflows to 0, so the kernel puts the ad at 0
+        ad = Ad(ad_id=1, features=np.array([1e-170, 0.0]), base_value=1.0)
+        est = RevenueEstimator(params(d_max=1e-200), {0: [ad]})
+        memo = est.relevance(VehicleProfile(0, np.zeros(2)))
+        assert (memo.ids.tolist(), memo.dists.tolist()) == ([1], [0.0])
+
+    def test_angular_rounded_to_parallel(self):
+        # 1e-8 rad apart, ten chords of d_max, but the cosine rounds to 1
+        ad = Ad(ad_id=1, features=np.array([1.0, 1e-8]), base_value=1.0)
+        p = SelectionParams(k=1, m=1, d_max=1e-9, metric=ANG)
+        memo = RevenueEstimator(p, {0: [ad]}).relevance(VehicleProfile(0, np.array([1.0, 0.0])))
+        assert (memo.ids.tolist(), memo.dists.tolist()) == ([1], [0.0])
+
+    def test_angular_subnormal_products(self):
+        # The vectors are 0.1005 rad apart, but the kernel's products are
+        # subnormal and it puts them 0.0873 apart, a chord 0.013 shorter:
+        # norms this small make the window take every row.
+        v = VehicleProfile(0, np.array([1e-160, 0.0]))
+        ad = Ad(ad_id=1, features=np.array([5.171073378946558e-161, 5.211967270584057e-162]), base_value=1.0)
+        on = float(distances_to(ANG, v.interests, ad.features[None, :])[0])
+        p = SelectionParams(k=1, m=1, d_max=on, metric=ANG)
+        memo = RevenueEstimator(p, {0: [ad]}).relevance(v)
+        assert (memo.ids.tolist(), memo.dists.tolist()) == ([1], [on])
+
+    def test_empty_union(self):
+        est = RevenueEstimator(params(), {0: []})
+        memo = est.relevance(VehicleProfile(0, np.array([0.5])))
+        assert (memo.rows.size, memo.ids.size, memo.dists.size) == (0, 0, 0)
+
+    def test_angular_zero_profile_raises(self):
+        a = Ad(ad_id=1, features=np.array([1.0, 0.0]), base_value=1.0)
+        est = RevenueEstimator(SelectionParams(k=1, m=1, d_max=0.5, metric=ANG), {0: [a]})
+        with pytest.raises(ValueError, match="zero vectors"):
+            est.relevance(VehicleProfile(0, np.zeros(2)))
+
+    def test_profile_of_other_dimension_raises(self):
+        a = Ad(ad_id=1, features=np.array([1.0, 0.0]), base_value=1.0)
+        est = RevenueEstimator(params(), {0: [a]})
+        with pytest.raises(ValueError, match="3 features"):
+            est.relevance(VehicleProfile(0, np.zeros(3)))

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+import volfied.cli
 from volfied.cli import main
-from volfied.files import load_ads_csv
+from volfied.files import load_ads_csv, write_mapping_csv
+from volfied.model import DistanceMetric, distance
 from volfied.sim import SimConfig
 
 
@@ -213,6 +215,29 @@ class TestSparsify:
         assert mapping[0] == "removed_ad_id,representative_ad_id,distance"
         assert mapping[1] == "2,1,0.020000"
         assert mapping[2] == "3,1,0.010000"
+
+    @pytest.mark.parametrize("metric", ["euclidean", "angular"])
+    def test_mapping_distances_are_per_pair(self, tmp_path, monkeypatch, metric):
+        rows = []
+
+        def recording(path, mapping_rows):
+            rows.extend(mapping_rows)
+            return write_mapping_csv(path, mapping_rows)
+
+        monkeypatch.setattr(volfied.cli, "write_mapping_csv", recording)
+        kind = DistanceMetric(metric)
+        cfg = write_config(tmp_path, n_ads=300, n_dims=3, epsilon=0.05, m=2, metric=kind)
+        assert main(["gen-ads", "--config", str(cfg), "--out", str(tmp_path), "--seed", "4"]) == 0
+        ads_csv = tmp_path / "ads.csv"
+        out = tmp_path / "out"
+        assert main(["sparsify", str(ads_csv), "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(rows) > 20
+        by_id = {a.ad_id: a for a in load_ads_csv(ads_csv)}
+        want = [
+            (removed, rep, distance(kind, by_id[removed].features, by_id[rep].features))
+            for removed, rep, _ in rows
+        ]
+        assert [(r, k, d.hex()) for r, k, d in rows] == [(r, k, d.hex()) for r, k, d in want]
 
 
 class TestOracleCmd:

@@ -386,6 +386,13 @@ class TestReferenceEquality:
         assert result.broadcasts == broadcasts
         assert np.float64(result.revenue).tobytes() == np.float64(revenue).tobytes()
 
+    @given(multi_poa_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_revenue_is_simulated_display(self, inst):
+        result = solve_exact(inst)
+        _, revenue = simulate_display(result.broadcasts, inst)
+        assert np.float64(result.revenue).tobytes() == np.float64(revenue).tobytes()
+
 
 class TestOracleBounds:
     def test_upper_bounds_all_strategies(self):
