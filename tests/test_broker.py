@@ -702,7 +702,8 @@ class TestRelevanceWindow:
         # subnormal and it puts them 0.0873 apart, a chord 0.013 shorter:
         # norms this small make the window take every row.
         v = VehicleProfile(0, np.array([1e-160, 0.0]))
-        ad = Ad(ad_id=1, features=np.array([5.171073378946558e-161, 5.211967270584057e-162]), base_value=1.0)
+        feats = np.array([5.171073378946558e-161, 5.211967270584057e-162])
+        ad = Ad(ad_id=1, features=feats, base_value=1.0)
         on = float(distances_to(ANG, v.interests, ad.features[None, :])[0])
         p = SelectionParams(k=1, m=1, d_max=on, metric=ANG)
         memo = RevenueEstimator(p, {0: [ad]}).relevance(v)
