@@ -92,60 +92,27 @@ class RelevanceMemo:
 
 
 class _PoaState:
-    """Candidates (as rows of the estimator's union feature matrix), their
-    values and contributor counts, and the detected vehicles present.
+    """A PoA's estimates over the estimator's union rows: each row's value
+    here (0 where the ad is not a candidate or is out of scope), its
+    contributor count and whether it is a candidate; and, for each detected
+    vehicle present, its memo and the memo entries credited on entering."""
 
-    A present vehicle keeps the positions it was credited for on entering
-    and the broadcast sequence number it entered after; a credited
-    position broadcast since then (`sent` beyond that number) was taken
-    back at the broadcast.
-    """
+    __slots__ = ("ads", "values", "counts", "candidate", "present")
 
-    __slots__ = (
-        "ads", "ids", "by_id", "sorted_ids", "rows", "earning", "values", "counts", "sent", "present"
-    )
-
-    def __init__(
-        self,
-        poa_id: int,
-        ads: list[Ad],
-        ids: np.ndarray,
-        rows: np.ndarray,
-        values: np.ndarray,
-        n_union: int,
-    ):
+    def __init__(self, ads: list[Ad], values: np.ndarray, candidate: np.ndarray):
         self.ads = ads
-        self.ids = ids
-        # positions in ascending ad id, and the ids in that order
-        self.by_id = np.argsort(ids, kind="stable")
-        self.sorted_ids = ids[self.by_id]
-        if np.any(self.sorted_ids[1:] == self.sorted_ids[:-1]):
-            raise ValueError(f"duplicate ad ids in candidates for poa {poa_id}")
-        self.rows = rows
         self.values = values
-        # union row -> position of a candidate worth something here, else -1
-        self.earning = np.full(n_union, -1, dtype=np.int64)
-        positive = np.flatnonzero(values > 0)
-        self.earning[rows[positive]] = positive
-        self.counts = np.zeros(len(ads), dtype=np.int64)
-        # position -> sequence number of its last broadcast here (0: never)
-        self.sent = np.zeros(len(ads), dtype=np.int64)
-        # vehicle id -> (positions credited on entering, sequence number then)
-        self.present: dict[int, tuple[np.ndarray, int]] = {}
-
-    def positions(self, ad_ids: list[int]) -> np.ndarray:
-        """Positions of candidate ad ids (KeyError for any other id)."""
-        ids = np.array(ad_ids, dtype=np.int64)
-        if self.ids.size:
-            pos = self.by_id.take(self.sorted_ids.searchsorted(ids), mode="clip")
-            if not (self.ids[pos] != ids).any():
-                return pos
-        raise KeyError(f"not all of {ad_ids} are candidates here")
+        self.counts = np.zeros(values.size, dtype=np.int64)
+        self.candidate = candidate
+        # vehicle id -> (its memo, which does not change while it is
+        # present, and the indices into it credited on entering)
+        self.present: dict[int, tuple[RelevanceMemo, np.ndarray]] = {}
 
     def credited(self, vehicle_id: int) -> np.ndarray:
-        """Positions a present vehicle is credited for now."""
-        positions, entered = self.present[vehicle_id]
-        return positions[self.sent[positions] <= entered] if positions.size else positions
+        """Union rows a present vehicle is credited for now: those credited
+        on entering that its memo still marks unserved."""
+        memo, entries = self.present[vehicle_id]
+        return memo.rows[entries[memo.unserved[entries]]] if entries.size else entries
 
 
 _AD_ID = operator.attrgetter("ad_id")
@@ -173,12 +140,16 @@ class RevenueEstimator:
     union rows are sorted once on one coordinate, two `searchsorted` calls
     take those within reach of the profile on it, a second coordinate
     drops more, and `distances_to` decides which of the rest lie within
-    d_max. An enter gathers the
-    memo's rows into the PoA's earning candidate positions and drops those
-    the memo marks served. A broadcast zeroes the selected ads' counts,
-    since every vehicle credited for them is present, and registers them
-    for those vehicles (registry and memo); their stored credit is left
-    as it is, and an exit skips the positions broadcast since the enter.
+    d_max. Every per-PoA array is indexed by union row. An enter credits
+    the memo's rows worth something at the PoA that the memo marks
+    unserved. A broadcast zeroes the selected ads' counts, since every
+    vehicle credited for them is present, and registers them for those
+    vehicles, in the registry and in their memos' flags. An exit takes
+    back the entries credited on entering that its memo still marks
+    unserved, so the flags and the registry are the one record of who was
+    served. That holds because a vehicle is present under at most one PoA
+    and its memo does not change while it is present; breaking either
+    raises ValueError.
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
@@ -213,11 +184,14 @@ class RevenueEstimator:
         target = np.array([-1 if t is None else t for t in targets])
         self._poas = {}
         for pid, ads, stop, size in zip(pids, per_poa, stops, sizes):
-            at = slice(stop - size, stop)
-            # ad_value over all candidates at once: in scope, base value; else 0
-            in_scope = is_global[rows[at]] | (target[rows[at]] == pid)
-            values = np.where(in_scope, base[rows[at]], 0.0)
-            self._poas[pid] = _PoaState(pid, ads, ids[at], rows[at], values, len(union))
+            candidate = np.zeros(len(union), dtype=bool)
+            candidate[rows[stop - size : stop]] = True
+            if np.count_nonzero(candidate) < size:
+                raise ValueError(f"duplicate ad ids in candidates for poa {pid}")
+            # ad_value over the union at once: a candidate in scope is worth
+            # its base value, any other row 0
+            values = np.where(candidate & (is_global | (target == pid)), base, 0.0)
+            self._poas[pid] = _PoaState(ads, values, candidate)
         # The relevance window: union rows sorted on the first coordinate of
         # their window points, and the second coordinate (the first again
         # in 1-D) in the same order.
@@ -230,8 +204,8 @@ class RevenueEstimator:
             self._scale = float(np.abs(points[:, self._axes]).max())
         # vehicle id -> memo of the profile last seen under that id
         self._memos: dict[int, RelevanceMemo] = {}
-        # broadcasts made so far, the sequence number of the last one
-        self._broadcasts = 0
+        # vehicle id -> the PoA it is present under, detected
+        self._under: dict[int, int] = {}
         # union row -> not selected by the broadcast in progress
         self._unselected = np.ones(len(union), dtype=bool)
         # per-event instrumentation: ads touched by the last / any event
@@ -243,8 +217,21 @@ class RevenueEstimator:
 
     def revenue(self, poa: int, ad_id: int) -> float:
         st = self._poas[poa]
-        pos = st.positions([ad_id])[0]
-        return float(st.values[pos] * st.counts[pos])
+        row = self._candidate_rows(st, [ad_id])[0]
+        return float(st.values[row] * st.counts[row])
+
+    def _candidate_rows(self, st: _PoaState, ad_ids: list[int]) -> np.ndarray:
+        """Union rows of ad ids that are candidates at st (KeyError for any
+        other id)."""
+        ids = np.array(ad_ids, dtype=np.int64)
+        rows = self._union_ids.searchsorted(ids)
+        if (
+            self._union_ids.size
+            and (self._union_ids.take(rows, mode="clip") == ids).all()
+            and st.candidate[rows].all()
+        ):
+            return rows
+        raise KeyError(f"not all of {ad_ids} are candidates here")
 
     def _note_event(self, examined: int) -> None:
         self.last_event_examined = examined
@@ -260,33 +247,41 @@ class RevenueEstimator:
             self._note_event(0)
             return
         st = self._poas[poa]
-        if v.vehicle_id in st.present:
+        under = self._under.get(v.vehicle_id)
+        if under == poa:
             raise ValueError(f"vehicle {v.vehicle_id} already present under poa {poa}")
-        if st.ids.size == 0:
-            positions = _NO_POSITIONS
-            self._note_event(0)
-        else:
-            memo = self._memos.get(v.vehicle_id)
-            if memo is None or memo.profile is not v:
-                memo = self.relevance(v)
-            positions = st.earning[memo.rows]
-            relevant = positions >= 0
-            self._note_event(np.count_nonzero(relevant))
-            positions = positions[relevant & memo.unserved]
-        st.counts[positions] += 1
-        st.present[v.vehicle_id] = (positions, self._broadcasts)
+        if under is not None:
+            raise ValueError(
+                f"vehicle {v.vehicle_id} entered poa {poa} while present under poa {under}"
+            )
+        memo = self._memos.get(v.vehicle_id)
+        if memo is None or memo.profile is not v:
+            memo = self.relevance(v)
+        worth = st.values[memo.rows] > 0
+        self._note_event(np.count_nonzero(worth))
+        entries = (worth & memo.unserved).nonzero()[0]
+        st.counts[memo.rows[entries]] += 1
+        st.present[v.vehicle_id] = (memo, entries)
+        self._under[v.vehicle_id] = poa
 
     def relevance(self, v: VehicleProfile) -> RelevanceMemo:
         """The memo of v's relevant candidate ads, at any PoA; scanned once
-        per profile object and remembered under its vehicle id."""
+        per profile object and remembered under its vehicle id. A vehicle
+        present under a PoA keeps its memo: another profile object under
+        its id raises ValueError."""
         memo = self._memos.get(v.vehicle_id)
         if memo is not None and memo.profile is v:
             return memo
+        if v.vehicle_id in self._under:
+            raise ValueError(
+                f"vehicle {v.vehicle_id} is present under poa {self._under[v.vehicle_id]} "
+                "with another profile"
+            )
         if self._union_ids.size:
             rows = self._window(v)
             dists = distances_to(self.params.metric, v.interests, self._union_feats[rows])
         else:
-            rows, dists = _NO_POSITIONS, np.zeros(0)
+            rows, dists = _NO_ROWS, np.zeros(0)
         relevant = dists <= self.params.d_max
         rows = rows[relevant]
         ids = self._union_ids[rows]
@@ -323,11 +318,11 @@ class RevenueEstimator:
         if vehicle_id not in st.present:
             self._note_event(0)
             return
-        positions = st.credited(vehicle_id)
-        del st.present[vehicle_id]
-        self._note_event(len(positions))
-        if positions.size:
-            st.counts[positions] -= 1
+        rows = st.credited(vehicle_id)
+        del st.present[vehicle_id], self._under[vehicle_id]
+        self._note_event(rows.size)
+        if rows.size:
+            st.counts[rows] -= 1
 
     def on_broadcast(self, poa: int, selected: list[int]) -> None:
         """Register the broadcast for every detected vehicle present and
@@ -335,32 +330,28 @@ class RevenueEstimator:
         if not selected:
             return
         st = self._poas[poa]
-        positions = st.positions(selected)
+        rows = self._candidate_rows(st, selected)
         # every vehicle credited for a selected ad is present: none remains
-        st.counts[positions] = 0
-        self._broadcasts += 1
-        st.sent[positions] = self._broadcasts
-        rows = st.rows[positions]
+        st.counts[rows] = 0
         self._unselected[rows] = False
-        for vid in st.present:
+        for vid, (memo, _) in st.present.items():
             self.registry.setdefault(vid, set()).update(selected)
-            memo = self._memos[vid]
             memo.unserved &= self._unselected[memo.rows]
         self._unselected[rows] = True
 
     def _positive_by_revenue(self, poa: int) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, ad ids) of the positive-estimate ads, ordered by
+        """(union rows, ad ids) of the positive-estimate ads, ordered by
         R descending then AdId ascending."""
         st = self._poas[poa]
         if not st.present:  # counts count the vehicles present: all are 0
-            return _NO_POSITIONS, _NO_POSITIONS
-        positions = np.flatnonzero(st.counts > 0)
-        ids = st.ids[positions]
-        order = np.lexsort((ids, -(st.values[positions] * st.counts[positions])))
-        return positions[order], ids[order]
+            return _NO_ROWS, _NO_ROWS
+        rows = (st.counts > 0).nonzero()[0]
+        # rows ascend with ad id, so a stable sort breaks ties by id
+        rows = rows[np.argsort(-(st.values[rows] * st.counts[rows]), kind="stable")]
+        return rows, self._union_ids[rows]
 
 
-_NO_POSITIONS = np.zeros(0, dtype=np.int64)
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 # The relevance window's reach is this much wider than d_max, relative to
 # it, and at least a few ulps of this scale wider.
@@ -390,16 +381,14 @@ def select_volfied(
     `paired_distances` call. `stats.distance_evals` counts the pairs the
     greedy consults, one per admitted ad for every candidate examined.
     """
-    st = est._poas[poa]
-    positions, ids = est._positive_by_revenue(poa)
-    rows = st.rows[positions]
+    rows, ids = est._positive_by_revenue(poa)
     reach = 2.0 * params.d_max
-    chosen: list[int] = []  # indices into positions
+    chosen: list[int] = []  # indices into rows
     chosen_feats = est._union_feats[:0]
     evals = 0
     start, size = 0, _HEAD_PER_SLOT * params.k
-    while start < len(positions) and len(chosen) < params.k:
-        stop = min(start + size, len(positions))
+    while start < len(rows) and len(chosen) < params.k:
+        stop = min(start + size, len(rows))
         block = est._union_feats[rows[start:stop]]
         # columns: the ads admitted before the block, then the block itself
         prior = len(chosen)

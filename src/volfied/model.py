@@ -70,6 +70,8 @@ class Ad:
         as_features(self.features)
         if not self.base_value > 0:
             raise ValueError(f"ad {self.ad_id}: base_value must be > 0, got {self.base_value}")
+        if not math.isfinite(self.base_value):
+            raise ValueError(f"ad {self.ad_id}: base_value must be finite, got {self.base_value}")
 
     @property
     def is_global(self) -> bool:
@@ -88,6 +90,11 @@ class PoA:
     def __post_init__(self):
         if not self.range_m > 0:
             raise ValueError(f"poa {self.poa_id}: range_m must be > 0, got {self.range_m}")
+        if not all(map(math.isfinite, (self.x_m, self.y_m, self.range_m))):
+            raise ValueError(
+                f"poa {self.poa_id}: x_m, y_m and range_m must be finite, "
+                f"got {self.x_m}, {self.y_m}, {self.range_m}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,7 +122,7 @@ def gen_synthetic(
             target[arriving] = rng.uniform((0.0, 0.0), (w, h), size=(int(arriving.sum()), 2))
     # a vehicle has a column only when it is present at some step
     ids = np.arange(n_vehicles if steps else 0, dtype=np.int64)
-    return MobilityTrace(positions=positions[:, : len(ids)], ids=ids, step_duration_s=step_duration_s)
+    return MobilityTrace(positions=positions[:, : len(ids)], ids=ids)
 
 
 def build_scenario(config: SimConfig, seed: int):

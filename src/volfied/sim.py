@@ -79,15 +79,12 @@ class MobilityTrace:
 
     positions: np.ndarray  # (steps, vehicles, 2) float
     ids: np.ndarray  # (vehicles,) int64
-    step_duration_s: float = 1.0
 
     def __eq__(self, other):
         if not isinstance(other, MobilityTrace):
             return NotImplemented
-        return (
-            self.step_duration_s == other.step_duration_s
-            and np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.positions, other.positions, equal_nan=True)
+        return np.array_equal(self.ids, other.ids) and np.array_equal(
+            self.positions, other.positions, equal_nan=True
         )
 
     @property
@@ -103,14 +100,8 @@ class MobilityTrace:
         here = ~np.isnan(xy[:, 0])
         return dict(zip(self.ids[here].tolist(), map(tuple, xy[here].tolist())))
 
-    def vehicle_ids(self) -> set[int]:
-        return set(self.ids.tolist())
-
     @staticmethod
-    def from_records(
-        records: Iterable[tuple[int, int, float, float]],
-        step_duration_s: float = 1.0,
-    ) -> "MobilityTrace":
+    def from_records(records: Iterable[tuple[int, int, float, float]]) -> "MobilityTrace":
         seen: set[tuple[int, int]] = set()
         steps, vids, xs, ys = [], [], [], []
         for step, vid, x, y in records:
@@ -131,10 +122,10 @@ class MobilityTrace:
         positions = np.full((max(steps, default=-1) + 1, len(ids), 2), np.nan)
         positions[steps, column, 0] = xs
         positions[steps, column, 1] = ys
-        return MobilityTrace(positions=positions, ids=ids, step_duration_s=step_duration_s)
+        return MobilityTrace(positions=positions, ids=ids)
 
 
-def load_trace(path, step_duration_s: float = 1.0) -> MobilityTrace:
+def load_trace(path) -> MobilityTrace:
     """Parse a trace CSV; rows may arrive in any step order. A malformed or
     invalid row raises ValueError naming the file and line."""
     lineno = 1
@@ -152,7 +143,7 @@ def load_trace(path, step_duration_s: float = 1.0) -> MobilityTrace:
         if header != TRACE_HEADER:
             raise ValueError(f"missing or wrong trace header: want {TRACE_HEADER!r}")
         try:
-            return MobilityTrace.from_records(records(fh), step_duration_s)
+            return MobilityTrace.from_records(records(fh))
         except ValueError as exc:
             # from_records checks each record as it arrives, so the line
             # last yielded is the one at fault
@@ -297,7 +288,7 @@ def run(
     by_vid = {p.vehicle_id: p for p in profiles}
     if len(by_vid) != len(profiles):
         raise ValueError("duplicate vehicle ids in profiles")
-    missing = sorted(trace.vehicle_ids() - set(by_vid))
+    missing = [vid for vid in trace.ids.tolist() if vid not in by_vid]
     if missing:
         raise ValueError(f"trace references vehicles without profiles: {missing}")
 

@@ -134,6 +134,18 @@ class TestEstimatorEvents:
         with pytest.raises(ValueError):
             est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
 
+    def test_enter_at_second_poa_rejected(self):
+        ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
+        est = RevenueEstimator(params(), {3: [ad], 4: [ad]})
+        v = VehicleProfile(0, np.array([0.5]))
+        est.on_vehicle_enter(3, v, detected=True)
+        with pytest.raises(ValueError, match="vehicle 0 entered poa 4 while present under poa 3"):
+            est.on_vehicle_enter(4, v, detected=True)
+        assert (est.revenue(3, 1), est.revenue(4, 1)) == (0.6, 0.0)
+        est.on_vehicle_exit(3, 0)
+        est.on_vehicle_enter(4, v, detected=True)
+        assert (est.revenue(3, 1), est.revenue(4, 1)) == (0.0, 0.6)
+
 
 class TestBroadcast:
     def test_broadcast_clears_contributors(self):
@@ -386,6 +398,13 @@ class TestParamsValidation:
             SelectionParams(k=1, m=1, d_max=0.0, metric=EUCL)
 
 
+def counts_by_id(est, poa):
+    """Contributor count of each candidate ad id at `poa`."""
+    st = est._poas[poa]
+    rows = np.flatnonzero(st.candidate)
+    return dict(zip(est._union_ids[rows].tolist(), st.counts[rows].tolist()))
+
+
 class ScanningEstimator:
     """Reference bookkeeping that scans the PoA's own candidate rows with
     distances_to on every detected enter, as the estimator did before it
@@ -507,10 +526,15 @@ class TestRelevanceMemo:
                 continue
             assert est.last_event_examined == ref.last_event_examined
             for pid in candidates:
-                assert est._poas[pid].counts.tolist() == ref.counts[pid].tolist()
+                ids = ref.ids[pid]
+                assert counts_by_id(est, pid) == dict(zip(ids, ref.counts[pid].tolist()))
                 state = est._poas[pid]
-                credited = {vid: set(state.credited(vid).tolist()) for vid in state.present}
-                assert credited == ref.contrib[pid]
+                credited = {
+                    vid: set(est._union_ids[state.credited(vid)].tolist()) for vid in state.present
+                }
+                assert credited == {
+                    vid: {ids[i] for i in c} for vid, c in ref.contrib[pid].items()
+                }
         assert est.registry == ref.registry
 
     def test_boundary_ad_is_credited(self):
@@ -551,6 +575,18 @@ class TestRelevanceMemo:
         est.on_vehicle_exit(0, 5)
         est.on_vehicle_enter(0, VehicleProfile(5, np.array([1.0])), detected=True)
         assert (est.revenue(0, 1), est.revenue(0, 2)) == (0.0, 1.0)
+
+    def test_new_profile_while_present_rejected(self):
+        ad = Ad(ad_id=1, features=np.array([0.0]), base_value=1.0)
+        est = RevenueEstimator(params(), {0: [ad]})
+        v = VehicleProfile(5, np.array([0.0]))
+        est.on_vehicle_enter(0, v, detected=True)
+        memo = est.relevance(v)
+        with pytest.raises(ValueError, match="vehicle 5 is present under poa 0 with another profile"):
+            est.relevance(VehicleProfile(5, np.array([1.0])))
+        assert est.relevance(v) is memo
+        est.on_vehicle_exit(0, 5)
+        assert est.revenue(0, 1) == 0.0
 
     def test_one_id_two_ads_rejected(self):
         a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)

@@ -53,6 +53,13 @@ class TestAdsCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_ads_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_base_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "ads.csv"
+        path.write_text(f"ad_id,f1,base_value,scope,target_poa\n1,0.5,1.0,G,\n2,0.5,{value},G,\n")
+        with pytest.raises(ValueError, match=rf"ads\.csv: line 3: ad 2: base_value must be"):
+            load_ads_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "ads.csv"
         path.write_text("nope,f1\n")
@@ -88,6 +95,13 @@ class TestPoasCsv:
         assert path.read_text().splitlines()[0] == "poa_id,x_m,y_m,range_m"
         back = load_poas_csv(path)
         assert back == poas
+
+    @pytest.mark.parametrize("row", ["1,nan,0.0,150.0", "1,0.0,-inf,150.0", "1,0.0,0.0,inf"])
+    def test_nonfinite_row_reports_line(self, tmp_path, row):
+        path = tmp_path / "poas.csv"
+        path.write_text(f"poa_id,x_m,y_m,range_m\n0,0.0,0.0,150.0\n{row}\n")
+        with pytest.raises(ValueError, match=r"poas\.csv: line 3: poa 1: .* must be finite"):
+            load_poas_csv(path)
 
 
 class TestProfilesCsv:

@@ -253,3 +253,15 @@ class TestValidation:
     def test_poa_range_positive(self):
         with pytest.raises(ValueError):
             PoA(poa_id=0, x_m=0.0, y_m=0.0, range_m=0.0)
+
+    @pytest.mark.parametrize(
+        "x, y, r", [(np.nan, 0.0, 100.0), (0.0, -np.inf, 100.0), (0.0, 0.0, np.inf)]
+    )
+    def test_nonfinite_poa_rejected(self, x, y, r):
+        # a NaN PoA would win every coverage argmin and uncover all vehicles
+        with pytest.raises(ValueError, match="poa 3: x_m, y_m and range_m must be finite"):
+            PoA(poa_id=3, x_m=x, y_m=y, range_m=r)
+
+    def test_infinite_base_value_rejected(self):
+        with pytest.raises(ValueError, match="ad 1: base_value must be finite, got inf"):
+            Ad(ad_id=1, features=np.array([0.5]), base_value=np.inf)

@@ -432,7 +432,7 @@ class TestOracleBounds:
 def credited_ids(est, poa):
     """Ad ids the estimator credits to each detected vehicle under `poa`."""
     st = est._poas[poa]
-    return {vid: {int(st.ids[p]) for p in st.credited(vid)} for vid in st.present}
+    return {vid: set(est._union_ids[st.credited(vid)].tolist()) for vid in st.present}
 
 
 @st.composite
