@@ -15,7 +15,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,18 +71,20 @@ class SelectionStats:
 
 class RelevanceMemo:
     """One vehicle profile's relevant ads: the rows of the estimator's union
-    catalog within d_max of it, ascending (their ad ids ascend too), the
-    distances to them, and which of them the vehicle's served registry
-    does not hold yet. Only `unserved` changes after the scan."""
+    catalog within d_max of it, ascending (their ad ids ascend too), and
+    the distances to them. The memo's entries sit at `start` onwards in the
+    estimator's flat entry arrays, which also hold whether the vehicle's
+    served registry lacks each ad and whether each was credited on
+    entering."""
 
-    __slots__ = ("profile", "rows", "ids", "dists", "unserved", "_dist_of")
+    __slots__ = ("profile", "rows", "ids", "dists", "start", "stop", "_dist_of")
 
-    def __init__(self, profile, rows, ids, dists, unserved):
+    def __init__(self, profile, rows, ids, dists, start):
         self.profile = profile
         self.rows = rows
         self.ids = ids
         self.dists = dists
-        self.unserved = unserved
+        self.start, self.stop = start, start + rows.size
         self._dist_of = dict(zip(ids.tolist(), dists.tolist()))
 
     def distances(self, ad_ids: Iterable[int]) -> list[float]:
@@ -92,27 +94,15 @@ class RelevanceMemo:
 
 
 class _PoaState:
-    """A PoA's estimates over the estimator's union rows: each row's value
-    here (0 where the ad is not a candidate or is out of scope), its
-    contributor count and whether it is a candidate; and, for each detected
-    vehicle present, its memo and the memo entries credited on entering."""
+    """A PoA's row in the estimator's (PoA x union row) tables, its
+    candidate ads, and the memo of each detected vehicle present."""
 
-    __slots__ = ("ads", "values", "counts", "candidate", "present")
+    __slots__ = ("row", "ads", "present")
 
-    def __init__(self, ads: list[Ad], values: np.ndarray, candidate: np.ndarray):
+    def __init__(self, row: int, ads: list[Ad]):
+        self.row = row
         self.ads = ads
-        self.values = values
-        self.counts = np.zeros(values.size, dtype=np.int64)
-        self.candidate = candidate
-        # vehicle id -> (its memo, which does not change while it is
-        # present, and the indices into it credited on entering)
-        self.present: dict[int, tuple[RelevanceMemo, np.ndarray]] = {}
-
-    def credited(self, vehicle_id: int) -> np.ndarray:
-        """Union rows a present vehicle is credited for now: those credited
-        on entering that its memo still marks unserved."""
-        memo, entries = self.present[vehicle_id]
-        return memo.rows[entries[memo.unserved[entries]]] if entries.size else entries
+        self.present: dict[int, RelevanceMemo] = {}
 
 
 _AD_ID = operator.attrgetter("ad_id")
@@ -124,6 +114,12 @@ def _same_ad(a: Ad, b: Ad) -> bool:
         and a.target_poa == b.target_poa
         and np.array_equal(a.features, b.features)
     )
+
+
+def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    out = np.zeros(size, dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
 
 
 class RevenueEstimator:
@@ -140,21 +136,32 @@ class RevenueEstimator:
     union rows are sorted once on one coordinate, two `searchsorted` calls
     take those within reach of the profile on it, a second coordinate
     drops more, and `distances_to` decides which of the rest lie within
-    d_max. Every per-PoA array is indexed by union row. An enter credits
-    the memo's rows worth something at the PoA that the memo marks
-    unserved. A broadcast zeroes the selected ads' counts, since every
+    d_max.
+
+    Values and contributor counts are (PoA x union row) tables, and the
+    memos' entries lie end to end in flat arrays (row, unserved, credited
+    on entering), so a step's events cost a few array operations over the
+    entries they touch. `on_events` takes a step's exits and enters: an
+    enter credits the memo's rows worth something at the PoA that the memo
+    marks unserved, and an exit takes back the entries credited on
+    entering that its memo still marks unserved. `on_broadcasts` takes a
+    step's broadcasts: it zeroes the selected ads' counts, since every
     vehicle credited for them is present, and registers them for those
-    vehicles, in the registry and in their memos' flags. An exit takes
-    back the entries credited on entering that its memo still marks
-    unserved, so the flags and the registry are the one record of who was
-    served. That holds because a vehicle is present under at most one PoA
-    and its memo does not change while it is present; breaking either
-    raises ValueError.
+    vehicles, in the registry and in their memos' flags. The flags and the
+    registry are thus the one record of who was served. That holds because
+    a vehicle is present under at most one PoA and its memo does not
+    change while it is present; breaking either raises ValueError. The
+    per-vehicle `on_vehicle_enter`, `on_vehicle_exit` and `on_broadcast`
+    are the one-event cases.
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
         self.params = params
-        self.registry: dict[int, set[int]] = {}
+        self._registry: dict[int, set[int]] = {}
+        # broadcasts not yet in _registry: (vehicle ids present, ad ids)
+        self._unfiled: list[tuple[list[int], tuple[int, ...]]] = []
+        # vehicle ids that any broadcast reached
+        self._served: set[int] = set()
         # every candidate, PoA after PoA; an id's union row holds the first
         # of them to carry it, and union rows ascend with ad id
         pids = list(candidates_by_poa)
@@ -182,16 +189,24 @@ class RevenueEstimator:
         targets = [a.target_poa for a in union]
         is_global = np.array([t is None for t in targets], dtype=bool)
         target = np.array([-1 if t is None else t for t in targets])
+        shape = (len(pids), len(union))
+        self._candidate = np.zeros(shape, dtype=bool)
         self._poas = {}
-        for pid, ads, stop, size in zip(pids, per_poa, stops, sizes):
-            candidate = np.zeros(len(union), dtype=bool)
-            candidate[rows[stop - size : stop]] = True
-            if np.count_nonzero(candidate) < size:
+        for row, (pid, ads, stop, size) in enumerate(zip(pids, per_poa, stops, sizes)):
+            self._candidate[row, rows[stop - size : stop]] = True
+            if np.count_nonzero(self._candidate[row]) < size:
                 raise ValueError(f"duplicate ad ids in candidates for poa {pid}")
-            # ad_value over the union at once: a candidate in scope is worth
-            # its base value, any other row 0
-            values = np.where(candidate & (is_global | (target == pid)), base, 0.0)
-            self._poas[pid] = _PoaState(ads, values, candidate)
+            self._poas[pid] = _PoaState(row, ads)
+        # ad_value over the table at once: a candidate in scope is worth its
+        # base value, any other cell 0
+        in_scope = is_global | (target == np.array(pids, dtype=np.int64)[:, None])
+        self._values = np.where(self._candidate & in_scope, base, 0.0)
+        self._counts = np.zeros(shape, dtype=np.int64)
+        # the cells selected by the broadcasts in progress
+        self._sent = np.zeros(shape, dtype=bool)
+        # per PoA row: (union rows, ad ids) of the positive estimates in
+        # selection order, None once a count has changed
+        self._ranked: list[tuple[np.ndarray, np.ndarray]] | None = None
         # The relevance window: union rows sorted on the first coordinate of
         # their window points, and the second coordinate (the first again
         # in 1-D) in the same order.
@@ -202,67 +217,158 @@ class RevenueEstimator:
             self._first = points[self._by_first, 0]
             self._second = points[self._by_first, self._axes[1]]
             self._scale = float(np.abs(points[:, self._axes]).max())
+        # the memos' entries end to end, the first `_used` in use: union
+        # row, not yet served, credited on entering
+        self._used = 0
+        self._rows = np.zeros(0, dtype=np.int64)
+        self._unserved = np.zeros(0, dtype=bool)
+        self._credited = np.zeros(0, dtype=bool)
         # vehicle id -> memo of the profile last seen under that id
         self._memos: dict[int, RelevanceMemo] = {}
         # vehicle id -> the PoA it is present under, detected
         self._under: dict[int, int] = {}
-        # union row -> not selected by the broadcast in progress
-        self._unselected = np.ones(len(union), dtype=bool)
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
         self.max_event_examined = 0
+
+    @property
+    def registry(self) -> dict[int, set[int]]:
+        """Vehicle id -> the ad ids broadcast while it was present and
+        detected. Broadcasts are logged per PoA and filed here when read."""
+        for vids, ad_ids in self._unfiled:
+            for vid in vids:
+                self._registry.setdefault(vid, set()).update(ad_ids)
+        self._unfiled.clear()
+        return self._registry
 
     def candidate_ads(self, poa: int) -> list[Ad]:
         return self._poas[poa].ads
 
     def revenue(self, poa: int, ad_id: int) -> float:
         st = self._poas[poa]
-        row = self._candidate_rows(st, [ad_id])[0]
-        return float(st.values[row] * st.counts[row])
+        row = self._check_candidates(st, [ad_id])[0]
+        return float(self._values[st.row, row] * self._counts[st.row, row])
 
-    def _candidate_rows(self, st: _PoaState, ad_ids: list[int]) -> np.ndarray:
+    def _check_candidates(self, st: _PoaState, ad_ids: Sequence[int]) -> np.ndarray:
         """Union rows of ad ids that are candidates at st (KeyError for any
         other id)."""
+        rows = self._candidate_rows(st.row, ad_ids)
+        if rows is None:
+            raise KeyError(f"not all of {ad_ids} are candidates here")
+        return rows
+
+    def _candidate_rows(self, at, ad_ids: Sequence[int]) -> np.ndarray | None:
+        """Union rows of ad ids, each a candidate at the PoA row `at` (or at
+        its own entry of an array `at`); None if any is not."""
         ids = np.array(ad_ids, dtype=np.int64)
         rows = self._union_ids.searchsorted(ids)
         if (
             self._union_ids.size
             and (self._union_ids.take(rows, mode="clip") == ids).all()
-            and st.candidate[rows].all()
+            and self._candidate[at, rows].all()
         ):
             return rows
-        raise KeyError(f"not all of {ad_ids} are candidates here")
-
-    def _note_event(self, examined: int) -> None:
-        self.last_event_examined = examined
-        if examined > self.max_event_examined:
-            self.max_event_examined = examined
+        return None
 
     def on_vehicle_enter(self, poa: int, v: VehicleProfile, detected: bool) -> None:
         """Credit every candidate ad relevant to v, unless already served.
 
         Undetected vehicles leave no trace: the broker never saw them.
         """
-        if not detected:
-            self._note_event(0)
+        self.on_events(enters=[(poa, v, detected)])
+
+    def on_vehicle_exit(self, poa: int, vehicle_id: int) -> None:
+        """Remove the vehicle's credits; no-op for vehicles never detected."""
+        self.on_events(exits=[(poa, vehicle_id)])
+
+    def on_events(
+        self,
+        exits: Iterable[tuple[int, int]] = (),
+        enters: Iterable[tuple[int, VehicleProfile, bool]] = (),
+    ) -> None:
+        """One step's coverage events: each (poa, vehicle id) exit in turn,
+        then each (poa, profile, detected) enter in turn, as that many
+        `on_vehicle_exit` and `on_vehicle_enter` calls would apply them.
+
+        Every event is checked, and every new profile scanned, before any
+        is applied, so an event that raises leaves the counts and who is
+        present as they were. `last_event_examined` is the last event's.
+        """
+        poas, under, memos = self._poas, self._under, self._memos
+        # the exits that take effect: of a vehicle present under that PoA
+        leaving: dict[int, _PoaState] = {}
+        last = None  # whether the last event is applied, if there is one
+        for pid, vid in exits:
+            st = poas[pid]
+            last = under.get(vid) == pid and vid not in leaving
+            if last:
+                leaving[vid] = st
+        # the detected enters
+        arriving: dict[int, tuple[int, _PoaState, RelevanceMemo]] = {}
+        for pid, v, detected in enters:
+            last = detected
+            if not detected:
+                continue
+            st = poas[pid]
+            vid = v.vehicle_id
+            if vid in arriving:
+                was = arriving[vid][0]
+            else:
+                was = None if vid in leaving else under.get(vid)
+            if was == pid:
+                raise ValueError(f"vehicle {vid} already present under poa {pid}")
+            if was is not None:
+                raise ValueError(f"vehicle {vid} entered poa {pid} while present under poa {was}")
+            memo = memos.get(vid)
+            if memo is None or memo.profile is not v:
+                memo = self._scan(v)
+            arriving[vid] = (pid, st, memo)
+        if last is None:
             return
-        st = self._poas[poa]
-        under = self._under.get(v.vehicle_id)
-        if under == poa:
-            raise ValueError(f"vehicle {v.vehicle_id} already present under poa {poa}")
-        if under is not None:
-            raise ValueError(
-                f"vehicle {v.vehicle_id} entered poa {poa} while present under poa {under}"
-            )
-        memo = self._memos.get(v.vehicle_id)
-        if memo is None or memo.profile is not v:
-            memo = self.relevance(v)
-        worth = st.values[memo.rows] > 0
-        self._note_event(np.count_nonzero(worth))
-        entries = (worth & memo.unserved).nonzero()[0]
-        st.counts[memo.rows[entries]] += 1
-        st.present[v.vehicle_id] = (memo, entries)
-        self._under[v.vehicle_id] = poa
+
+        events = []  # (PoA row, memo): the exits, then the enters
+        for vid, st in leaving.items():
+            events.append((st.row, st.present.pop(vid)))
+            del under[vid]
+        for vid, (pid, st, memo) in arriving.items():
+            memos[vid] = st.present[vid] = memo
+            under[vid] = pid
+            events.append((st.row, memo))
+        examined = self._move(events, len(leaving)) if events else [0]
+        # an applied last event is the last of `events`
+        self.last_event_examined = examined[-1] if last else 0
+        self.max_event_examined = max(self.max_event_examined, *examined)
+
+    def _move(self, events: list[tuple[int, RelevanceMemo]], n_exits: int) -> list[int]:
+        """Apply (PoA row, memo) events, the first `n_exits` exits and the
+        rest enters, to the counts in one pass over their memos' entries:
+        an exit takes back its entries credited on entering and still
+        unserved, an enter credits its entries worth something at the PoA
+        and still unserved. Returns the entries each event examined."""
+        idx, owner, sizes = self._entries([memo for _, memo in events])
+        width = self._counts.shape[1]
+        cells = np.repeat([row for row, _ in events], sizes) * width + self._rows[idx]
+        unserved = self._unserved[idx]
+        k = int(sizes[:n_exits].sum())  # entries of the exits come first
+        taken = self._credited[idx[:k]] & unserved[:k]
+        worth = self._values.reshape(-1)[cells[k:]] > 0
+        credit = worth & unserved[k:]
+        self._credited[idx[k:]] = credit
+        counts = self._counts.reshape(-1)
+        np.add.at(counts, cells[:k][taken], -1)
+        np.add.at(counts, cells[k:][credit], 1)
+        self._ranked = None
+        hits = owner[np.concatenate([taken, worth])]
+        return np.bincount(hits, minlength=len(events)).tolist()
+
+    def _entries(self, memos: list[RelevanceMemo]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat indices of the memos' entries, memo after memo; the index
+        into `memos` of the memo each belongs to; and each memo's size."""
+        starts = np.array([m.start for m in memos], dtype=np.int64)
+        sizes = np.array([m.stop for m in memos], dtype=np.int64) - starts
+        owner = np.repeat(np.arange(len(memos)), sizes)
+        shift = starts + sizes - sizes.cumsum()
+        return np.arange(owner.size) + shift[owner], owner, sizes
 
     def relevance(self, v: VehicleProfile) -> RelevanceMemo:
         """The memo of v's relevant candidate ads, at any PoA; scanned once
@@ -277,6 +383,12 @@ class RevenueEstimator:
                 f"vehicle {v.vehicle_id} is present under poa {self._under[v.vehicle_id]} "
                 "with another profile"
             )
+        memo = self._memos[v.vehicle_id] = self._scan(v)
+        return memo
+
+    def _scan(self, v: VehicleProfile) -> RelevanceMemo:
+        """A new memo of v's relevant union rows, its entries appended to
+        the flat arrays, unserved unless the registry holds them."""
         if self._union_ids.size:
             rows = self._window(v)
             dists = distances_to(self.params.metric, v.interests, self._union_feats[rows])
@@ -285,11 +397,17 @@ class RevenueEstimator:
         relevant = dists <= self.params.d_max
         rows = rows[relevant]
         ids = self._union_ids[rows]
-        served = self.registry.get(v.vehicle_id)
-        unserved = ~np.isin(ids, list(served)) if served else np.ones(ids.size, dtype=bool)
-        memo = RelevanceMemo(v, rows, ids, dists[relevant], unserved)
-        self._memos[v.vehicle_id] = memo
-        return memo
+        start, stop = self._used, self._used + rows.size
+        if stop > self._rows.size:
+            size = max(stop, 2 * self._rows.size)
+            self._rows = _grown(self._rows, start, size)
+            self._unserved = _grown(self._unserved, start, size)
+            self._credited = _grown(self._credited, start, size)
+        self._used = stop
+        self._rows[start:stop] = rows
+        served = self.registry.get(v.vehicle_id) if v.vehicle_id in self._served else None
+        self._unserved[start:stop] = ~np.isin(ids, list(served)) if served else True
+        return RelevanceMemo(v, rows, ids, dists[relevant], start)
 
     def _window(self, v: VehicleProfile) -> np.ndarray:
         """Union rows, ascending, whose window points lie within the reach
@@ -312,43 +430,61 @@ class RevenueEstimator:
         near = np.abs(self._second[lo:hi] - second) <= reach
         return np.sort(self._by_first[lo:hi][near])
 
-    def on_vehicle_exit(self, poa: int, vehicle_id: int) -> None:
-        """Remove the vehicle's credits; no-op for vehicles never detected."""
-        st = self._poas[poa]
-        if vehicle_id not in st.present:
-            self._note_event(0)
-            return
-        rows = st.credited(vehicle_id)
-        del st.present[vehicle_id], self._under[vehicle_id]
-        self._note_event(rows.size)
-        if rows.size:
-            st.counts[rows] -= 1
-
     def on_broadcast(self, poa: int, selected: list[int]) -> None:
         """Register the broadcast for every detected vehicle present and
         withdraw their pending credit for the selected ads."""
-        if not selected:
+        self.on_broadcasts({poa: selected})
+
+    def on_broadcasts(self, selected: Mapping[int, Sequence[int]]) -> None:
+        """One step's broadcasts, the ad ids selected[poa] at each PoA, as
+        one `on_broadcast` call per PoA would apply them. Every id is
+        checked before any broadcast is applied."""
+        sent = [(self._poas.get(pid), ad_ids) for pid, ad_ids in selected.items() if ad_ids]
+        if not sent:
             return
-        st = self._poas[poa]
-        rows = self._candidate_rows(st, selected)
+        rows = None
+        if all(st is not None for st, _ in sent):
+            at = np.repeat([st.row for st, _ in sent], [len(ad_ids) for _, ad_ids in sent])
+            rows = self._candidate_rows(at, list(itertools.chain.from_iterable(a for _, a in sent)))
+        if rows is None:  # raise the first PoA's KeyError
+            for pid, ad_ids in selected.items():
+                if ad_ids:
+                    self._check_candidates(self._poas[pid], ad_ids)
         # every vehicle credited for a selected ad is present: none remains
-        st.counts[rows] = 0
-        self._unselected[rows] = False
-        for vid, (memo, _) in st.present.items():
-            self.registry.setdefault(vid, set()).update(selected)
-            memo.unserved &= self._unselected[memo.rows]
-        self._unselected[rows] = True
+        self._counts[at, rows] = 0
+        self._ranked = None
+        memos, under = [], []
+        for st, ad_ids in sent:
+            if st.present:
+                self._unfiled.append((list(st.present), tuple(ad_ids)))
+                self._served.update(st.present)
+                memos.extend(st.present.values())
+                under.extend([st.row] * len(st.present))
+        if memos:
+            self._sent[at, rows] = True
+            idx, _, sizes = self._entries(memos)
+            self._unserved[idx] &= ~self._sent[np.repeat(under, sizes), self._rows[idx]]
+            self._sent[at, rows] = False
 
     def _positive_by_revenue(self, poa: int) -> tuple[np.ndarray, np.ndarray]:
         """(union rows, ad ids) of the positive-estimate ads, ordered by
         R descending then AdId ascending."""
-        st = self._poas[poa]
-        if not st.present:  # counts count the vehicles present: all are 0
-            return _NO_ROWS, _NO_ROWS
-        rows = (st.counts > 0).nonzero()[0]
-        # rows ascend with ad id, so a stable sort breaks ties by id
-        rows = rows[np.argsort(-(st.values[rows] * st.counts[rows]), kind="stable")]
-        return rows, self._union_ids[rows]
+        if self._ranked is None:
+            self._ranked = self._rank()
+        return self._ranked[self._poas[poa].row]
+
+    def _rank(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """`_positive_by_revenue` of every PoA row, from one pass over the
+        count table."""
+        width = max(self._counts.shape[1], 1)
+        cells = np.flatnonzero(self._counts > 0)  # by PoA row, then union row
+        r = self._values.reshape(-1)[cells] * self._counts.reshape(-1)[cells]
+        at = cells // width
+        # rows ascend with ad id within a PoA, so a stable order breaks ties by id
+        rows = (cells - at * width)[np.lexsort((-r, at))]
+        ids = self._union_ids[rows]
+        bounds = np.searchsorted(at, np.arange(self._counts.shape[0] + 1)).tolist()
+        return [(rows[a:b], ids[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)

@@ -77,12 +77,28 @@ def _workers(n_jobs: int) -> int:
     return 1
 
 
+def _parse_list(text: str, what: str, parse=str) -> list[str]:
+    """The non-empty comma-separated tokens of a job list; ValueError, naming
+    `what`, when there are none or two parse to the same value."""
+    tokens = [tok for tok in text.split(",") if tok != ""]
+    if not tokens:
+        raise ValueError(f"{what} has no values")
+    seen: dict = {}  # value -> its first token
+    for tok in tokens:
+        value = parse(tok)
+        if value in seen:
+            spelt = "" if seen[value] == tok else f" as {tok!r}"
+            raise ValueError(f"{what} repeats {seen[value]!r}{spelt}")
+        seen[value] = tok
+    return tokens
+
+
 def _parse_seeds(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+    return [int(tok) for tok in _parse_list(text, "--seed", int)]
 
 
 def _parse_strategies(text: str) -> list[str]:
-    return [tok for tok in text.split(",") if tok != ""]
+    return _parse_list(text, "--strategy")
 
 
 def _parse_sweep(text: str) -> tuple[str, str, type, list[str]]:
@@ -95,12 +111,7 @@ def _parse_sweep(text: str) -> tuple[str, str, type, list[str]]:
             f"cannot sweep {name!r}; parameters: {', '.join(sorted(SWEEP_PARAMS))}"
         )
     field, typ = SWEEP_PARAMS[name]
-    tokens = [tok for tok in values.split(",") if tok != ""]
-    if not tokens:
-        raise ValueError(f"sweep {name} has no values")
-    for tok in tokens:
-        typ(tok)
-    return name, field, typ, tokens
+    return name, field, typ, _parse_list(values, f"sweep {name}", typ)
 
 
 def _cmd_gen(args, what: str) -> int:

@@ -124,6 +124,13 @@ def distances_to(metric: DistanceMetric, f: FeatureVector, others: np.ndarray) -
     return paired_distances(metric, f[None, :], others)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis: the sum that `np.linalg.norm(x,
+    axis=-1)` makes for real floats, without its wrapper, so the bits are
+    the same."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def paired_distances(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance between each row of `a` and the matching row of `b`.
 
@@ -136,9 +143,9 @@ def paired_distances(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> np
     depend on the other pairs and the two sides may swap.
     """
     if metric is DistanceMetric.EUCLIDEAN:
-        return np.linalg.norm(b - a, axis=-1)
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
+        return _norms(b - a)
+    na = _norms(a)
+    nb = _norms(b)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise ValueError("angular distance undefined for zero vectors")
     # A row-wise reduction, like the norms: a matrix product can round a
@@ -198,7 +205,7 @@ def window_points(
     """
     if metric is DistanceMetric.EUCLIDEAN:
         return feats, threshold
-    norms = np.linalg.norm(feats, axis=-1)
+    norms = _norms(feats)
     if np.any(norms == 0.0):
         raise ValueError("angular distance undefined for zero vectors")
     if norms.size and norms.min() < _NORM_LOW:

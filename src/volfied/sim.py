@@ -1,14 +1,15 @@
 """Discrete-time simulation: mobility, coverage, selection, display, metrics.
 
-Each step runs five phases: (1) coverage changes fire enter/exit events
-into the broker-side estimator, only for the vehicles whose PoA changed,
-with vehicle detection sampled once per dwell; (2) every PoA's strategy
-selects up to k ads; (3) broadcasts update the served registry; (4)
-covered vehicles receive their PoA's set, and every vehicle present in the
-trace that received ads or holds cached ones advances its display step
-(an absent vehicle keeps its cache); (5) cumulative metrics are appended.
-Revenue accounting uses the displays actually made, never the broker's
-estimates.
+Each step runs five phases: (1) coverage changes fire exit and enter
+events, only for the vehicles whose PoA changed, with vehicle detection
+sampled once per dwell, and the broker-side estimator takes them all in
+one batch; (2) every PoA's strategy selects up to k ads; (3) the
+estimator takes all the step's broadcasts in one batch, which updates the
+served registry; (4) covered vehicles receive their PoA's set, and every
+vehicle present in the trace that received ads or holds cached ones
+advances its display step (an absent vehicle keeps its cache); (5)
+cumulative metrics are appended. Revenue accounting uses the displays
+actually made, never the broker's estimates.
 """
 
 from __future__ import annotations
@@ -300,9 +301,10 @@ def run(
     poa_ids = index.ids.tolist()
     by_ad_id = {a.ad_id: a for a in ads}
     vids = sorted(by_vid)
+    vid_of = np.array(vids, dtype=np.int64)
     states = [VehicleState(profile=by_vid[vid]) for vid in vids]
     # trace column -> vehicle index
-    column = np.searchsorted(np.array(vids, dtype=np.int64), trace.ids)
+    column = np.searchsorted(vid_of, trace.ids)
 
     det_rng = rng_stream(config.seed, STREAM_DETECTION)
     strat_rng = rng_stream(config.seed, STREAM_RANDOM_STRATEGY)
@@ -327,28 +329,33 @@ def run(
             present[column[here]] = True
             new[column[here]] = index.lookup(xy[here])
 
-        # events only for the vehicles whose PoA changed, in ascending id;
-        # one detection draw per dwell, aligned across configs
+        # events only for the vehicles whose PoA changed, in ascending id,
+        # all in one call; one detection draw per dwell, aligned across
+        # configs
         changed = np.flatnonzero(new != current)
-        olds, news = current[changed].tolist(), new[changed].tolist()
-        detected = iter(
-            (det_rng.uniform(size=np.count_nonzero(new[changed] >= 0))
-             < config.detection_accuracy).tolist()
+        left = changed[current[changed] >= 0]
+        came = changed[new[changed] >= 0]
+        detected = det_rng.uniform(size=came.size) < config.detection_accuracy
+        est.on_events(
+            zip(index.ids[current[left]].tolist(), vid_of[left].tolist()),
+            zip(
+                index.ids[new[came]].tolist(),
+                [states[i].profile for i in came.tolist()],
+                detected.tolist(),
+            ),
         )
-        for i, old_poa, new_poa in zip(changed.tolist(), olds, news):
-            if old_poa >= 0:
-                est.on_vehicle_exit(poa_ids[old_poa], vids[i])
-            if new_poa >= 0:
-                est.on_vehicle_enter(poa_ids[new_poa], states[i].profile, detected=next(detected))
         current = new
 
+        # every PoA selects before any broadcasts: a selection reads only
+        # its own PoA's estimates, and a broadcast changes only those
         received: list[list[Ad]] = []
+        chosen_by_poa = {}
         for pid in poa_ids:
-            chosen = select(est, pid, params, stats, strat_rng)
-            est.on_broadcast(pid, chosen)
+            chosen = chosen_by_poa[pid] = select(est, pid, params, stats, strat_rng)
             broadcasts += len(chosen)
             received.append([by_ad_id[a] for a in chosen])
         received.append([])  # what a vehicle under no PoA (index -1) receives
+        est.on_broadcasts(chosen_by_poa)
 
         # a present vehicle displays when it receives ads or holds a cache;
         # an absent one keeps its cache for when it is back

@@ -102,6 +102,16 @@ def estimator_for(instance):
     return est
 
 
+def credited_ids(est, poa):
+    """Ad ids the estimator credits to each detected vehicle under `poa`:
+    the entries of its memo credited on entering and still unserved."""
+    credited = {}
+    for vid, memo in est._poas[poa].present.items():
+        at = slice(memo.start, memo.stop)
+        credited[vid] = set(memo.ids[est._credited[at] & est._unserved[at]].tolist())
+    return credited
+
+
 def realized_revenue(instance, strategy, rng=None):
     """Select per PoA with the given strategy, then price the displays.
 

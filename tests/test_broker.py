@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import credited_ids
 import volfied.broker
 from volfied.broker import (
     RevenueEstimator,
@@ -400,9 +401,9 @@ class TestParamsValidation:
 
 def counts_by_id(est, poa):
     """Contributor count of each candidate ad id at `poa`."""
-    st = est._poas[poa]
-    rows = np.flatnonzero(st.candidate)
-    return dict(zip(est._union_ids[rows].tolist(), st.counts[rows].tolist()))
+    row = est._poas[poa].row
+    rows = np.flatnonzero(est._candidate[row])
+    return dict(zip(est._union_ids[rows].tolist(), est._counts[row, rows].tolist()))
 
 
 class ScanningEstimator:
@@ -528,14 +529,87 @@ class TestRelevanceMemo:
             for pid in candidates:
                 ids = ref.ids[pid]
                 assert counts_by_id(est, pid) == dict(zip(ids, ref.counts[pid].tolist()))
-                state = est._poas[pid]
-                credited = {
-                    vid: set(est._union_ids[state.credited(vid)].tolist()) for vid in state.present
-                }
-                assert credited == {
+                assert credited_ids(est, pid) == {
                     vid: {ids[i] for i in c} for vid, c in ref.contrib[pid].items()
                 }
         assert est.registry == ref.registry
+
+    @given(world=estimator_world(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batches_match_per_event_scan(self, world, data):
+        # Each step moves some vehicles (exit, enter, or both: a switch),
+        # hands all its events to one on_events call and the same events,
+        # exits first, to the reference one by one; then some PoAs
+        # broadcast, by one on_broadcasts call and one reference call each.
+        p, candidates, profiles = world
+        est = RevenueEstimator(p, candidates)
+        ref = ScanningEstimator(p, candidates)
+        pids = sorted(candidates)
+        at = {}  # vehicle id -> (PoA it is under, detected)
+        peak = 0
+
+        def assert_same():
+            assert est.last_event_examined == ref.last_event_examined
+            assert est.max_event_examined == peak
+            for pid in pids:
+                ids = ref.ids[pid]
+                assert counts_by_id(est, pid) == dict(zip(ids, ref.counts[pid].tolist()))
+                assert credited_ids(est, pid) == {
+                    vid: {ids[i] for i in c} for vid, c in ref.contrib[pid].items()
+                }
+            assert est.registry == ref.registry
+
+        for _ in range(data.draw(st.integers(1, 8))):
+            exits, enters = [], []
+            for vid in sorted(profiles):
+                move = data.draw(st.sampled_from(["stay", "exit", "enter", "switch"]))
+                if vid in at and move in ("exit", "switch"):
+                    exits.append((at.pop(vid)[0], vid))
+                if vid not in at and move in ("enter", "switch"):
+                    v = profiles[vid][data.draw(st.integers(0, 1))]
+                    poa, detected = data.draw(st.sampled_from(pids)), data.draw(st.booleans())
+                    enters.append((poa, v, detected))
+                    at[vid] = (poa, detected)
+            # an enter of a vehicle present and detected, not leaving, raises
+            # and leaves the estimator as it was
+            entering = {v.vehicle_id for _, v, _ in enters}
+            staying = [vid for vid, (_, det) in at.items() if det and vid not in entering]
+            if staying and data.draw(st.booleans()):
+                vid = data.draw(st.sampled_from(staying))
+                poa = data.draw(st.sampled_from(pids))
+                was = at[vid][0]
+                bad = enters[:]
+                bad.insert(data.draw(st.integers(0, len(bad))), (poa, profiles[vid][1], True))
+                message = (
+                    f"vehicle {vid} already present under poa {poa}"
+                    if poa == was
+                    else f"vehicle {vid} entered poa {poa} while present under poa {was}"
+                )
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    est.on_events(exits, bad)
+                assert_same()
+                # the profile it is present with stays: another one raises
+                (other,) = [prof for prof in profiles[vid] if prof is not est._memos[vid].profile]
+                with pytest.raises(ValueError, match=f"present under poa {was} with another profile"):
+                    est.relevance(other)
+            est.on_events(exits, enters)
+            for poa, vid in exits:
+                ref.exit(poa, vid)
+                peak = max(peak, ref.last_event_examined)
+            for poa, v, detected in enters:
+                ref.enter(poa, v, detected)
+                peak = max(peak, ref.last_event_examined)
+            assert_same()
+
+            selected = {
+                pid: data.draw(st.lists(st.sampled_from(ref.ids[pid]), unique=True, max_size=3))
+                for pid in pids
+                if data.draw(st.booleans())
+            }
+            est.on_broadcasts(selected)
+            for pid, ids in selected.items():
+                ref.broadcast(pid, ids)
+            assert_same()
 
     def test_boundary_ad_is_credited(self):
         on_edge = Ad(ad_id=1, features=np.array([0.25]), base_value=1.0)
@@ -621,6 +695,13 @@ class TestRelevanceMemo:
             est.on_broadcast(0, [3, 2])
         with pytest.raises(KeyError):
             est.on_broadcast(1, [3])
+        # a batch raises the first PoA's error and broadcasts nothing
+        est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.1])), detected=True)
+        with pytest.raises(KeyError, match=r"not all of \[4\]"):
+            est.on_broadcasts({0: [4], 9: [3]})
+        with pytest.raises(KeyError, match="9"):
+            est.on_broadcasts({0: [3], 9: [3]})
+        assert (est.revenue(0, 3), est.registry) == (1.0, {})
 
 
 def full_scan(p, ads, v):

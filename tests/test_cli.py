@@ -195,6 +195,38 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestJobLists:
+    """Empty or repeated seeds, strategies and sweep values are named
+    before any output is written."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["run", "--seed", ""], "--seed has no values"),
+            (["run", "--seed", ",", "--strategy", "volfied"], "--seed has no values"),
+            (["run", "--strategy", ","], "--strategy has no values"),
+            (["run", "--seed", "1,2,1"], "--seed repeats '1'"),
+            (["run", "--seed", "3,03"], "--seed repeats '3' as '03'"),
+            (["run", "--strategy", "topk,volfied,topk"], "--strategy repeats 'topk'"),
+            (["sweep", "--sweep", "C=0,0"], "sweep C repeats '0'"),
+            (["sweep", "--sweep", "d_max=0.1,0.10"], "sweep d_max repeats '0.1' as '0.10'"),
+            (["sweep", "--sweep", "k="], "sweep k has no values"),
+        ],
+    )
+    def test_rejected_before_output(self, tmp_path, capsys, args, message):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([*args, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_empty_tokens_between_values_skipped(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "1,,2,"]) == 0
+        assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+
 class TestSparsify:
     def test_line_catalog(self, tmp_path):
         ads_csv = tmp_path / "ads.csv"

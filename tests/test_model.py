@@ -203,6 +203,38 @@ class TestBatchConsistency:
                 assert count_within(metric, points, targets, radius).tolist() == want
 
 
+@st.composite
+def feature_blocks(draw):
+    """1-16 features per row, entries of either sign from 1e-200, whose
+    squares are subnormal or 0, to 1e160, whose squares overflow; rows of
+    one magnitude or of many, and exact zeros."""
+    n = draw(st.integers(1, 16))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = sorted(draw(st.integers(-200, 159)) for _ in range(2))
+    exponents = rng.integers(low, high + 1, size=(rows, n))
+    block = rng.uniform(-9.99, 9.99, size=(rows, n)) * 10.0 ** exponents
+    block[rng.random((rows, n)) < 0.1] = 0.0
+    return block
+
+
+class TestNormKernel:
+    """The kernel's 2-norm is `np.linalg.norm(x, axis=-1)` without the
+    wrapper: the same bits, also where squares underflow or overflow."""
+
+    @given(x=feature_blocks(), y=feature_blocks())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bits_as_linalg_norm(self, x, y):
+        import volfied.model as model
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert model._norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+            if x.shape[1] == y.shape[1]:
+                a, b = x[:1], y
+                want = np.linalg.norm(b - a, axis=-1)
+                assert paired_distances(EUCL, a, b).tobytes() == want.tobytes()
+
+
 class TestAdValueAndRelevance:
     def test_global_ad_value_everywhere(self):
         ad = Ad(ad_id=1, features=np.array([0.5, 0.5]), base_value=0.8)

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import clustered_instance, estimator_for, random_instance, realized_revenue
+from conftest import (
+    clustered_instance,
+    credited_ids,
+    estimator_for,
+    random_instance,
+    realized_revenue,
+)
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.model import (
     Ad,
@@ -427,12 +433,6 @@ class TestOracleBounds:
                 opt = solve_exact(inst).revenue
                 _, rev_v = realized_revenue(inst, "volfied")
                 assert rev_v == opt
-
-
-def credited_ids(est, poa):
-    """Ad ids the estimator credits to each detected vehicle under `poa`."""
-    st = est._poas[poa]
-    return {vid: set(est._union_ids[st.credited(vid)].tolist()) for vid in st.present}
 
 
 @st.composite

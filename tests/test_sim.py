@@ -518,5 +518,5 @@ class TestRealTraceShapes:
         # every vehicle has left by the last step: nothing is credited
         (est,) = estimators
         for pid in (0, 1):
-            assert not est._poas[pid].counts.any()
+            assert not est._counts[est._poas[pid].row].any()
             assert est._poas[pid].present == {}
