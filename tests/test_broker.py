@@ -589,8 +589,8 @@ class TestRelevanceMemo:
                     est.on_events(exits, bad)
                 assert_same()
                 # the profile it is present with stays: another one raises
-                (other,) = [prof for prof in profiles[vid] if prof is not est._memos[vid].profile]
-                with pytest.raises(ValueError, match=f"present under poa {was} with another profile"):
+                (other,) = [v for v in profiles[vid] if v is not est._memos[vid].profile]
+                with pytest.raises(ValueError, match=f"under poa {was} with another profile"):
                     est.relevance(other)
             est.on_events(exits, enters)
             for poa, vid in exits:

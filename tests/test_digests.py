@@ -88,7 +88,8 @@ DIGESTS = {
 
 def label(row, seed):
     strategy, metric, m, p, sparse, cache = row
-    return f"{strategy}-{metric.value}-m{m}-p{p}-{'sparse' if sparse else 'full'}-C{cache}-seed{seed}"
+    catalog = "sparse" if sparse else "full"
+    return f"{strategy}-{metric.value}-m{m}-p{p}-{catalog}-C{cache}-seed{seed}"
 
 
 def metrics_digest(row, seed):
