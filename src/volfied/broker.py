@@ -49,11 +49,16 @@ class SelectionParams:
     d_max: float
     metric: DistanceMetric
 
+    @staticmethod
+    def check(k: int, m: int, d_max: float) -> None:
+        """Raise ValueError unless k >= 1, m >= 1 and d_max > 0."""
+        if k < 1 or m < 1:
+            raise ValueError(f"k and m must be >= 1, got k={k} m={m}")
+        if not d_max > 0:
+            raise ValueError(f"d_max must be > 0, got {d_max}")
+
     def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"k and m must be >= 1, got k={self.k} m={self.m}")
-        if not self.d_max > 0:
-            raise ValueError(f"d_max must be > 0, got {self.d_max}")
+        self.check(self.k, self.m, self.d_max)
         if self.k < self.m:
             warnings.warn(
                 f"k={self.k} < m={self.m}: broadcast budget below display budget",

@@ -18,22 +18,23 @@ import sys
 import numpy as np
 
 from .files import (
-    SUMMARY_HEADER,
     atomic_write_text,
     load_ads_csv,
-    render_metrics_csv,
     render_summary_row,
     write_ads_csv,
     write_mapping_csv,
+    write_metrics_csv,
     write_poas_csv,
     write_profiles_csv,
+    write_summary_csv,
+    write_trace_csv,
 )
 from .model import DistanceMetric, paired_distances
 # perfbench/tracer.py wraps `distance` under this module's name.
 from .model import distance  # noqa: F401
 from .oracle import instance_from_json, result_to_json, solve_exact
 from .scenario import build_scenario, gen_ads, gen_poas, gen_profiles, gen_synthetic
-from .sim import SimConfig, StepMetrics, run, write_trace_csv
+from .sim import SimConfig, StepMetrics, run
 from .sparse import m_sparse_set
 
 __all__ = ["main"]
@@ -149,8 +150,8 @@ def _cmd_sparsify(args) -> int:
     pairs = sorted(sparse.mapping.items())
     dists = []
     if pairs:
-        removed = np.array([by_id[r].features for r, _ in pairs], dtype=float)
-        kept = np.array([by_id[k].features for _, k in pairs], dtype=float)
+        removed = np.array([by_id[r].features for r, _ in pairs])
+        kept = np.array([by_id[k].features for _, k in pairs])
         dists = paired_distances(config.metric, removed, kept).tolist()
     rows = [(r, k, d) for (r, k), d in zip(pairs, dists)]
     write_mapping_csv(os.path.join(args.out, "mapping.csv"), rows)
@@ -175,7 +176,7 @@ def _run_one(config: SimConfig, out_dir: str, strategy: str, seed: int,
     metrics, _ = run(config, trace, ads, profiles, poas)
     suffix = f"_{sweep_name}_{token}" if sweep_name else ""
     path = os.path.join(out_dir, f"metrics_{strategy}_seed{seed}{suffix}.csv")
-    atomic_write_text(path, render_metrics_csv(strategy, metrics))
+    write_metrics_csv(path, strategy, metrics)
     last = metrics[-1] if metrics else StepMetrics(0, 0.0, 0, 0.0, 0)
     return render_summary_row(strategy, seed, token or "", last)
 
@@ -201,7 +202,7 @@ def _cmd_run(args, sweep_required: bool) -> int:
                 jobs.append((cfg, strategy, seed, token))
 
     os.makedirs(args.out, exist_ok=True)
-    rows = [SUMMARY_HEADER]
+    rows = []
     failures = []
     for cfg, strategy, seed, token in jobs:
         try:
@@ -212,7 +213,7 @@ def _cmd_run(args, sweep_required: bool) -> int:
             )
             failures.append(f"{label}: {exc}")
 
-    atomic_write_text(os.path.join(args.out, "summary.csv"), "\n".join(rows) + "\n")
+    write_summary_csv(os.path.join(args.out, "summary.csv"), rows)
     for failure in failures:
         print(f"error: run failed: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -1,43 +1,56 @@
-"""CSV file formats: catalogs, populations, and plot-ready run outputs.
+"""CSV file formats: catalogs, populations, traces, and plot-ready run outputs.
 
-All writers go through `atomic_write_text` (temp file + rename) so a
-partially written file never appears under its final name. Feature vectors and
-values are stored with full float precision (repr round trip); metrics and
-summary files print reals to 6 decimal places.
+Every CSV file is read by `_read_csv` and written by `_write_csv`; a format
+is a header plus a row parser and a row renderer. `_write_csv` goes through
+`atomic_write_text` (temp file + rename) so a partially written file never
+appears under its final name. Feature vectors, values and positions are
+stored with full float precision (repr round trip); metrics and summary
+files print reals to 6 decimal places.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .model import Ad, PoA, VehicleProfile
-
-if TYPE_CHECKING:
-    from .sim import StepMetrics
+from .sim import MobilityTrace, StepMetrics
 
 __all__ = [
     "ADS_HEADER_PREFIX",
     "METRICS_HEADER",
     "SUMMARY_HEADER",
+    "TRACE_HEADER",
     "atomic_write_text",
     "load_ads_csv",
     "load_poas_csv",
     "load_profiles_csv",
+    "load_trace",
     "render_metrics_csv",
     "render_summary_row",
     "write_ads_csv",
     "write_mapping_csv",
+    "write_metrics_csv",
     "write_poas_csv",
     "write_profiles_csv",
+    "write_summary_csv",
+    "write_trace_csv",
 ]
 
 ADS_HEADER_PREFIX = "ad_id,f1"
 METRICS_HEADER = "step,strategy,revenue_cum,impressions_cum,avg_distance_cum,broadcasts_cum"
 SUMMARY_HEADER = "strategy,seed,param_value,final_revenue,final_impressions,final_avg_distance"
+TRACE_HEADER = "step,vehicle_id,x_m,y_m"
+
+# In a header, _FEATURES stands for the feature columns f1, ..., fn, n >= 1.
+_FEATURES = "f1,...,fn"
+_ADS_HEADER = f"ad_id,{_FEATURES},base_value,scope,target_poa"
+_POAS_HEADER = "poa_id,x_m,y_m,range_m"
+_PROFILES_HEADER = f"vehicle_id,{_FEATURES}"
+_MAPPING_HEADER = "removed_ad_id,representative_ad_id,distance"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -55,143 +68,163 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _feature_header(n_dims: int) -> list[str]:
-    return [f"f{i + 1}" for i in range(n_dims)]
+def _with_features(header: str, n_dims: int) -> str:
+    return header.replace(_FEATURES, ",".join(f"f{i + 1}" for i in range(n_dims)))
+
+
+def _csv_text(header: str, rows: Iterable[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _write_csv(path, header: str, rows: Iterable[str]) -> None:
+    """Write the header line, then one line per rendered row."""
+    atomic_write_text(path, _csv_text(header, rows))
+
+
+def _read_csv(path, header: str, parse_row: Callable, collect: Callable = list, key=None):
+    """Parse the CSV file at `path`; returns `collect` of its records.
+
+    The first line must be `header`, its `f1,...,fn` standing for one or
+    more feature columns. Each non-blank line after it must have as many
+    fields as the header, and `parse_row(fields)` makes it a record. No two
+    records may share the attribute named `key`, if given. `collect` takes
+    the records as they are read, so an error it raises names the line at
+    fault too. Any ValueError is raised again as "{path}: line N: ...", the
+    header being line 1.
+    """
+    lineno = 1
+
+    def records(fh, width: int):
+        nonlocal lineno
+        seen: dict = {}  # key -> the line it is on
+        for lineno, raw in enumerate(fh, start=2):
+            raw = raw.rstrip("\n")
+            if not raw:
+                continue
+            fields = raw.split(",")
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            record = parse_row(fields)
+            if key is not None:
+                k = getattr(record, key)
+                if k in seen:
+                    raise ValueError(f"{key} {k} repeats line {seen[k]}")
+                seen[k] = lineno
+            yield record
+
+    with open(path) as fh:
+        try:
+            line = fh.readline().rstrip("\n")
+            width = line.count(",") + 1
+            n_dims = width - header.count(",") + _FEATURES.count(",")
+            if n_dims < 1 or line != _with_features(header, n_dims):
+                raise ValueError(f"unexpected header {line!r}: want {header!r}")
+            return collect(records(fh, width))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
+def _features(values: np.ndarray) -> str:
+    return ",".join(map(repr, values.tolist()))
 
 
 def write_ads_csv(path, ads: Sequence[Ad]) -> None:
-    n_dims = len(np.asarray(ads[0].features)) if ads else 1
-    lines = ["ad_id," + ",".join(_feature_header(n_dims)) + ",base_value,scope,target_poa"]
-    for ad in ads:
-        feats = ",".join(map(repr, np.asarray(ad.features, dtype=float).tolist()))
-        scope = "G" if ad.is_global else "L"
-        target = "" if ad.target_poa is None else str(ad.target_poa)
-        lines.append(f"{ad.ad_id},{feats},{repr(ad.base_value)},{scope},{target}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        f"{ad.ad_id},{_features(ad.features)},{ad.base_value!r},"
+        + ("G," if ad.is_global else f"L,{ad.target_poa}")
+        for ad in ads
+    )
+    _write_csv(path, _with_features(_ADS_HEADER, len(ads[0].features) if ads else 1), rows)
+
+
+def _parse_ad(fields: list[str]) -> Ad:
+    scope, target = fields[-2:]
+    if scope not in ("G", "L"):
+        raise ValueError(f"scope must be G or L, got {scope!r}")
+    if scope == "G" and target:
+        raise ValueError("Global ad with a target_poa")
+    target_poa = int(target) if scope == "L" else None
+    return Ad(int(fields[0]), [float(x) for x in fields[1:-3]], float(fields[-3]), target_poa)
 
 
 def load_ads_csv(path) -> list[Ad]:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if (
-            not header.startswith(ADS_HEADER_PREFIX)
-            or cols[-3:] != ["base_value", "scope", "target_poa"]
-        ):
-            raise ValueError(
-                f"unexpected ads header {header!r}: want '{ADS_HEADER_PREFIX},...,"
-                "base_value,scope,target_poa'"
-            )
-        n_dims = len(cols) - 4
-        ads = []
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split(",")
-            try:
-                if len(parts) != n_dims + 4:
-                    raise ValueError(f"expected {n_dims + 4} fields, got {len(parts)}")
-                ad_id = int(parts[0])
-                feats = np.array([float(x) for x in parts[1 : 1 + n_dims]])
-                value = float(parts[1 + n_dims])
-                scope, target = parts[2 + n_dims], parts[3 + n_dims]
-                if scope == "G":
-                    if target:
-                        raise ValueError("Global ad with a target_poa")
-                    target_poa = None
-                elif scope == "L":
-                    target_poa = int(target)
-                else:
-                    raise ValueError(f"scope must be G or L, got {scope!r}")
-                ads.append(
-                    Ad(ad_id=ad_id, features=feats, base_value=value, target_poa=target_poa)
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return ads
+    return _read_csv(path, _ADS_HEADER, _parse_ad, key="ad_id")
 
 
 def write_poas_csv(path, poas: Sequence[PoA]) -> None:
-    lines = ["poa_id,x_m,y_m,range_m"]
-    for p in poas:
-        lines.append(f"{p.poa_id},{repr(p.x_m)},{repr(p.y_m)},{repr(p.range_m)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{p.poa_id},{p.x_m!r},{p.y_m!r},{p.range_m!r}" for p in poas)
+    _write_csv(path, _POAS_HEADER, rows)
 
 
 def load_poas_csv(path) -> list[PoA]:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "poa_id,x_m,y_m,range_m":
-            raise ValueError(f"unexpected PoA header {header!r}")
-        poas = []
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            try:
-                pid, x, y, r = raw.split(",")
-                poas.append(PoA(poa_id=int(pid), x_m=float(x), y_m=float(y), range_m=float(r)))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return poas
+    return _read_csv(
+        path, _POAS_HEADER, lambda f: PoA(int(f[0]), *map(float, f[1:])), key="poa_id"
+    )
 
 
 def write_profiles_csv(path, profiles: Sequence[VehicleProfile]) -> None:
-    n_dims = len(np.asarray(profiles[0].interests)) if profiles else 1
-    lines = ["vehicle_id," + ",".join(_feature_header(n_dims))]
-    for prof in profiles:
-        feats = ",".join(map(repr, np.asarray(prof.interests, dtype=float).tolist()))
-        lines.append(f"{prof.vehicle_id},{feats}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    n_dims = len(profiles[0].interests) if profiles else 1
+    rows = (f"{p.vehicle_id},{_features(p.interests)}" for p in profiles)
+    _write_csv(path, _with_features(_PROFILES_HEADER, n_dims), rows)
 
 
 def load_profiles_csv(path) -> list[VehicleProfile]:
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if cols[0] != "vehicle_id" or len(cols) < 2:
-            raise ValueError(f"unexpected profiles header {header!r}")
-        n_dims = len(cols) - 1
-        profiles = []
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split(",")
-            try:
-                if len(parts) != n_dims + 1:
-                    raise ValueError(f"expected {n_dims + 1} fields, got {len(parts)}")
-                profiles.append(
-                    VehicleProfile(
-                        vehicle_id=int(parts[0]),
-                        interests=np.array([float(x) for x in parts[1:]]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return profiles
+    return _read_csv(
+        path,
+        _PROFILES_HEADER,
+        lambda f: VehicleProfile(int(f[0]), [float(x) for x in f[1:]]),
+        key="vehicle_id",
+    )
+
+
+def write_trace_csv(path, trace: MobilityTrace) -> None:
+    rows = (
+        f"{step},{vid},{x!r},{y!r}"
+        for step in range(trace.n_steps)
+        for vid, (x, y) in trace.positions_at(step).items()
+    )
+    _write_csv(path, TRACE_HEADER, rows)
+
+
+def load_trace(path) -> MobilityTrace:
+    """Parse a trace CSV; rows may arrive in any step order. A malformed or
+    invalid row raises ValueError naming the file and line."""
+    return _read_csv(
+        path,
+        TRACE_HEADER,
+        lambda f: (int(f[0]), int(f[1]), float(f[2]), float(f[3])),
+        collect=MobilityTrace.from_records,
+    )
 
 
 def write_mapping_csv(path, rows: Iterable[tuple[int, int, float]]) -> None:
     """Sparsification mapping: removed ad, its representative, their distance."""
-    lines = ["removed_ad_id,representative_ad_id,distance"]
-    for removed, rep, dist in rows:
-        lines.append(f"{removed},{rep},{dist:.6f}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = (f"{removed},{rep},{dist:.6f}" for removed, rep, dist in rows)
+    _write_csv(path, _MAPPING_HEADER, lines)
 
 
-def render_metrics_csv(strategy: str, metrics: Sequence["StepMetrics"]) -> str:
-    lines = [METRICS_HEADER]
-    for row in metrics:
-        lines.append(
-            f"{row.step},{strategy},{row.revenue_cum:.6f},{row.impressions_cum},"
-            f"{row.avg_distance_cum:.6f},{row.broadcasts_cum}"
-        )
-    return "\n".join(lines) + "\n"
+def _metrics_rows(strategy: str, metrics: Sequence[StepMetrics]) -> Iterable[str]:
+    return (
+        f"{row.step},{strategy},{row.revenue_cum:.6f},{row.impressions_cum},"
+        f"{row.avg_distance_cum:.6f},{row.broadcasts_cum}"
+        for row in metrics
+    )
 
 
-def render_summary_row(strategy: str, seed: int, param_value: str, last: "StepMetrics") -> str:
+def render_metrics_csv(strategy: str, metrics: Sequence[StepMetrics]) -> str:
+    return _csv_text(METRICS_HEADER, _metrics_rows(strategy, metrics))
+
+
+def write_metrics_csv(path, strategy: str, metrics: Sequence[StepMetrics]) -> None:
+    _write_csv(path, METRICS_HEADER, _metrics_rows(strategy, metrics))
+
+
+def write_summary_csv(path, rows: Iterable[str]) -> None:
+    """A run's finals, one `render_summary_row` row per job."""
+    _write_csv(path, SUMMARY_HEADER, rows)
+
+
+def render_summary_row(strategy: str, seed: int, param_value: str, last: StepMetrics) -> str:
     return (
         f"{strategy},{seed},{param_value},{last.revenue_cum:.6f},"
         f"{last.impressions_cum},{last.avg_distance_cum:.6f}"

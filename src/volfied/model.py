@@ -67,7 +67,7 @@ class Ad:
     target_poa: int | None = None
 
     def __post_init__(self):
-        as_features(self.features)
+        object.__setattr__(self, "features", as_features(self.features))
         if not self.base_value > 0:
             raise ValueError(f"ad {self.ad_id}: base_value must be > 0, got {self.base_value}")
         if not math.isfinite(self.base_value):
@@ -105,7 +105,7 @@ class VehicleProfile:
     interests: FeatureVector  # shape (n,)
 
     def __post_init__(self):
-        as_features(self.interests)
+        object.__setattr__(self, "interests", as_features(self.interests))
 
 
 def distance(metric: DistanceMetric, f1: FeatureVector, f2: FeatureVector) -> float:

@@ -225,7 +225,7 @@ def instance_to_json(instance: OracleInstance) -> dict:
         "ads": [
             {
                 "ad_id": a.ad_id,
-                "features": [float(x) for x in np.asarray(a.features, dtype=float)],
+                "features": a.features.tolist(),
                 "base_value": a.base_value,
                 "target_poa": a.target_poa,
             }
@@ -234,7 +234,7 @@ def instance_to_json(instance: OracleInstance) -> dict:
         "vehicles": [
             {
                 "vehicle_id": v.vehicle_id,
-                "interests": [float(x) for x in np.asarray(v.interests, dtype=float)],
+                "interests": v.interests.tolist(),
             }
             for v in instance.vehicles
         ],
@@ -259,17 +259,14 @@ def instance_from_json(doc: dict) -> OracleInstance:
         ads = tuple(
             Ad(
                 ad_id=int(a["ad_id"]),
-                features=np.array(a["features"], dtype=float),
+                features=a["features"],
                 base_value=float(a["base_value"]),
                 target_poa=None if a.get("target_poa") is None else int(a["target_poa"]),
             )
             for a in doc["ads"]
         )
         vehicles = tuple(
-            VehicleProfile(
-                vehicle_id=int(v["vehicle_id"]),
-                interests=np.array(v["interests"], dtype=float),
-            )
+            VehicleProfile(vehicle_id=int(v["vehicle_id"]), interests=v["interests"])
             for v in doc["vehicles"]
         )
         coverage = {

@@ -37,13 +37,10 @@ __all__ = [
     "SimConfig",
     "StepMetrics",
     "STRATEGIES",
-    "load_trace",
     "rng_stream",
     "run",
-    "write_trace_csv",
 ]
 
-TRACE_HEADER = "step,vehicle_id,x_m,y_m"
 # vehicle ids are held in an int64 array
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -126,43 +123,6 @@ class MobilityTrace:
         return MobilityTrace(positions=positions, ids=ids)
 
 
-def load_trace(path) -> MobilityTrace:
-    """Parse a trace CSV; rows may arrive in any step order. A malformed or
-    invalid row raises ValueError naming the file and line."""
-    lineno = 1
-
-    def records(fh):
-        nonlocal lineno
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if raw:
-                s, v, x, y = raw.split(",")
-                yield int(s), int(v), float(x), float(y)
-
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TRACE_HEADER:
-            raise ValueError(f"missing or wrong trace header: want {TRACE_HEADER!r}")
-        try:
-            return MobilityTrace.from_records(records(fh))
-        except ValueError as exc:
-            # from_records checks each record as it arrives, so the line
-            # last yielded is the one at fault
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-
-
-def write_trace_csv(path, trace: MobilityTrace) -> None:
-    from .files import atomic_write_text
-
-    lines = [TRACE_HEADER]
-    for step in range(trace.n_steps):
-        xy = trace.positions[step]
-        here = ~np.isnan(xy[:, 0])
-        for vid, (x, y) in zip(trace.ids[here].tolist(), xy[here].tolist()):
-            lines.append(f"{step},{vid},{x!r},{y!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation knobs; the defaults are the reference configuration."""
@@ -190,6 +150,7 @@ class SimConfig:
     step_duration_s: float = 60.0
 
     def __post_init__(self):
+        SelectionParams.check(self.k, self.m, self.d_max)
         if not 0.0 <= self.detection_accuracy <= 1.0:
             raise ValueError("detection_accuracy must lie in [0, 1]")
         if self.n_dims < 1:

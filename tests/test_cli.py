@@ -160,19 +160,45 @@ class TestSweep:
         assert all(r.split(",")[2] in {"1", "2"} for r in rows)
 
     def test_failed_jobs_named_in_order_and_others_written(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+        # epsilon is checked only when a job sparsifies its catalog
+        cfg = write_config(tmp_path, use_sparse=True)
         out = tmp_path / "out"
-        rc = main(["sweep", "--config", str(cfg), "--out", str(out),
-                   "--seed", "1", "--strategy", "volfied,topk", "--sweep", "k=0,1"])
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "1",
+                   "--strategy", "volfied,topk", "--sweep", "epsilon=0,0.05"])
         assert rc == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2
-        assert errors[0].startswith("error: run failed: strategy=volfied seed=1 k=0: ")
-        assert errors[1].startswith("error: run failed: strategy=topk seed=1 k=0: ")
+        assert errors[0].startswith("error: run failed: strategy=volfied seed=1 epsilon=0: ")
+        assert errors[1].startswith("error: run failed: strategy=topk seed=1 epsilon=0: ")
         names = sorted(p.name for p in out.glob("metrics_*.csv"))
-        assert names == ["metrics_topk_seed1_k_1.csv", "metrics_volfied_seed1_k_1.csv"]
+        assert names == [
+            "metrics_topk_seed1_epsilon_0.05.csv", "metrics_volfied_seed1_epsilon_0.05.csv"
+        ]
         rows = (out / "summary.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[:3] for r in rows] == [["volfied", "1", "1"], ["topk", "1", "1"]]
+        assert [r.split(",")[:3] for r in rows] == [
+            ["volfied", "1", "0.05"], ["topk", "1", "0.05"]
+        ]
+
+    @pytest.mark.parametrize(
+        "config, sweep, message",
+        [
+            ({"k": 0}, [], "k and m must be >= 1, got k=0 m=1"),
+            ({"m": 0}, [], "k and m must be >= 1, got k=5 m=0"),
+            ({"d_max": 0.0}, [], "d_max must be > 0, got 0.0"),
+            ({}, ["--sweep", "k=0,5"], "k and m must be >= 1, got k=0 m=1"),
+        ],
+    )
+    def test_bad_selection_params_rejected_before_output(
+        self, tmp_path, capsys, config, sweep, message
+    ):
+        cfg = write_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **config}))
+        out = tmp_path / "out"
+        command = "sweep" if sweep else "run"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--seed", "0,1", *sweep]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_sweep_requires_param(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -247,6 +273,16 @@ class TestSparsify:
         assert mapping[0] == "removed_ad_id,representative_ad_id,distance"
         assert mapping[1] == "2,1,0.020000"
         assert mapping[2] == "3,1,0.010000"
+
+    def test_repeated_ad_id_rejected(self, tmp_path, capsys):
+        ads_csv = tmp_path / "ads.csv"
+        ads_csv.write_text(
+            "ad_id,f1,base_value,scope,target_poa\n1,0.5,0.9,G,\n1,0.9,0.8,G,\n"
+        )
+        out = tmp_path / "out"
+        assert main(["sparsify", str(ads_csv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {ads_csv}: line 3: ad_id 1 repeats line 2\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("metric", ["euclidean", "angular"])
     def test_mapping_distances_are_per_pair(self, tmp_path, monkeypatch, metric):

@@ -1,4 +1,4 @@
-"""Catalog/population CSV round trips and the plot-ready output formats."""
+"""Catalog/population/trace CSV round trips and the plot-ready output formats."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,19 @@ from volfied.files import (
     ADS_HEADER_PREFIX,
     METRICS_HEADER,
     SUMMARY_HEADER,
+    TRACE_HEADER,
     atomic_write_text,
     load_ads_csv,
     load_poas_csv,
     load_profiles_csv,
+    load_trace,
     render_metrics_csv,
     render_summary_row,
     write_ads_csv,
     write_mapping_csv,
     write_poas_csv,
     write_profiles_csv,
+    write_trace_csv,
 )
 from volfied.model import Ad, PoA, VehicleProfile
 from volfied.sim import StepMetrics
@@ -65,6 +68,69 @@ class TestAdsCsv:
         path.write_text("nope,f1\n")
         with pytest.raises(ValueError, match=ADS_HEADER_PREFIX):
             load_ads_csv(path)
+
+
+# (loader, writer, header, two rows in the writer's form, a row repeating the
+# first row's id, the error it gives)
+FORMATS = {
+    "ads": (
+        load_ads_csv, write_ads_csv, "ad_id,f1,f2,base_value,scope,target_poa",
+        ["1,0.5,0.25,1.0,G,", "2,0.1,0.2,0.3,L,4"], "1,0.2,0.2,0.5,G,", "ad_id 1 repeats line 2",
+    ),
+    "poas": (
+        load_poas_csv, write_poas_csv, "poa_id,x_m,y_m,range_m",
+        ["0,0.0,0.0,150.0", "3,100.0,0.0,150.0"], "0,5.0,5.0,90.0", "poa_id 0 repeats line 2",
+    ),
+    "profiles": (
+        load_profiles_csv, write_profiles_csv, "vehicle_id,f1,f2",
+        ["7,0.5,0.25", "8,0.1,0.2"], "7,1.0,1.0", "vehicle_id 7 repeats line 2",
+    ),
+    "trace": (
+        load_trace, write_trace_csv, TRACE_HEADER,
+        ["0,1,0.0,0.0", "1,1,5.0,0.0"], "0,1,3.0,0.0", "vehicle 1 appears twice at step 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+class TestLoaders:
+    """What every CSV loader shares: header check, field count, blank lines,
+    repeated ids, and the file and line named in each error."""
+
+    def raises(self, tmp_path, fmt, lines, lineno, message):
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            FORMATS[fmt][0](path)
+        assert str(info.value) == f"{path}: line {lineno}: {message}"
+
+    def test_wrong_header_names_file_and_line_1(self, tmp_path, fmt):
+        _, _, header, rows, _, _ = FORMATS[fmt]
+        for wrong in (header[:-1], header + ",extra", "", "x" + header):
+            self.raises(
+                tmp_path, fmt, [wrong, *rows], 1, f"unexpected header {wrong!r}: want "
+                + repr(header.replace("f1,f2", "f1,...,fn"))
+            )
+
+    def test_short_row_names_field_count(self, tmp_path, fmt):
+        _, _, header, rows, _, _ = FORMATS[fmt]
+        width = header.count(",") + 1
+        short = rows[1].rsplit(",", 1)[0]
+        self.raises(
+            tmp_path, fmt, [header, rows[0], short], 3,
+            f"expected {width} fields, got {width - 1}",
+        )
+
+    def test_blank_lines_skipped(self, tmp_path, fmt):
+        load, write, header, rows, _, _ = FORMATS[fmt]
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text("\n".join([header, "", rows[0], "", "", rows[1], ""]) + "\n")
+        write(path, load(path))
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"
+
+    def test_repeated_id_names_both_lines(self, tmp_path, fmt):
+        _, _, header, rows, repeat, message = FORMATS[fmt]
+        self.raises(tmp_path, fmt, [header, rows[0], rows[1], repeat], 4, message)
 
 
 class TestFeatureRendering:

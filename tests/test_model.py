@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from volfied.broker import RevenueEstimator, SelectionParams
 from volfied.model import (
     Ad,
     DistanceMetric,
@@ -281,6 +282,17 @@ class TestValidation:
             VehicleProfile(vehicle_id=0, interests=np.float64(0.5))
         with pytest.raises(ValueError, match="expected 3 features"):
             as_features([0.1, 0.2], n=3)
+
+    def test_validated_float_array_is_kept(self):
+        ad = Ad(ad_id=1, features=np.array([1, 2]), base_value=0.5)
+        profile = VehicleProfile(vehicle_id=0, interests=[1, 2])
+        for f in (ad.features, profile.interests):
+            assert isinstance(f, np.ndarray) and f.dtype == np.float64
+            assert f.tolist() == [1.0, 2.0]
+        # a list of interests goes through the estimator's enter and revenue
+        est = RevenueEstimator(SelectionParams(k=1, m=1, d_max=0.5, metric=EUCL), {0: [ad]})
+        est.on_vehicle_enter(0, VehicleProfile(vehicle_id=1, interests=[1.0, 2.25]), True)
+        assert est.revenue(0, 1) == 0.5
 
     def test_poa_range_positive(self):
         with pytest.raises(ValueError):

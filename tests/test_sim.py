@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 import volfied.sim
 from conftest import estimator_for, random_instance, realized_revenue
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
+from volfied.files import load_trace, write_trace_csv
 from volfied.model import Ad, DistanceMetric, PoA, VehicleProfile
 from volfied.oracle import OracleInstance
 from volfied.scenario import gen_poas, gen_population, gen_synthetic
-from volfied.sim import MobilityTrace, SimConfig, _CoverageIndex, load_trace, run, write_trace_csv
+from volfied.sim import MobilityTrace, SimConfig, _CoverageIndex, run
 from volfied.vehicle import VehicleState, step_display
 
 EUCL = DistanceMetric.EUCLIDEAN
