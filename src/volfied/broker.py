@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -21,6 +20,7 @@ import numpy as np
 
 from .model import (
     Ad,
+    AdTable,
     DistanceMetric,
     VehicleProfile,
     count_within,
@@ -104,21 +104,10 @@ class _PoaState:
 
     __slots__ = ("row", "ads", "present")
 
-    def __init__(self, row: int, ads: list[Ad]):
+    def __init__(self, row: int, ads: Sequence[Ad]):
         self.row = row
         self.ads = ads
         self.present: dict[int, RelevanceMemo] = {}
-
-
-_AD_ID = operator.attrgetter("ad_id")
-
-
-def _same_ad(a: Ad, b: Ad) -> bool:
-    return a is b or (
-        a.base_value == b.base_value
-        and a.target_poa == b.target_poa
-        and np.array_equal(a.features, b.features)
-    )
 
 
 def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
@@ -160,7 +149,7 @@ class RevenueEstimator:
     are the one-event cases.
     """
 
-    def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, list[Ad]]):
+    def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, Sequence[Ad]]):
         self.params = params
         self._registry: dict[int, set[int]] = {}
         # broadcasts not yet in _registry: (vehicle ids present, ad ids)
@@ -170,41 +159,43 @@ class RevenueEstimator:
         # every candidate, PoA after PoA; an id's union row holds the first
         # of them to carry it, and union rows ascend with ad id
         pids = list(candidates_by_poa)
-        per_poa = [list(ads) for ads in candidates_by_poa.values()]
-        flat = list(itertools.chain.from_iterable(per_poa))
-        ids = np.fromiter(map(_AD_ID, flat), dtype=np.int64, count=len(flat))
+        tables = []
+        for pid, ads in candidates_by_poa.items():
+            if not isinstance(ads, AdTable) and len({a.ad_id for a in ads}) < len(ads):
+                raise ValueError(f"duplicate ad ids in candidates for poa {pid}")
+            tables.append(AdTable.from_ads(ads))
+        ids = np.concatenate([np.zeros(0, np.int64), *(t.ids for t in tables)])
+        base = np.concatenate([np.zeros(0), *(t.base_values for t in tables)])
+        target = np.concatenate([np.zeros(0, np.int64), *(t.target_poa for t in tables)])
+        feats = [t.features for t in tables if len(t)]
+        feats = np.concatenate(feats) if feats else np.zeros((0, 0))
         order = np.argsort(ids, kind="stable")
-        starts = np.ones(len(flat), dtype=bool)
+        starts = np.ones(len(ids), dtype=bool)
         starts[1:] = ids[order[1:]] != ids[order[:-1]]
         holder = order[starts]  # flat index of each union row's ad
-        rows = np.empty(len(flat), dtype=np.int64)
+        rows = np.empty(len(ids), dtype=np.int64)
         rows[order] = np.cumsum(starts) - 1
-        sizes = [len(ads) for ads in per_poa]
-        stops = np.cumsum(sizes).tolist()
-        # an id carried by another object than its row's must name the same ad
-        objects = np.fromiter(map(id, flat), dtype=np.uint64, count=len(flat))
-        for i in np.flatnonzero(objects != objects[holder[rows]]).tolist():
-            if not _same_ad(flat[holder[rows[i]]], flat[i]):
-                pid = pids[bisect.bisect_right(stops, i)]
-                raise ValueError(f"ad id {flat[i].ad_id} names different ads at poa {pid}")
-        union = [flat[i] for i in holder.tolist()]
+        stops = np.cumsum([len(t) for t in tables]).tolist()
+        # an id carried at several PoAs must name the same ad at each
+        first = holder[rows]
+        same = (feats == feats[first]).all(axis=1)
+        same &= (base == base[first]) & (target == target[first])
+        if not same.all():
+            i = int(np.argmin(same))
+            pid = pids[bisect.bisect_right(stops, i)]
+            raise ValueError(f"ad id {ids[i]} names different ads at poa {pid}")
         self._union_ids = ids[holder]
-        self._union_feats = np.array([a.features for a in union]) if union else np.zeros((0, 0))
-        base = np.array([a.base_value for a in union], dtype=float)
-        targets = [a.target_poa for a in union]
-        is_global = np.array([t is None for t in targets], dtype=bool)
-        target = np.array([-1 if t is None else t for t in targets])
-        shape = (len(pids), len(union))
+        self._union_feats = feats[holder]
+        base, target = base[holder], target[holder]
+        shape = (len(pids), len(holder))
         self._candidate = np.zeros(shape, dtype=bool)
         self._poas = {}
-        for row, (pid, ads, stop, size) in enumerate(zip(pids, per_poa, stops, sizes)):
-            self._candidate[row, rows[stop - size : stop]] = True
-            if np.count_nonzero(self._candidate[row]) < size:
-                raise ValueError(f"duplicate ad ids in candidates for poa {pid}")
+        for row, (pid, ads, stop) in enumerate(zip(pids, tables, stops)):
+            self._candidate[row, rows[stop - len(ads) : stop]] = True
             self._poas[pid] = _PoaState(row, ads)
         # ad_value over the table at once: a candidate in scope is worth its
         # base value, any other cell 0
-        in_scope = is_global | (target == np.array(pids, dtype=np.int64)[:, None])
+        in_scope = (target < 0) | (target == np.array(pids, dtype=np.int64)[:, None])
         self._values = np.where(self._candidate & in_scope, base, 0.0)
         self._counts = np.zeros(shape, dtype=np.int64)
         # the cells selected by the broadcasts in progress
@@ -215,7 +206,7 @@ class RevenueEstimator:
         # The relevance window: union rows sorted on the first coordinate of
         # their window points, and the second coordinate (the first again
         # in 1-D) in the same order.
-        if union:
+        if len(holder):
             points, self._reach = window_points(params.metric, self._union_feats, params.d_max)
             self._axes = (0, min(1, points.shape[1] - 1))
             self._by_first = np.argsort(points[:, 0], kind="stable")
@@ -246,7 +237,7 @@ class RevenueEstimator:
         self._unfiled.clear()
         return self._registry
 
-    def candidate_ads(self, poa: int) -> list[Ad]:
+    def candidate_ads(self, poa: int) -> Sequence[Ad]:
         return self._poas[poa].ads
 
     def revenue(self, poa: int, ad_id: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -145,15 +146,12 @@ def _cmd_sparsify(args) -> int:
     ads = load_ads_csv(args.ads_csv)
     sparse = m_sparse_set(ads, config.epsilon, config.m, config.metric)
     os.makedirs(args.out, exist_ok=True)
-    write_ads_csv(os.path.join(args.out, "ads_sparse.csv"), list(sparse.ads))
-    by_id = {a.ad_id: a for a in ads}
-    pairs = sorted(sparse.mapping.items())
-    dists = []
-    if pairs:
-        removed = np.array([by_id[r].features for r, _ in pairs])
-        kept = np.array([by_id[k].features for _, k in pairs])
-        dists = paired_distances(config.metric, removed, kept).tolist()
-    rows = [(r, k, d) for (r, k), d in zip(pairs, dists)]
+    write_ads_csv(os.path.join(args.out, "ads_sparse.csv"), sparse.ads)
+    pairs = np.array(sorted(sparse.mapping.items()), dtype=np.int64).reshape(-1, 2)
+    by_id = np.argsort(ads.ids)
+    at = by_id[np.searchsorted(ads.ids, pairs, sorter=by_id)]  # the table row of each id
+    dists = paired_distances(config.metric, ads.features[at[:, 0]], ads.features[at[:, 1]])
+    rows = list(zip(*pairs.T.tolist(), dists.tolist()))
     write_mapping_csv(os.path.join(args.out, "mapping.csv"), rows)
     return 0
 
@@ -219,6 +217,7 @@ def _cmd_run(args, sweep_required: bool) -> int:
     return 1 if failures else 0
 
 
+@functools.cache  # built once; parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volfied", description="Targeted-ad scheduling simulator"

@@ -10,13 +10,15 @@ files print reals to 6 decimal places.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import tempfile
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import Ad, PoA, VehicleProfile
+from .model import Ad, AdTable, PoA, VehicleProfile
 from .sim import MobilityTrace, StepMetrics
 
 __all__ = [
@@ -124,31 +126,63 @@ def _read_csv(path, header: str, parse_row: Callable, collect: Callable = list, 
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
 
-def _features(values: np.ndarray) -> str:
-    return ",".join(map(repr, values.tolist()))
-
-
 def write_ads_csv(path, ads: Sequence[Ad]) -> None:
-    rows = (
-        f"{ad.ad_id},{_features(ad.features)},{ad.base_value!r},"
-        + ("G," if ad.is_global else f"L,{ad.target_poa}")
-        for ad in ads
+    table = AdTable.from_ads(ads)
+    scopes = ["G," if t < 0 else f"L,{t}" for t in table.target_poa.tolist()]
+    columns = (
+        map(str, table.ids.tolist()),
+        *(map(repr, column) for column in table.features.T.tolist()),
+        map(repr, table.base_values.tolist()),
+        scopes,
     )
-    _write_csv(path, _with_features(_ADS_HEADER, len(ads[0].features) if ads else 1), rows)
+    n_dims = table.features.shape[1] if len(table) else 1
+    _write_csv(path, _with_features(_ADS_HEADER, n_dims), map(",".join, zip(*columns)))
 
 
-def _parse_ad(fields: list[str]) -> Ad:
-    scope, target = fields[-2:]
+def _target_poa(scope: str, target: str) -> int:
+    """A row's target PoA, -1 for a Global ad."""
     if scope not in ("G", "L"):
         raise ValueError(f"scope must be G or L, got {scope!r}")
-    if scope == "G" and target:
-        raise ValueError("Global ad with a target_poa")
-    target_poa = int(target) if scope == "L" else None
-    return Ad(int(fields[0]), [float(x) for x in fields[1:-3]], float(fields[-3]), target_poa)
+    if scope == "G":
+        if target:
+            raise ValueError("Global ad with a target_poa")
+        return -1
+    poa = int(target)
+    if poa < 0:
+        raise ValueError(f"target_poa must be >= 0, got {poa}")
+    return poa
 
 
-def load_ads_csv(path) -> list[Ad]:
-    return _read_csv(path, _ADS_HEADER, _parse_ad, key="ad_id")
+def _ads_table(rows: Iterable[list[str]]) -> AdTable:
+    """The ads of every row, converted column by column."""
+    columns = list(zip(*rows))
+    if not columns:
+        return AdTable.from_ads([])
+    ids, *feats, values, scopes, targets = columns
+    flat = np.array(list(map(float, itertools.chain.from_iterable(feats))))
+    return AdTable(
+        list(map(int, ids)),
+        flat.reshape(len(feats), len(ids)).T,
+        list(map(float, values)),
+        list(map(_target_poa, scopes, targets)),
+    )
+
+
+def _ad_row(fields: list[str]) -> Ad:
+    """One row, checked as `_ads_table` checks every row."""
+    target = _target_poa(*fields[-2:])
+    ad_id, feats, value = int(fields[0]), list(map(float, fields[1:-3])), float(fields[-3])
+    return AdTable([ad_id], [feats], [value], [target])[0]
+
+
+def load_ads_csv(path) -> AdTable:
+    try:
+        return _read_csv(path, _ADS_HEADER, lambda fields: fields, collect=_ads_table)
+    except ValueError:
+        # Name the first bad row in file order, as the header, field count
+        # and repeated-id checks do: check the rows again one at a time.
+        _read_csv(path, _ADS_HEADER, _ad_row, key="ad_id")
+        raise
 
 
 def write_poas_csv(path, poas: Sequence[PoA]) -> None:
@@ -164,7 +198,7 @@ def load_poas_csv(path) -> list[PoA]:
 
 def write_profiles_csv(path, profiles: Sequence[VehicleProfile]) -> None:
     n_dims = len(profiles[0].interests) if profiles else 1
-    rows = (f"{p.vehicle_id},{_features(p.interests)}" for p in profiles)
+    rows = (f"{p.vehicle_id}," + ",".join(map(repr, p.interests.tolist())) for p in profiles)
     _write_csv(path, _with_features(_PROFILES_HEADER, n_dims), rows)
 
 
@@ -178,10 +212,12 @@ def load_profiles_csv(path) -> list[VehicleProfile]:
 
 
 def write_trace_csv(path, trace: MobilityTrace) -> None:
+    ids = trace.ids.tolist()
     rows = (
         f"{step},{vid},{x!r},{y!r}"
-        for step in range(trace.n_steps)
-        for vid, (x, y) in trace.positions_at(step).items()
+        for step, xy in enumerate(trace.positions)
+        for vid, (x, y) in zip(ids, xy.tolist())
+        if not math.isnan(x)  # absent at this step
     )
     _write_csv(path, TRACE_HEADER, rows)
 

@@ -9,6 +9,7 @@ target PoA.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Container, Iterable
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "DistanceMetric",
     "Ad",
+    "AdTable",
     "PoA",
     "VehicleProfile",
     "as_features",
@@ -68,14 +70,130 @@ class Ad:
 
     def __post_init__(self):
         object.__setattr__(self, "features", as_features(self.features))
-        if not self.base_value > 0:
-            raise ValueError(f"ad {self.ad_id}: base_value must be > 0, got {self.base_value}")
-        if not math.isfinite(self.base_value):
-            raise ValueError(f"ad {self.ad_id}: base_value must be finite, got {self.base_value}")
+        _check_base_value(self.ad_id, self.base_value)
 
     @property
     def is_global(self) -> bool:
         return self.target_poa is None
+
+
+def _check_base_value(ad_id: int, value: float) -> None:
+    if not value > 0:
+        raise ValueError(f"ad {ad_id}: base_value must be > 0, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"ad {ad_id}: base_value must be finite, got {value}")
+
+
+class AdTable(Sequence):
+    """A catalog of ads as arrays: row i is ad `ids[i]`, with `features[i]`
+    (an (N, n) float array), `base_values[i]` and `target_poa[i]`, -1 for a
+    Global ad. The arrays are validated once, at construction, and are
+    read-only.
+
+    A table is a sequence of `Ad`s. Row i is an `Ad` built from the arrays,
+    without validating them again, on first access and then kept, so
+    `t[i] is t[i]`. Indexing with a slice, an integer array or a boolean
+    mask gives a table whose rows are this table's own `Ad` objects.
+    """
+
+    __slots__ = ("ids", "features", "base_values", "target_poa", "_rows", "_slots")
+
+    def __init__(self, ids, features, base_values, target_poa):
+        """Raises ValueError, naming the first bad row, unless the features
+        are a finite 2-D array, every base value is finite and > 0, every
+        target PoA is >= 0 or -1, and no id repeats."""
+        try:
+            ids = np.array(ids, dtype=np.int64)
+            target_poa = np.array(target_poa, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("ad ids and target PoAs must fit in 64 bits") from None
+        features = np.array(features, dtype=float, order="C")  # rows reduce as Ad features do
+        base_values = np.array(base_values, dtype=float)
+        n = len(features)
+        if features.ndim != 2 or not ids.shape == base_values.shape == target_poa.shape == (n,):
+            raise ValueError(
+                f"want (N, n) features and N ids, base values and target PoAs, got shapes "
+                f"{features.shape}, {ids.shape}, {base_values.shape}, {target_poa.shape}"
+            )
+        repeats = np.ones(n, dtype=bool)
+        repeats[np.unique(ids, return_index=True)[1]] = False
+        finite = np.isfinite(features).all(axis=1)
+        bad = ~finite | ~(base_values > 0) | ~np.isfinite(base_values)
+        bad |= (target_poa < -1) | repeats
+        if bad.any():
+            r = int(np.argmax(bad))
+            ad_id = int(ids[r])
+            if not finite[r]:
+                raise ValueError("feature vector contains non-finite values")
+            _check_base_value(ad_id, float(base_values[r]))
+            if target_poa[r] < -1:
+                raise ValueError(f"ad {ad_id}: target_poa must be >= 0, got {target_poa[r]}")
+            raise ValueError(f"ad_id {ad_id} repeats row {int(np.argmax(ids == ad_id))}")
+        self._set(ids, features, base_values, target_poa, rows=[None] * n, slots=np.arange(n))
+
+    def _set(self, *arrays, rows: list, slots: np.ndarray) -> None:
+        for name, array in zip(("ids", "features", "base_values", "target_poa"), arrays):
+            array.flags.writeable = False
+            setattr(self, name, array)
+        # the row cache, shared by every table taken from the same one, and
+        # where each of this table's rows sits in it
+        self._rows, self._slots = rows, slots
+
+    @classmethod
+    def from_ads(cls, ads: Sequence[Ad]) -> "AdTable":
+        """A table of `ads` whose rows are the given objects; a table is
+        returned as it is."""
+        if isinstance(ads, AdTable):
+            return ads
+        ads = list(ads)
+        for a in ads:
+            if a.target_poa is not None and a.target_poa < 0:
+                raise ValueError(f"ad {a.ad_id}: target_poa must be >= 0, got {a.target_poa}")
+        table = cls(
+            [a.ad_id for a in ads],
+            [a.features for a in ads] if ads else np.zeros((0, 0)),
+            [a.base_value for a in ads],
+            [-1 if a.target_poa is None else a.target_poa for a in ads],
+        )
+        table._rows[:] = ads
+        return table
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (slice, np.ndarray)):
+            at = np.arange(len(self))[key]
+            taken = object.__new__(AdTable)
+            arrays = (self.ids, self.features, self.base_values, self.target_poa)
+            taken._set(*(a[at] for a in arrays), rows=self._rows, slots=self._slots[at])
+            return taken
+        i = range(len(self))[key]
+        return self._rows[self._slots[i]] or self._build([i])[0]
+
+    def __iter__(self):
+        slots = self._slots.tolist()
+        missing = [i for i, s in enumerate(slots) if self._rows[s] is None]
+        if missing:
+            self._build(missing)
+        return map(self._rows.__getitem__, slots)
+
+    def _build(self, positions: list[int]) -> list[Ad]:
+        """Build and keep the rows at `positions` from the validated arrays."""
+        ids, values, targets, slots = (
+            c[positions].tolist() for c in (self.ids, self.base_values, self.target_poa, self._slots)
+        )
+        built = []
+        for i, ad_id, value, target, slot in zip(positions, ids, values, targets, slots):
+            ad = self._rows[slot] = object.__new__(Ad)
+            ad.__dict__.update(
+                ad_id=ad_id,
+                features=self.features[i],
+                base_value=value,
+                target_poa=None if target < 0 else target,
+            )
+            built.append(ad)
+        return built
 
 
 @dataclass(frozen=True)

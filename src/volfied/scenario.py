@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .model import Ad, PoA, VehicleProfile
+from .model import AdTable, PoA, VehicleProfile
 from .sim import (
     STREAM_ADS,
     STREAM_PROFILES,
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-def gen_ads(config: SimConfig, seed: int) -> list[Ad]:
+def gen_ads(config: SimConfig, seed: int) -> AdTable:
     """Catalog for one seed: features and values uniform on (0, 1), with
     exactly round((1 - global_fraction) * n_ads) Local ads, each targeting
     a uniformly random PoA."""
@@ -40,19 +40,11 @@ def gen_ads(config: SimConfig, seed: int) -> list[Ad]:
     values = ad_rng.uniform(0.0, 1.0, size=config.n_ads)
     values[values == 0.0] = np.nextafter(0.0, 1.0)
     n_local = round((1.0 - config.global_fraction) * config.n_ads)
-    local_idx = set()
+    local = np.zeros(config.n_ads, dtype=bool)
     if n_local:
-        local_idx = set(ad_rng.choice(config.n_ads, size=n_local, replace=False).tolist())
+        local[ad_rng.choice(config.n_ads, size=n_local, replace=False)] = True
     targets = ad_rng.integers(0, config.n_poas, size=config.n_ads)
-    return [
-        Ad(
-            ad_id=i + 1,
-            features=feats[i],
-            base_value=float(values[i]),
-            target_poa=int(targets[i]) if i in local_idx else None,
-        )
-        for i in range(config.n_ads)
-    ]
+    return AdTable(np.arange(1, config.n_ads + 1), feats, values, np.where(local, targets, -1))
 
 
 def gen_profiles(config: SimConfig, seed: int) -> list[VehicleProfile]:
@@ -67,7 +59,7 @@ def gen_profiles(config: SimConfig, seed: int) -> list[VehicleProfile]:
     ]
 
 
-def gen_population(config: SimConfig, seed: int) -> tuple[list[Ad], list[VehicleProfile]]:
+def gen_population(config: SimConfig, seed: int) -> tuple[AdTable, list[VehicleProfile]]:
     """Catalog and vehicle profiles for one seed (independent RNG streams)."""
     return gen_ads(config, seed), gen_profiles(config, seed)
 

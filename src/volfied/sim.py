@@ -28,8 +28,8 @@ from .broker import (
     select_topk,
     select_volfied,
 )
-from .model import Ad, DistanceMetric, PoA, VehicleProfile
-from .sparse import m_sparse_set
+from .model import Ad, AdTable, DistanceMetric, PoA, VehicleProfile
+from .sparse import SparseApproxParams, m_sparse_set
 from .vehicle import VehicleState, step_display
 
 __all__ = [
@@ -151,6 +151,7 @@ class SimConfig:
 
     def __post_init__(self):
         SelectionParams.check(self.k, self.m, self.d_max)
+        SparseApproxParams.check(self.epsilon, self.m)
         if not 0.0 <= self.detection_accuracy <= 1.0:
             raise ValueError("detection_accuracy must lie in [0, 1]")
         if self.n_dims < 1:
@@ -208,33 +209,43 @@ class _CoverageIndex:
         return np.where(covered, best, -1)
 
 
-def _candidates_by_poa(config: SimConfig, ads: Sequence[Ad], poas: Sequence[PoA]):
-    """Eligible ads per PoA: Globals plus the PoA's own Locals, optionally
-    replaced by their sparse approximation."""
-    globals_ = [a for a in ads if a.is_global]
-    locals_by_poa: dict[int, list[Ad]] = {}
-    for a in ads:
-        if not a.is_global:
-            locals_by_poa.setdefault(a.target_poa, []).append(a)
+def _candidates_by_poa(config: SimConfig, catalog: AdTable, poas: Sequence[PoA]):
+    """Eligible ads per PoA, as tables of the catalog's rows: Globals plus
+    the PoA's own Locals, optionally replaced by their sparse approximation."""
+    globals_ = np.flatnonzero(catalog.target_poa < 0)
+
+    def eligible(pid: int) -> AdTable:
+        return catalog[np.concatenate([globals_, np.flatnonzero(catalog.target_poa == pid)])]
 
     if not config.use_sparse:
-        return {p.poa_id: globals_ + locals_by_poa.get(p.poa_id, []) for p in poas}
+        return {p.poa_id: eligible(p.poa_id) for p in poas}
 
-    def sparse(eligible: list[Ad]) -> list[Ad]:
-        return list(
-            m_sparse_set(eligible, config.epsilon, config.m, config.metric).ads
-        )
+    def sparse(eligible: AdTable) -> AdTable:
+        return m_sparse_set(eligible, config.epsilon, config.m, config.metric).ads
 
-    global_only: list[Ad] | None = None
+    global_only: AdTable | None = None
     out = {}
     for p in poas:
-        if not locals_by_poa.get(p.poa_id):
+        if not np.any(catalog.target_poa == p.poa_id):
             if global_only is None:
-                global_only = sparse(globals_)
+                global_only = sparse(catalog[globals_])
             out[p.poa_id] = global_only
         else:
-            out[p.poa_id] = sparse(globals_ + locals_by_poa[p.poa_id])
+            out[p.poa_id] = sparse(eligible(p.poa_id))
     return out
+
+
+class _ByAdId(dict):
+    """Ad id -> the catalog's `Ad`, looked up on first use."""
+
+    def __init__(self, catalog: AdTable):
+        super().__init__()
+        self._catalog = catalog
+        self._row = dict(zip(catalog.ids.tolist(), range(len(catalog))))
+
+    def __missing__(self, ad_id: int) -> Ad:
+        ad = self[ad_id] = self._catalog[self._row[ad_id]]
+        return ad
 
 
 def run(
@@ -256,11 +267,11 @@ def run(
 
     params = config.selection_params
     select = STRATEGIES[config.strategy]
-    candidates = _candidates_by_poa(config, ads, poas)
-    est = RevenueEstimator(params, candidates)
+    catalog = AdTable.from_ads(ads)
+    est = RevenueEstimator(params, _candidates_by_poa(config, catalog, poas))
     index = _CoverageIndex(poas)
     poa_ids = index.ids.tolist()
-    by_ad_id = {a.ad_id: a for a in ads}
+    by_ad_id = _ByAdId(catalog)
     vids = sorted(by_vid)
     vid_of = np.array(vids, dtype=np.int64)
     states = [VehicleState(profile=by_vid[vid]) for vid in vids]

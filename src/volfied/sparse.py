@@ -24,10 +24,11 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .model import Ad, DistanceMetric, distance, paired_distances, window_points
+from .model import Ad, AdTable, DistanceMetric, distance, paired_distances, window_points
 
 __all__ = [
     "SparseApproxParams",
@@ -56,11 +57,18 @@ class SparseApproxParams:
     m: int
     metric: DistanceMetric
 
+    @staticmethod
+    def check(epsilon: float, m: int) -> None:
+        """Raise ValueError unless epsilon is finite and > 0 and m >= 1."""
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        if not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon}")
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        self.check(self.epsilon, self.m)
 
 
 @dataclass(frozen=True)
@@ -68,13 +76,14 @@ class SparseAdSet:
     """Result of the greedy sparsification.
 
     `ads` is in insertion order (per layer, value descending with AdId as
-    tie-break). `mapping` sends each removed original AdId to its surviving
+    tie-break); `m_sparse_set` makes it a table of the input's own `Ad`s.
+    `mapping` sends each removed original AdId to its surviving
     representative; for m > 1 an ad absent from the final set was removed
     once per layer pass and the representative from the last pass is kept.
     `layers` records the 1-based layer of each member.
     """
 
-    ads: list[Ad]
+    ads: Sequence[Ad]
     params: SparseApproxParams
     mapping: dict[int, int] = field(default_factory=dict)
     layers: dict[int, int] = field(default_factory=dict)
@@ -174,7 +183,7 @@ def _greedy_layer(feats, keys, shifts, threshold, metric, removed, rep) -> None:
                     rep[targets] = src[lo]
 
 
-def epsilon_set(ads: list[Ad], epsilon: float, metric: DistanceMetric) -> SparseAdSet:
+def epsilon_set(ads: Sequence[Ad], epsilon: float, metric: DistanceMetric) -> SparseAdSet:
     """Single-layer sparse approximation, `m_sparse_set` with m = 1.
 
     Sorts by value descending (AdId ascending on ties), repeatedly keeps
@@ -185,14 +194,17 @@ def epsilon_set(ads: list[Ad], epsilon: float, metric: DistanceMetric) -> Sparse
     return m_sparse_set(ads, epsilon, 1, metric)
 
 
-def m_sparse_set(ads: list[Ad], epsilon: float, m: int, metric: DistanceMetric) -> SparseAdSet:
+def m_sparse_set(
+    ads: Sequence[Ad], epsilon: float, m: int, metric: DistanceMetric
+) -> SparseAdSet:
     """m-layer sparse approximation: layer i is the single-layer build over
     the ads not selected by layers 1..i-1, and the layers are unioned."""
     params = SparseApproxParams(epsilon=epsilon, m=m, metric=metric)
-    if not ads:
-        return SparseAdSet(ads=[], params=params)
-    ranked = sorted(ads, key=lambda a: (-a.base_value, a.ad_id))
-    feats = np.stack([a.features for a in ranked])
+    table = AdTable.from_ads(ads)
+    if not len(table):
+        return SparseAdSet(ads=table, params=params)
+    ranked = np.lexsort((table.ids, -table.base_values))
+    feats = table.features[ranked]
     keys, shifts = _grid(feats, 2.0 * epsilon, metric)
     layer_of = np.zeros(len(ranked), dtype=np.int64)
     rep = np.full(len(ranked), -1, dtype=np.int64)
@@ -200,13 +212,15 @@ def m_sparse_set(ads: list[Ad], epsilon: float, m: int, metric: DistanceMetric) 
         removed = layer_of > 0
         _greedy_layer(feats, keys, shifts, 2.0 * epsilon, metric, removed, rep)
         layer_of[~removed] = layer
-    reps, layers = rep.tolist(), layer_of.tolist()
-    rows = sorted(np.flatnonzero(layer_of).tolist(), key=layers.__getitem__)
+    kept = np.flatnonzero(layer_of)
+    kept = kept[np.argsort(layer_of[kept], kind="stable")]
+    gone = np.flatnonzero(layer_of == 0)
+    ids = table.ids[ranked]
     return SparseAdSet(
-        ads=[ranked[i] for i in rows],
+        ads=table[ranked[kept]],
         params=params,
-        mapping={ranked[j].ad_id: ranked[reps[j]].ad_id for j, k in enumerate(layers) if not k},
-        layers={ranked[i].ad_id: layers[i] for i in rows},
+        mapping=dict(zip(ids[gone].tolist(), ids[rep[gone]].tolist())),
+        layers=dict(zip(ids[kept].tolist(), layer_of[kept].tolist())),
     )
 
 
@@ -216,7 +230,7 @@ def check_ball_bound(sparse: SparseAdSet, probes, radius: float) -> int:
     probes = np.asarray(probes, dtype=float)
     if not sparse.ads or probes.size == 0:
         return 0
-    members = np.stack([a.features for a in sparse.ads])
+    members = AdTable.from_ads(sparse.ads).features
     return int(_ball_counts(members, probes, radius, sparse.params.metric).max())
 
 

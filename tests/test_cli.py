@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -159,17 +160,24 @@ class TestSweep:
         assert len(rows) == 4
         assert all(r.split(",")[2] in {"1", "2"} for r in rows)
 
-    def test_failed_jobs_named_in_order_and_others_written(self, tmp_path, capsys):
-        # epsilon is checked only when a job sparsifies its catalog
-        cfg = write_config(tmp_path, use_sparse=True)
+    def test_failed_jobs_named_in_order_and_others_written(self, tmp_path, capsys, monkeypatch):
+        # every epsilon = 0.02 job fails inside run(), after the output exists
+        def run(config, *inputs):
+            if config.epsilon == 0.02:
+                raise ValueError("injected failure")
+            return real_run(config, *inputs)
+
+        real_run = volfied.cli.run
+        monkeypatch.setattr(volfied.cli, "run", run)
+        cfg = write_config(tmp_path)
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "1",
-                   "--strategy", "volfied,topk", "--sweep", "epsilon=0,0.05"])
+                   "--strategy", "volfied,topk", "--sweep", "epsilon=0.02,0.05"])
         assert rc == 1
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 2
-        assert errors[0].startswith("error: run failed: strategy=volfied seed=1 epsilon=0: ")
-        assert errors[1].startswith("error: run failed: strategy=topk seed=1 epsilon=0: ")
+        assert errors[0].startswith("error: run failed: strategy=volfied seed=1 epsilon=0.02: ")
+        assert errors[1].startswith("error: run failed: strategy=topk seed=1 epsilon=0.02: ")
         names = sorted(p.name for p in out.glob("metrics_*.csv"))
         assert names == [
             "metrics_topk_seed1_epsilon_0.05.csv", "metrics_volfied_seed1_epsilon_0.05.csv"
@@ -186,6 +194,11 @@ class TestSweep:
             ({"m": 0}, [], "k and m must be >= 1, got k=5 m=0"),
             ({"d_max": 0.0}, [], "d_max must be > 0, got 0.0"),
             ({}, ["--sweep", "k=0,5"], "k and m must be >= 1, got k=0 m=1"),
+            ({"epsilon": 0.0}, [], "epsilon must be > 0, got 0.0"),
+            ({"epsilon": math.nan}, [], "epsilon must be > 0, got nan"),
+            ({"epsilon": math.inf}, [], "epsilon must be finite, got inf"),
+            ({}, ["--sweep", "epsilon=0.05,0"], "epsilon must be > 0, got 0.0"),
+            ({}, ["--sweep", "epsilon=inf"], "epsilon must be finite, got inf"),
         ],
     )
     def test_bad_selection_params_rejected_before_output(

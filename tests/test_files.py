@@ -1,7 +1,11 @@
 """Catalog/population/trace CSV round trips and the plot-ready output formats."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volfied.files import (
     ADS_HEADER_PREFIX,
@@ -21,8 +25,8 @@ from volfied.files import (
     write_profiles_csv,
     write_trace_csv,
 )
-from volfied.model import Ad, PoA, VehicleProfile
-from volfied.sim import StepMetrics
+from volfied.model import Ad, AdTable, PoA, VehicleProfile
+from volfied.sim import MobilityTrace, StepMetrics
 
 
 def sample_ads():
@@ -151,6 +155,112 @@ class TestFeatureRendering:
         path = tmp_path / "profiles.csv"
         write_profiles_csv(path, [VehicleProfile(vehicle_id=4, interests=self.FEATURES)])
         assert path.read_bytes() == f"vehicle_id,f1,f2,f3,f4\n4,{self.RENDERED}\n".encode()
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+SPECIAL = [-0.0, 5e-324, 1e308]
+
+
+@st.composite
+def ad_tables(draw):
+    """Tables of 1-12 ads in 3-5 dimensions; the first row holds -0.0,
+    the smallest subnormal and 1e308, the other features any finite float."""
+    count = draw(st.integers(1, 12))
+    n = draw(st.integers(3, 5))
+    def column(values, size=count, **kw):
+        return draw(st.lists(values, min_size=size, max_size=size, **kw))
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    feats = [column(st.one_of(st.sampled_from(SPECIAL), finite), n) for _ in range(count)]
+    feats[0][:3] = SPECIAL
+    return AdTable(
+        column(INT64, unique=True),
+        feats,
+        column(st.floats(min_value=5e-324, allow_infinity=False)),
+        column(st.one_of(st.just(-1), st.integers(0, 2**63 - 1))),
+    )
+
+
+class TestAdTableCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(ad_tables())
+    def test_round_trip_is_bit_equal(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ads.csv"
+            write_ads_csv(path, table)
+            back = load_ads_csv(path)
+        assert isinstance(back, AdTable) and back.features.flags.c_contiguous
+        for column in ("ids", "features", "base_values", "target_poa"):
+            want, got = getattr(table, column), getattr(back, column)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), column
+
+    def test_table_and_its_rows_write_the_same_bytes(self, tmp_path):
+        table = AdTable(
+            [5, 2**63 - 1, -3], [[-0.0, 0.1 + 0.2], [5e-324, 1e308], [1.0, -2.5]],
+            [0.5, 1e-300, 3.0], [-1, 7, 0],
+        )
+        write_ads_csv(tmp_path / "table.csv", table)
+        write_ads_csv(tmp_path / "rows.csv", list(table))
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "table.csv").read_text().splitlines()[1:] == [
+            "5,-0.0,0.30000000000000004,0.5,G,",
+            "9223372036854775807,5e-324,1e+308,1e-300,L,7",
+            "-3,1.0,-2.5,3.0,L,0",
+        ]
+
+    @pytest.mark.parametrize(
+        "rows, lineno, message",
+        [
+            # a bad float on line 3 comes before a repeated id on line 5
+            (["1,0.5,1.0,G,", "2,oops,1.0,G,", "3,0.5,1.0,G,", "1,0.5,1.0,G,"], 3,
+             "could not convert string to float: 'oops'"),
+            # a repeated id on line 3 comes before a bad float on line 5
+            (["1,0.5,1.0,G,", "1,0.5,1.0,G,", "3,0.5,1.0,G,", "4,oops,1.0,G,"], 3,
+             "ad_id 1 repeats line 2"),
+            # a bad base value on line 3 comes before a short row on line 4
+            (["1,0.5,1.0,G,", "2,0.5,-1.0,G,", "3,0.5,1.0"], 3,
+             "ad 2: base_value must be > 0, got -1.0"),
+            (["1,0.5,1.0,G,", "2,inf,1.0,G,", "2,0.5,1.0,X,"], 3,
+             "feature vector contains non-finite values"),
+            (["1,0.5,1.0,G,", "2,0.5,1.0,X,"], 3, "scope must be G or L, got 'X'"),
+            (["1,0.5,1.0,G,4"], 2, "Global ad with a target_poa"),
+            (["1,0.5,1.0,L,-1"], 2, "target_poa must be >= 0, got -1"),
+            (["1,0.5,1.0,G,", "9223372036854775808,0.5,1.0,G,"], 3,
+             "ad ids and target PoAs must fit in 64 bits"),
+        ],
+    )
+    def test_first_bad_row_in_file_order_named(self, tmp_path, rows, lineno, message):
+        path = tmp_path / "ads.csv"
+        path.write_text("\n".join(["ad_id,f1,base_value,scope,target_poa", *rows]) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_ads_csv(path)
+        assert str(info.value) == f"{path}: line {lineno}: {message}"
+
+
+class TestTraceCsvBytes:
+    def test_absent_vehicle_and_64_bit_ids(self, tmp_path):
+        # the vehicle 2^63 - 1 is absent at step 1 and nobody is at step 2
+        trace = MobilityTrace.from_records([
+            (3, -(2**63), -0.0, 5e-324),
+            (0, 2**63 - 1, 0.1 + 0.2, 1e308),
+            (1, -(2**63), 1.0, 2.0),
+            (0, -(2**63), 1.5, -2.5),
+        ])
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        assert path.read_bytes() == (
+            "step,vehicle_id,x_m,y_m\n"
+            "0,-9223372036854775808,1.5,-2.5\n"
+            "0,9223372036854775807,0.30000000000000004,1e+308\n"
+            "1,-9223372036854775808,1.0,2.0\n"
+            "3,-9223372036854775808,-0.0,5e-324\n"
+        ).encode()
+
+    def test_zero_step_trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, MobilityTrace.from_records([]))
+        assert path.read_bytes() == b"step,vehicle_id,x_m,y_m\n"
 
 
 class TestPoasCsv:

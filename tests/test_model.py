@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volfied.broker import RevenueEstimator, SelectionParams
+import volfied.model
 from volfied.model import (
     Ad,
+    AdTable,
     DistanceMetric,
     PoA,
     VehicleProfile,
@@ -309,3 +311,80 @@ class TestValidation:
     def test_infinite_base_value_rejected(self):
         with pytest.raises(ValueError, match="ad 1: base_value must be finite, got inf"):
             Ad(ad_id=1, features=np.array([0.5]), base_value=np.inf)
+
+
+class TestAdTable:
+    def table(self):
+        feats = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+        return AdTable([7, 3, 9], feats, [0.5, 1.5, 2.0], [-1, 4, -1])
+
+    def test_rows_are_ads_built_once(self, monkeypatch):
+        t = self.table()
+        # rows come from the validated arrays: no feature check runs again
+        monkeypatch.setattr(volfied.model, "as_features", None)
+        assert t[1] is t[1] and t[-2] is t[1] and list(t)[1] is t[1]
+        assert [(a.ad_id, a.base_value, a.target_poa) for a in t] == [
+            (7, 0.5, None), (3, 1.5, 4), (9, 2.0, None)
+        ]
+        assert all(type(a.ad_id) is int and type(a.base_value) is float for a in t)
+        assert t[2].features.tolist() == [0.5, 0.6] and t[2].is_global
+        with pytest.raises(IndexError):
+            t[3]
+
+    def test_slices_share_the_rows(self):
+        t = self.table()
+        first = t[0]
+        mask = np.array([False, True, True])
+        for taken, rows in ((t[1:], [1, 2]), (t[np.array([2, 0])], [2, 0]), (t[mask], [1, 2])):
+            assert taken.ids.tolist() == t.ids[rows].tolist()
+            assert len(taken) == len(rows) and all(a is t[i] for a, i in zip(taken, rows))
+        assert t[np.array([2, 0])][np.array([1])][0] is first
+        # a row first built through a slice of a slice is the table's row too
+        fresh = self.table()
+        assert fresh[::2][1:][0] is fresh[2]
+
+    def test_from_ads_keeps_the_objects(self):
+        ads = [
+            Ad(ad_id=4, features=[1.0, 2.0], base_value=0.5),
+            Ad(ad_id=2, features=[3.0, 4.0], base_value=0.25, target_poa=0),
+        ]
+        t = AdTable.from_ads(ads)
+        assert list(t) == ads and all(a is b for a, b in zip(t, ads))
+        assert t.ids.tolist() == [4, 2] and t.target_poa.tolist() == [-1, 0]
+        assert t[np.array([1])][0] is ads[1]
+        assert AdTable.from_ads(t) is t
+        assert len(AdTable.from_ads([])) == 0
+
+    def test_arrays_are_read_only(self):
+        t = self.table()
+        for array in (t.ids, t.features, t.base_values, t.target_poa, t[0].features):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((5, [np.nan, 0.1], 1.0, -1), "feature vector contains non-finite values"),
+            ((5, [0.1, 0.1], 0.0, -1), "ad 5: base_value must be > 0, got 0.0"),
+            ((5, [0.1, 0.1], np.nan, -1), "ad 5: base_value must be > 0, got nan"),
+            ((5, [0.1, 0.1], np.inf, -1), "ad 5: base_value must be finite, got inf"),
+            ((5, [0.1, 0.1], 1.0, -2), "ad 5: target_poa must be >= 0, got -2"),
+            ((1, [0.1, 0.1], 1.0, -1), "ad_id 1 repeats row 0"),
+        ],
+    )
+    def test_first_bad_row_named(self, row, message):
+        # row 1 is fine; the bad row 2 is named, not the later bad row 3
+        rows = [(1, [0.0, 0.0], 1.0, -1), (2, [0.5, 0.5], 1.0, 3), row, (6, [np.inf, 0], -1, -5)]
+        with pytest.raises(ValueError) as info:
+            AdTable(*map(list, zip(*rows)))
+        assert str(info.value) == message
+
+    def test_from_ads_rejects_what_a_table_cannot_hold(self):
+        with pytest.raises(ValueError, match="ad 1: target_poa must be >= 0, got -1"):
+            AdTable.from_ads([Ad(ad_id=1, features=[0.5], base_value=1.0, target_poa=-1)])
+        with pytest.raises(ValueError, match="ad_id 1 repeats row 0"):
+            AdTable.from_ads([Ad(ad_id=1, features=[0.5], base_value=1.0)] * 2)
+        with pytest.raises(ValueError, match="64 bits"):
+            AdTable([2**63], [[0.5]], [1.0], [-1])
+        with pytest.raises(ValueError, match=r"want \(N, n\) features"):
+            AdTable([1], [0.5], [1.0], [-1])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volfied import sparse
-from volfied.model import Ad, DistanceMetric, count_within, distances_to, paired_distances
+from volfied.model import Ad, AdTable, DistanceMetric, count_within, distances_to, paired_distances
 from volfied.sparse import (
     SparseAdSet,
     SparseApproxParams,
@@ -136,7 +136,7 @@ class TestEpsilonSet:
 
     def test_empty_input(self):
         out = epsilon_set([], epsilon=0.025, metric=EUCL)
-        assert out.ads == [] and out.mapping == {}
+        assert list(out.ads) == [] and out.mapping == {}
 
     def test_all_far_apart_all_kept(self):
         ads = [
@@ -341,6 +341,21 @@ class TestMSparseSet:
         b = m_sparse_set(ads, epsilon=0.06, m=1, metric=EUCL)
         assert [x.ad_id for x in a.ads] == [x.ad_id for x in b.ads]
         assert a.mapping == b.mapping
+
+    @pytest.mark.parametrize("metric", [EUCL, ANG])
+    def test_list_and_table_give_the_same_set(self, metric):
+        rng = np.random.default_rng(37)
+        ads = random_ads(rng, 400, 3)
+        ads[5:9] = [Ad(a.ad_id, ads[4].features, a.base_value) for a in ads[5:9]]  # shared points
+        a = m_sparse_set(ads, epsilon=0.08, m=2, metric=metric)
+        b = m_sparse_set(AdTable.from_ads(ads), epsilon=0.08, m=2, metric=metric)
+        assert len(a.mapping) > 50 and max(a.layers.values()) == 2
+        assert [x.ad_id for x in a.ads] == [x.ad_id for x in b.ads]
+        assert (a.mapping, a.layers) == (b.mapping, b.layers)
+        assert list(a.mapping) == list(b.mapping) and list(a.layers) == list(b.layers)
+        # both sets hold the input's own Ad objects
+        by_id = {x.ad_id: x for x in ads}
+        assert all(x is by_id[x.ad_id] for x in [*a.ads, *b.ads])
 
     def test_large_m_far_apart_returns_input(self):
         ads = [
@@ -548,6 +563,11 @@ class TestParams:
     def test_epsilon_positive_required(self):
         with pytest.raises(ValueError):
             SparseApproxParams(epsilon=0.0, m=1, metric=EUCL)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+    def test_epsilon_finite_and_positive_required(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be"):
+            SparseApproxParams(epsilon=epsilon, m=1, metric=EUCL)
 
     def test_m_at_least_one(self):
         with pytest.raises(ValueError):
