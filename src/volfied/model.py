@@ -169,31 +169,29 @@ class AdTable(Sequence):
             taken._set(*(a[at] for a in arrays), rows=self._rows, slots=self._slots[at])
             return taken
         i = range(len(self))[key]
-        return self._rows[self._slots[i]] or self._build([i])[0]
+        slot = int(self._slots[i])
+        if self._rows[slot] is None:
+            fields = self.ids[i].item(), self.base_values[i].item(), self.target_poa[i].item()
+            self._build(i, *fields, slot)
+        return self._rows[slot]
 
     def __iter__(self):
         slots = self._slots.tolist()
         missing = [i for i, s in enumerate(slots) if self._rows[s] is None]
-        if missing:
-            self._build(missing)
+        columns = (c[missing].tolist() for c in (self.ids, self.base_values, self.target_poa))
+        for i, ad_id, value, target in zip(missing, *columns):
+            self._build(i, ad_id, value, target, slots[i])
         return map(self._rows.__getitem__, slots)
 
-    def _build(self, positions: list[int]) -> list[Ad]:
-        """Build and keep the rows at `positions` from the validated arrays."""
-        ids, values, targets, slots = (
-            c[positions].tolist() for c in (self.ids, self.base_values, self.target_poa, self._slots)
+    def _build(self, i: int, ad_id: int, value: float, target: int, slot: int) -> None:
+        """Keep row i, built from the validated arrays, in the row cache."""
+        ad = self._rows[slot] = object.__new__(Ad)
+        ad.__dict__.update(
+            ad_id=ad_id,
+            features=self.features[i],
+            base_value=value,
+            target_poa=None if target < 0 else target,
         )
-        built = []
-        for i, ad_id, value, target, slot in zip(positions, ids, values, targets, slots):
-            ad = self._rows[slot] = object.__new__(Ad)
-            ad.__dict__.update(
-                ad_id=ad_id,
-                features=self.features[i],
-                base_value=value,
-                target_poa=None if target < 0 else target,
-            )
-            built.append(ad)
-        return built
 
 
 @dataclass(frozen=True)
