@@ -165,10 +165,6 @@ class RevenueEstimator:
                 raise ValueError(f"duplicate ad ids in candidates for poa {pid}")
             tables.append(AdTable.from_ads(ads))
         ids = np.concatenate([np.zeros(0, np.int64), *(t.ids for t in tables)])
-        base = np.concatenate([np.zeros(0), *(t.base_values for t in tables)])
-        target = np.concatenate([np.zeros(0, np.int64), *(t.target_poa for t in tables)])
-        feats = [t.features for t in tables if len(t)]
-        feats = np.concatenate(feats) if feats else np.zeros((0, 0))
         order = np.argsort(ids, kind="stable")
         starts = np.ones(len(ids), dtype=bool)
         starts[1:] = ids[order[1:]] != ids[order[:-1]]
@@ -176,17 +172,29 @@ class RevenueEstimator:
         rows = np.empty(len(ids), dtype=np.int64)
         rows[order] = np.cumsum(starts) - 1
         stops = np.cumsum([len(t) for t in tables]).tolist()
-        # an id carried at several PoAs must name the same ad at each
-        first = holder[rows]
-        same = (feats == feats[first]).all(axis=1)
-        same &= (base == base[first]) & (target == target[first])
-        if not same.all():
-            i = int(np.argmin(same))
-            pid = pids[bisect.bisect_right(stops, i)]
-            raise ValueError(f"ad id {ids[i]} names different ads at poa {pid}")
+        # PoA by PoA: fill the union rows whose first carrier is this PoA's,
+        # then check that each of its ads is the ad of its union row (filled
+        # by now: a row's first carrier comes first)
+        owner = np.searchsorted(stops, holder, side="right")
+        feats = np.zeros((len(holder), 0))
+        base, target = np.zeros(len(holder)), np.zeros(len(holder), dtype=np.int64)
+        for k, (pid, t, stop) in enumerate(zip(pids, tables, stops)):
+            if not len(t):
+                continue
+            columns = (t.features, t.base_values, t.target_poa)
+            if not feats.shape[1]:
+                feats = np.zeros((len(holder), columns[0].shape[1]))
+            mine = np.flatnonzero(owner == k)
+            for union, column in zip((feats, base, target), columns):
+                union[mine] = column[holder[mine] - (stop - len(t))]
+            r = rows[stop - len(t) : stop]
+            same = (columns[0] == feats[r]).all(axis=1)
+            same &= (columns[1] == base[r]) & (columns[2] == target[r])
+            if not same.all():
+                ad_id = t.ids[np.argmin(same)]
+                raise ValueError(f"ad id {ad_id} names different ads at poa {pid}")
         self._union_ids = ids[holder]
-        self._union_feats = feats[holder]
-        base, target = base[holder], target[holder]
+        self._union_feats = feats
         shape = (len(pids), len(holder))
         self._candidate = np.zeros(shape, dtype=bool)
         self._poas = {}

@@ -93,10 +93,11 @@ class AdTable(Sequence):
     A table is a sequence of `Ad`s. Row i is an `Ad` built from the arrays,
     without validating them again, on first access and then kept, so
     `t[i] is t[i]`. Indexing with a slice, an integer array or a boolean
-    mask gives a table whose rows are this table's own `Ad` objects.
+    mask gives a table of some of these rows, the same `Ad` objects; it
+    keeps only their positions and gathers its arrays when they are read.
     """
 
-    __slots__ = ("ids", "features", "base_values", "target_poa", "_rows", "_slots")
+    __slots__ = ("_columns", "_rows", "_at")
 
     def __init__(self, ids, features, base_values, target_poa):
         """Raises ValueError, naming the first bad row, unless the features
@@ -129,15 +130,14 @@ class AdTable(Sequence):
             if target_poa[r] < -1:
                 raise ValueError(f"ad {ad_id}: target_poa must be >= 0, got {target_poa[r]}")
             raise ValueError(f"ad_id {ad_id} repeats row {int(np.argmax(ids == ad_id))}")
-        self._set(ids, features, base_values, target_poa, rows=[None] * n, slots=np.arange(n))
-
-    def _set(self, *arrays, rows: list, slots: np.ndarray) -> None:
-        for name, array in zip(("ids", "features", "base_values", "target_poa"), arrays):
-            array.flags.writeable = False
-            setattr(self, name, array)
-        # the row cache, shared by every table taken from the same one, and
-        # where each of this table's rows sits in it
-        self._rows, self._slots = rows, slots
+        for column in (ids, features, base_values, target_poa):
+            column.flags.writeable = False
+        # The validated columns and their rows' cache, shared by every table
+        # taken from this one, and the positions in them of a taken table's
+        # rows (None: all of them, in order).
+        self._columns = (ids, features, base_values, target_poa)
+        self._rows: list[Ad | None] = [None] * n
+        self._at: np.ndarray | None = None
 
     @classmethod
     def from_ads(cls, ads: Sequence[Ad]) -> "AdTable":
@@ -158,37 +158,51 @@ class AdTable(Sequence):
         table._rows[:] = ads
         return table
 
+    def _column(self, k: int) -> np.ndarray:
+        column = self._columns[k]
+        if self._at is None:
+            return column
+        taken = column[self._at]
+        taken.flags.writeable = False
+        return taken
+
+    ids = property(lambda self: self._column(0))
+    features = property(lambda self: self._column(1))
+    base_values = property(lambda self: self._column(2))
+    target_poa = property(lambda self: self._column(3))
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._rows) if self._at is None else len(self._at)
 
     def __getitem__(self, key):
         if isinstance(key, (slice, np.ndarray)):
             at = np.arange(len(self))[key]
             taken = object.__new__(AdTable)
-            arrays = (self.ids, self.features, self.base_values, self.target_poa)
-            taken._set(*(a[at] for a in arrays), rows=self._rows, slots=self._slots[at])
+            taken._columns, taken._rows = self._columns, self._rows
+            taken._at = at if self._at is None else self._at[at]
             return taken
         i = range(len(self))[key]
-        slot = int(self._slots[i])
-        if self._rows[slot] is None:
-            fields = self.ids[i].item(), self.base_values[i].item(), self.target_poa[i].item()
-            self._build(i, *fields, slot)
-        return self._rows[slot]
+        j = i if self._at is None else int(self._at[i])
+        if self._rows[j] is None:
+            ids, _, values, targets = self._columns
+            self._build(j, ids[j].item(), values[j].item(), targets[j].item())
+        return self._rows[j]
 
     def __iter__(self):
-        slots = self._slots.tolist()
-        missing = [i for i, s in enumerate(slots) if self._rows[s] is None]
-        columns = (c[missing].tolist() for c in (self.ids, self.base_values, self.target_poa))
-        for i, ad_id, value, target in zip(missing, *columns):
-            self._build(i, ad_id, value, target, slots[i])
-        return map(self._rows.__getitem__, slots)
+        at = range(len(self)) if self._at is None else self._at.tolist()
+        missing = [j for j in at if self._rows[j] is None]
+        ids, _, values, targets = self._columns
+        fields = (c[missing].tolist() for c in (ids, values, targets))
+        for j, ad_id, value, target in zip(missing, *fields):
+            self._build(j, ad_id, value, target)
+        return map(self._rows.__getitem__, at)
 
-    def _build(self, i: int, ad_id: int, value: float, target: int, slot: int) -> None:
-        """Keep row i, built from the validated arrays, in the row cache."""
-        ad = self._rows[slot] = object.__new__(Ad)
+    def _build(self, j: int, ad_id: int, value: float, target: int) -> None:
+        """Keep row j, built from the validated columns, in the row cache."""
+        ad = self._rows[j] = object.__new__(Ad)
         ad.__dict__.update(
             ad_id=ad_id,
-            features=self.features[i],
+            features=self._columns[1][j],
             base_value=value,
             target_poa=None if target < 0 else target,
         )
