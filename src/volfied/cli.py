@@ -5,6 +5,11 @@ oracle, sweep. A config file is JSON carrying every simulation field; `run`
 and `sweep` regenerate the scenario deterministically per seed, write one
 metrics CSV per (strategy, seed, sweep value) combination plus a summary
 CSV, and exit 0 only when every combination completed.
+
+The combinations (jobs) run in a pool of forked worker processes, one per
+usable CPU and no more than there are jobs; with one job or one CPU they
+run one after another in the calling process. Either way the summary rows
+and the failure lines come out in job order.
 """
 
 from __future__ import annotations
@@ -75,8 +80,9 @@ def load_config(path: str | None) -> SimConfig:
 
 
 def _workers(n_jobs: int) -> int:
-    # Jobs run one after another; perfbench still reports this pool size.
-    return 1
+    """Worker processes for `n_jobs` jobs: one per CPU this process may run
+    on, and no more than there are jobs."""
+    return min(n_jobs, len(os.sched_getaffinity(0)))
 
 
 def _parse_list(text: str, what: str, parse=str) -> list[str]:
@@ -179,6 +185,42 @@ def _run_one(config: SimConfig, out_dir: str, strategy: str, seed: int,
     return render_summary_row(strategy, seed, token or "", last)
 
 
+def _job(job: tuple) -> tuple[bool, str]:
+    """Run one job: (True, its summary row) or (False, the error text), so
+    no exception has to be pickled on its way back from a worker. Module
+    level, and not `_run_one` itself, so that it pickles by name even when
+    `_run_one` or `run` is replaced by a wrapper."""
+    try:
+        return True, _run_one(*job)
+    except Exception as exc:
+        return False, str(exc)
+
+
+def _run_jobs(jobs: list[tuple]) -> list[tuple[bool, str]]:
+    """The `_job` result of every job, in job order."""
+    workers = _workers(len(jobs))
+    if workers == 1:
+        return [_job(job) for job in jobs]
+    # Imported here: they add about 2 MB to a process, and only a pool
+    # uses them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: workers import nothing again and inherit the
+    # parent's module state, including any name replaced at run time.
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [pool.submit(_job, job) for job in jobs]
+        results = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died; its jobs are lost
+                results.append((False, str(exc)))
+        return results
+
+
 def _cmd_run(args, sweep_required: bool) -> int:
     config = load_config(args.config)
     strategies = _parse_strategies(args.strategy)
@@ -197,19 +239,19 @@ def _cmd_run(args, sweep_required: bool) -> int:
                 cfg = dataclasses.replace(config, strategy=strategy, seed=seed)
                 if token is not None:
                     cfg = dataclasses.replace(cfg, **{field: typ(token)})
-                jobs.append((cfg, strategy, seed, token))
+                jobs.append((cfg, args.out, strategy, seed, sweep_name, token))
 
     os.makedirs(args.out, exist_ok=True)
     rows = []
     failures = []
-    for cfg, strategy, seed, token in jobs:
-        try:
-            rows.append(_run_one(cfg, args.out, strategy, seed, sweep_name, token))
-        except Exception as exc:
+    for (_, _, strategy, seed, _, token), (ok, text) in zip(jobs, _run_jobs(jobs)):
+        if ok:
+            rows.append(text)
+        else:
             label = f"strategy={strategy} seed={seed}" + (
                 f" {sweep_name}={token}" if token is not None else ""
             )
-            failures.append(f"{label}: {exc}")
+            failures.append(f"{label}: {text}")
 
     write_summary_csv(os.path.join(args.out, "summary.csv"), rows)
     for failure in failures:

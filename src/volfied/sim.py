@@ -185,7 +185,8 @@ class _CoverageIndex:
     """Vectorized nearest-covering-PoA lookup for a fixed PoA layout.
 
     A position associates with the nearest PoA whose range covers it
-    (boundary inclusive), ties to the lowest PoA id; None when uncovered.
+    (boundary inclusive), ties to the lowest PoA id; `lookup` gives -1 where
+    no PoA covers it.
     """
 
     def __init__(self, poas: Sequence[PoA]):

@@ -7,6 +7,7 @@ without a result, so the hooks are tried in the test suite.
 """
 
 import importlib
+import os
 import pathlib
 
 from volfied import cli
@@ -26,3 +27,6 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         assert tracer.uninstall() == []
     assert [span[2] for span in tracer.spans] == ["cli.workers"]
+    cpus = len(os.sched_getaffinity(0))
+    assert cli._workers(1) == 1
+    assert [cli._workers(n) for n in range(1, 6)] == [min(n, cpus) for n in range(1, 6)]

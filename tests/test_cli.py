@@ -3,6 +3,11 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import time
 
 import pytest
 
@@ -187,6 +192,12 @@ class TestSweep:
             ["volfied", "1", "0.05"], ["topk", "1", "0.05"]
         ]
 
+    def test_failed_jobs_named_in_order_in_a_pool(self, tmp_path, capsys, monkeypatch):
+        # the workers are forked, so they run the patched `run` too
+        monkeypatch.setattr(volfied.cli, "_workers", lambda n_jobs: 2)
+        self.test_failed_jobs_named_in_order_and_others_written(tmp_path, capsys, monkeypatch)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "config, sweep, message",
         [
@@ -232,6 +243,112 @@ class TestSweep:
                      "--seed", "1", "--strategy", "volfied", "--sweep", "C=-1"]) == 1
         assert "cache_size" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestPool:
+    """`run` and `sweep` jobs in forked worker processes."""
+
+    JOBS = [("volfied", "0"), ("volfied", "4"), ("topk", "0"), ("topk", "4")]
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, not hang, when a sweep in a pool does not finish: the
+        workers are killed, so the pool can shut down."""
+        def expire(signum, frame):
+            for child in multiprocessing.active_children():
+                child.kill()
+            raise TimeoutError("sweep still running after 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def sweep(self, tmp_path, out):
+        return main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                     "--seed", "1", "--strategy", "volfied,topk", "--sweep", "C=0,4"])
+
+    def outcome(self, out, err):
+        """(jobs named on stderr, jobs in summary.csv), each in job order;
+        every job in the summary has its metrics CSV."""
+        prefix = "error: run failed: "
+        assert all(line.startswith(prefix) for line in err.splitlines())
+        named = []
+        for line in err.splitlines():
+            strategy, _, value = line[len(prefix):].split(":")[0].split(" ")
+            named.append((strategy.removeprefix("strategy="), value.removeprefix("C=")))
+        rows = [tuple(r.split(",")[0:3:2]) for r in
+                (out / "summary.csv").read_text().splitlines()[1:]]
+        for strategy, value in rows:
+            assert (out / f"metrics_{strategy}_seed1_C_{value}.csv").exists()
+        assert named == sorted(named, key=self.JOBS.index)
+        assert rows == sorted(rows, key=self.JOBS.index)
+        return named, rows
+
+    def test_same_bytes_as_in_process(self, tmp_path, monkeypatch):
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(volfied.cli, "_workers", lambda n_jobs: workers)
+            out = tmp_path / f"out{workers}"
+            assert self.sweep(tmp_path, out) == 0
+            outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outputs[1]) == 5
+        assert outputs[2] == outputs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_failure(self, tmp_path, capsys, monkeypatch):
+        class Unpicklable(Exception):
+            pass  # defined in a function, so pickle cannot find it by name
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(Unpicklable("x"))
+
+        def run(config, *inputs):
+            if config.cache_size == 4:
+                raise Unpicklable("cannot be sent back")
+            return real_run(config, *inputs)
+
+        real_run = volfied.cli.run
+        monkeypatch.setattr(volfied.cli, "run", run)
+        monkeypatch.setattr(volfied.cli, "_workers", lambda n_jobs: 2)
+        out = tmp_path / "out"
+        assert self.sweep(tmp_path, out) == 1
+        err = capsys.readouterr().err
+        assert err.count(": cannot be sent back\n") == 2
+        assert self.outcome(out, err) == (
+            [("volfied", "4"), ("topk", "4")], [("volfied", "0"), ("topk", "0")]
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death(self, tmp_path, capsys, monkeypatch):
+        # The third job's worker dies once the first two jobs have written
+        # their CSVs and had time to send their rows back; the fourth job
+        # may or may not finish before the pool is found broken.
+        out = tmp_path / "out"
+        done = [out / f"metrics_volfied_seed1_C_{value}.csv" for value in ("0", "4")]
+
+        def run(config, *inputs):
+            if config.strategy == "topk" and config.cache_size == 0:
+                deadline = time.monotonic() + 60.0
+                while not all(p.exists() for p in done) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.3)
+                os._exit(3)
+            return real_run(config, *inputs)
+
+        real_run = volfied.cli.run
+        monkeypatch.setattr(volfied.cli, "run", run)
+        monkeypatch.setattr(volfied.cli, "_workers", lambda n_jobs: 2)
+        assert self.sweep(tmp_path, out) == 1
+        err = capsys.readouterr().err
+        assert "terminated abruptly" in err
+        named, rows = self.outcome(out, err)
+        assert named[0] == ("topk", "0") and set(named) <= {("topk", "0"), ("topk", "4")}
+        assert rows == [job for job in self.JOBS if job not in named]
+        assert multiprocessing.active_children() == []
 
 
 class TestJobLists:
