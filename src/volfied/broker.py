@@ -78,9 +78,9 @@ class RelevanceMemo:
     """One vehicle profile's relevant ads: the rows of the estimator's union
     catalog within d_max of it, ascending (their ad ids ascend too), and
     the distances to them. The memo's entries sit at `start` onwards in the
-    estimator's flat entry arrays, which also hold whether the vehicle's
-    served registry lacks each ad and whether each was credited on
-    entering."""
+    estimator's flat entry arrays, which also hold each entry's distance,
+    whether the vehicle's served registry lacks the ad and whether it was
+    credited on entering."""
 
     __slots__ = ("profile", "rows", "ids", "dists", "start", "stop", "_dist_of")
 
@@ -90,28 +90,29 @@ class RelevanceMemo:
         self.ids = ids
         self.dists = dists
         self.start, self.stop = start, start + rows.size
-        self._dist_of = dict(zip(ids.tolist(), dists.tolist()))
+        self._dist_of = None
 
     def distances(self, ad_ids: Iterable[int]) -> list[float]:
         """Distance to each ad, inf for an ad that is not relevant."""
+        if self._dist_of is None:
+            self._dist_of = dict(zip(self.ids.tolist(), self.dists.tolist()))
         dist_of = self._dist_of
         return [dist_of.get(ad_id, math.inf) for ad_id in ad_ids]
 
 
 class _PoaState:
-    """A PoA's row in the estimator's (PoA x union row) tables, its
-    candidate ads, and the memo of each detected vehicle present."""
+    """A PoA's row in the estimator's (PoA x union row) tables and its
+    candidate ads."""
 
-    __slots__ = ("row", "ads", "present")
+    __slots__ = ("row", "ads")
 
     def __init__(self, row: int, ads: Sequence[Ad]):
         self.row = row
         self.ads = ads
-        self.present: dict[int, RelevanceMemo] = {}
 
 
-def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=a.dtype)
+def _grown(a: np.ndarray, used: int, size: int, fill=0) -> np.ndarray:
+    out = np.full(size, fill, dtype=a.dtype)
     out[:used] = a[:used]
     return out
 
@@ -133,20 +134,24 @@ class RevenueEstimator:
     d_max.
 
     Values and contributor counts are (PoA x union row) tables, and the
-    memos' entries lie end to end in flat arrays (row, unserved, credited
-    on entering), so a step's events cost a few array operations over the
-    entries they touch. `on_events` takes a step's exits and enters: an
-    enter credits the memo's rows worth something at the PoA that the memo
-    marks unserved, and an exit takes back the entries credited on
-    entering that its memo still marks unserved. `on_broadcasts` takes a
-    step's broadcasts: it zeroes the selected ads' counts, since every
-    vehicle credited for them is present, and registers them for those
-    vehicles, in the registry and in their memos' flags. The flags and the
-    registry are thus the one record of who was served. That holds because
-    a vehicle is present under at most one PoA and its memo does not
-    change while it is present; breaking either raises ValueError. The
-    per-vehicle `on_vehicle_enter`, `on_vehicle_exit` and `on_broadcast`
-    are the one-event cases.
+    memos' entries lie end to end in flat arrays (row, distance, unserved,
+    credited on entering). Each vehicle has a slot, made on first sight,
+    and slot arrays hold the PoA row it is present under, detected (-1:
+    none), and where its memo's entries start and stop. So a step's events
+    are a few array operations over the slots they move and the entries
+    of their memos. `on_slot_events` takes a step's exits and enters by
+    slot: an enter credits the memo's rows worth something at the PoA that
+    the memo marks unserved, and an exit takes back the entries credited
+    on entering that its memo still marks unserved. `on_events` takes them
+    by vehicle id and profile, checks them all and calls it.
+    `on_broadcasts` takes a step's broadcasts: it zeroes the selected ads'
+    counts, since every vehicle credited for them is present, and
+    registers them for those vehicles, in the registry and in their memos'
+    flags. The flags and the registry are thus the one record of who was
+    served. That holds because a vehicle is present under at most one PoA
+    and its memo does not change while it is present; breaking either
+    raises ValueError. The per-vehicle `on_vehicle_enter`,
+    `on_vehicle_exit` and `on_broadcast` are the one-event cases.
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, Sequence[Ad]]):
@@ -154,8 +159,6 @@ class RevenueEstimator:
         self._registry: dict[int, set[int]] = {}
         # broadcasts not yet in _registry: (vehicle ids present, ad ids)
         self._unfiled: list[tuple[list[int], tuple[int, ...]]] = []
-        # vehicle ids that any broadcast reached
-        self._served: set[int] = set()
         # every candidate, PoA after PoA; an id's union row holds the first
         # of them to carry it, and union rows ascend with ad id
         pids = list(candidates_by_poa)
@@ -195,8 +198,11 @@ class RevenueEstimator:
                 raise ValueError(f"ad id {ad_id} names different ads at poa {pid}")
         self._union_ids = ids[holder]
         self._union_feats = feats
+        # base value and target PoA id (-1: Global) of each union row
+        self.union_base, self.union_target = base, target
         shape = (len(pids), len(holder))
         self._candidate = np.zeros(shape, dtype=bool)
+        self._pids = pids
         self._poas = {}
         for row, (pid, ads, stop) in enumerate(zip(pids, tables, stops)):
             self._candidate[row, rows[stop - len(ads) : stop]] = True
@@ -206,8 +212,10 @@ class RevenueEstimator:
         in_scope = (target < 0) | (target == np.array(pids, dtype=np.int64)[:, None])
         self._values = np.where(self._candidate & in_scope, base, 0.0)
         self._counts = np.zeros(shape, dtype=np.int64)
-        # the cells selected by the broadcasts in progress
-        self._sent = np.zeros(shape, dtype=bool)
+        # the cells the last on_broadcasts call selected, and a last row,
+        # never set, for PoA row -1
+        self._sent = np.zeros((len(pids) + 1, len(holder)), dtype=bool)
+        self._sent_cells = (_NO_ROWS, _NO_ROWS)
         # per PoA row: (union rows, ad ids) of the positive estimates in
         # selection order, None once a count has changed
         self._ranked: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -222,15 +230,25 @@ class RevenueEstimator:
             self._second = points[self._by_first, self._axes[1]]
             self._scale = float(np.abs(points[:, self._axes]).max())
         # the memos' entries end to end, the first `_used` in use: union
-        # row, not yet served, credited on entering
+        # row, distance, not yet served, credited on entering
         self._used = 0
         self._rows = np.zeros(0, dtype=np.int64)
+        self._dists = np.zeros(0)
         self._unserved = np.zeros(0, dtype=bool)
         self._credited = np.zeros(0, dtype=bool)
-        # vehicle id -> memo of the profile last seen under that id
-        self._memos: dict[int, RelevanceMemo] = {}
-        # vehicle id -> the PoA it is present under, detected
-        self._under: dict[int, int] = {}
+        # per slot, the first `_n_slots` in use: vehicle id, the PoA row it
+        # is present under, detected (-1: none), where its memo's entries
+        # start and stop (-1: no memo), whether a broadcast reached it, its
+        # memo and the profile the next memo is scanned for
+        self._slot_of: dict[int, int] = {}
+        self._n_slots = 0
+        self._vids = np.zeros(0, dtype=np.int64)
+        self._at = np.zeros(0, dtype=np.int64)
+        self._start = np.zeros(0, dtype=np.int64)
+        self._stop = np.zeros(0, dtype=np.int64)
+        self._served = np.zeros(0, dtype=bool)
+        self._memo: list[RelevanceMemo | None] = []
+        self._profile: list[VehicleProfile] = []
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
         self.max_event_examined = 0
@@ -274,6 +292,60 @@ class RevenueEstimator:
             return rows
         return None
 
+    def present(self, poa: int) -> dict[int, RelevanceMemo]:
+        """Vehicle id -> memo of each detected vehicle present under `poa`."""
+        slots = np.flatnonzero(self._at == self._poas[poa].row).tolist()
+        return {int(self._vids[s]): self._memo[s] for s in slots}
+
+    def poa_rows(self, poa_ids: Iterable[int]) -> np.ndarray:
+        """The row of each PoA id in the estimator's tables."""
+        return np.array([self._poas[pid].row for pid in poa_ids], dtype=np.int64)
+
+    def vehicle_slots(self, profiles: Iterable[VehicleProfile]) -> np.ndarray:
+        """The slot of each profile's vehicle, made on first sight. A memo is
+        scanned for the profile on the vehicle's first detected enter or
+        `memo_entries` call. A vehicle present under a PoA keeps its
+        profile: another one raises ValueError."""
+        slots = []
+        for v in profiles:
+            s = self._slot(v.vehicle_id)
+            if self._profile[s] is not v:
+                self._check_absent(s)
+                self._profile[s], self._memo[s] = v, None
+                self._start[s] = self._stop[s] = -1
+            slots.append(s)
+        return np.array(slots, dtype=np.int64)
+
+    def _slot(self, vid: int) -> int:
+        """The slot of vehicle `vid`, made absent and memo-less if new."""
+        s = self._slot_of.get(vid)
+        if s is not None:
+            return s
+        s = self._slot_of[vid] = self._n_slots
+        self._n_slots += 1
+        if s == self._at.size:
+            size = max(8, 2 * s)
+            self._vids = _grown(self._vids, s, size)
+            self._served = _grown(self._served, s, size)
+            self._at, self._start, self._stop = (
+                _grown(a, s, size, -1) for a in (self._at, self._start, self._stop)
+            )
+        self._vids[s] = vid
+        self._memo.append(None)
+        self._profile.append(None)
+        return s
+
+    def _check_absent(self, s: int) -> None:
+        if self._at[s] >= 0:
+            raise ValueError(
+                f"vehicle {self._vids[s]} is present under poa {self._pids[self._at[s]]} "
+                "with another profile"
+            )
+
+    def _install(self, s: int, memo: RelevanceMemo) -> None:
+        self._memo[s], self._profile[s] = memo, memo.profile
+        self._start[s], self._stop[s] = memo.start, memo.stop
+
     def on_vehicle_enter(self, poa: int, v: VehicleProfile, detected: bool) -> None:
         """Credit every candidate ad relevant to v, unless already served.
 
@@ -298,96 +370,134 @@ class RevenueEstimator:
         is applied, so an event that raises leaves the counts and who is
         present as they were. `last_event_examined` is the last event's.
         """
-        poas, under, memos = self._poas, self._under, self._memos
-        # the exits that take effect: of a vehicle present under that PoA
-        leaving: dict[int, _PoaState] = {}
+        poas, slot_of, at = self._poas, self._slot_of, self._at
+        # vehicle id -> slot, of the exits that take effect: of a vehicle
+        # present under that PoA
+        leaving: dict[int, int] = {}
         last = None  # whether the last event is applied, if there is one
         for pid, vid in exits:
-            st = poas[pid]
-            last = under.get(vid) == pid and vid not in leaving
+            row = poas[pid].row
+            s = slot_of.get(vid)
+            last = s is not None and at[s] == row and vid not in leaving
             if last:
-                leaving[vid] = st
-        # the detected enters
-        arriving: dict[int, tuple[int, _PoaState, RelevanceMemo]] = {}
+                leaving[vid] = s
+        # vehicle id -> (PoA id, PoA row, memo), of the detected enters
+        arriving: dict[int, tuple[int, int, RelevanceMemo]] = {}
         for pid, v, detected in enters:
             last = detected
             if not detected:
                 continue
-            st = poas[pid]
+            row = poas[pid].row
             vid = v.vehicle_id
+            s = slot_of.get(vid)
             if vid in arriving:
                 was = arriving[vid][0]
+            elif vid in leaving or s is None or at[s] < 0:
+                was = None
             else:
-                was = None if vid in leaving else under.get(vid)
+                was = self._pids[at[s]]
             if was == pid:
                 raise ValueError(f"vehicle {vid} already present under poa {pid}")
             if was is not None:
                 raise ValueError(f"vehicle {vid} entered poa {pid} while present under poa {was}")
-            memo = memos.get(vid)
+            memo = None if s is None else self._memo[s]
             if memo is None or memo.profile is not v:
                 memo = self._scan(v)
-            arriving[vid] = (pid, st, memo)
+            arriving[vid] = (pid, row, memo)
         if last is None:
             return
 
-        events = []  # (PoA row, memo): the exits, then the enters
-        for vid, st in leaving.items():
-            events.append((st.row, st.present.pop(vid)))
-            del under[vid]
-        for vid, (pid, st, memo) in arriving.items():
-            memos[vid] = st.present[vid] = memo
-            under[vid] = pid
-            events.append((st.row, memo))
-        examined = self._move(events, len(leaving)) if events else [0]
-        # an applied last event is the last of `events`
-        self.last_event_examined = examined[-1] if last else 0
-        self.max_event_examined = max(self.max_event_examined, *examined)
+        enter_slots = [self._slot(vid) for vid in arriving]
+        self._move(
+            np.array(list(leaving.values()), dtype=np.int64),
+            np.array(enter_slots, dtype=np.int64),
+            np.array([row for _, row, _ in arriving.values()], dtype=np.int64),
+            zip(enter_slots, [memo for _, _, memo in arriving.values()]),
+        )
+        # an applied last event is the last that _move applied
+        if not last:
+            self.last_event_examined = 0
 
-    def _move(self, events: list[tuple[int, RelevanceMemo]], n_exits: int) -> list[int]:
-        """Apply (PoA row, memo) events, the first `n_exits` exits and the
-        rest enters, to the counts in one pass over their memos' entries:
-        an exit takes back its entries credited on entering and still
-        unserved, an enter credits its entries worth something at the PoA
-        and still unserved. Returns the entries each event examined."""
-        idx, owner, sizes = self._entries([memo for _, memo in events])
+    def on_slot_events(self, exits: np.ndarray, enters: np.ndarray, at: np.ndarray) -> None:
+        """One step's coverage events by vehicle slot, in one pass over
+        their memos' entries: the vehicles at `exits` leave the PoA they
+        are present under (a vehicle present under none is skipped), then
+        those at `enters`, detected and none of them present, enter the PoA
+        rows `at`. An exit takes back its entries credited on entering and
+        still unserved; an enter credits its entries worth something at the
+        PoA and still unserved, scanning a memo for the slot's profile if
+        it has none. The examined counts are per event, exits first."""
+        self._move(exits, enters, at, ())
+
+    def _move(self, exits, enters, at, memos: Iterable[tuple[int, RelevanceMemo]]) -> None:
+        """`on_slot_events`, with the (slot, memo) pairs `memos` installed
+        after the exits have taken back their old memos' credit."""
+        exits = exits[self._at[exits] >= 0]
+        out, out_owner = self._entries(exits)
+        for s, memo in memos:
+            self._install(s, memo)
+        for s in enters[self._start[enters] < 0].tolist():
+            self._install(s, self._scan(self._profile[s]))
+        if not exits.size and not enters.size:
+            self.last_event_examined = 0
+            return
+        left = self._at[exits]
+        self._at[exits] = -1
+        self._at[enters] = at
+        into, into_owner = self._entries(enters)
         width = self._counts.shape[1]
-        cells = np.repeat([row for row, _ in events], sizes) * width + self._rows[idx]
-        unserved = self._unserved[idx]
-        k = int(sizes[:n_exits].sum())  # entries of the exits come first
-        taken = self._credited[idx[:k]] & unserved[:k]
-        worth = self._values.reshape(-1)[cells[k:]] > 0
-        credit = worth & unserved[k:]
-        self._credited[idx[k:]] = credit
+        taken = self._credited[out] & self._unserved[out]
+        cells = at[into_owner] * width + self._rows[into]
+        worth = self._values.reshape(-1)[cells] > 0
+        credit = worth & self._unserved[into]
+        self._credited[into] = credit
         counts = self._counts.reshape(-1)
-        np.add.at(counts, cells[:k][taken], -1)
-        np.add.at(counts, cells[k:][credit], 1)
+        np.add.at(counts, (left[out_owner] * width + self._rows[out])[taken], -1)
+        np.add.at(counts, cells[credit], 1)
         self._ranked = None
-        hits = owner[np.concatenate([taken, worth])]
-        return np.bincount(hits, minlength=len(events)).tolist()
+        hits = np.concatenate([out_owner[taken], into_owner[worth] + exits.size])
+        examined = np.bincount(hits, minlength=exits.size + enters.size)
+        self.last_event_examined = int(examined[-1])
+        self.max_event_examined = max(self.max_event_examined, int(examined.max()))
 
-    def _entries(self, memos: list[RelevanceMemo]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat indices of the memos' entries, memo after memo; the index
-        into `memos` of the memo each belongs to; and each memo's size."""
-        starts = np.array([m.start for m in memos], dtype=np.int64)
-        sizes = np.array([m.stop for m in memos], dtype=np.int64) - starts
-        owner = np.repeat(np.arange(len(memos)), sizes)
+    def _entries(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of the memo entries of the vehicles at `slots`, slot
+        after slot, and the index into `slots` of the one each belongs to."""
+        starts = self._start[slots]
+        sizes = self._stop[slots] - starts
+        owner = np.repeat(np.arange(slots.size), sizes)
         shift = starts + sizes - sizes.cumsum()
-        return np.arange(owner.size) + shift[owner], owner, sizes
+        return np.arange(owner.size) + shift[owner], owner
+
+    def memo_entries(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The memo entries of the vehicles at `slots`, slot after slot and
+        ascending by union row within a memo: their flat indices, the index
+        into `slots` of the vehicle each belongs to, their union rows and
+        their distances. A vehicle's memo is scanned for its slot's profile
+        the first time."""
+        for s in slots[self._start[slots] < 0].tolist():
+            self._install(s, self._scan(self._profile[s]))
+        idx, owner = self._entries(slots)
+        return idx, owner, self._rows[idx], self._dists[idx]
+
+    def sent(self, at: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Whether the last `on_broadcasts` call sent each union row at each
+        PoA row; never at PoA row -1."""
+        return self._sent[at, rows]
 
     def relevance(self, v: VehicleProfile) -> RelevanceMemo:
         """The memo of v's relevant candidate ads, at any PoA; scanned once
         per profile object and remembered under its vehicle id. A vehicle
         present under a PoA keeps its memo: another profile object under
         its id raises ValueError."""
-        memo = self._memos.get(v.vehicle_id)
+        s = self._slot_of.get(v.vehicle_id)
+        memo = None if s is None else self._memo[s]
         if memo is not None and memo.profile is v:
             return memo
-        if v.vehicle_id in self._under:
-            raise ValueError(
-                f"vehicle {v.vehicle_id} is present under poa {self._under[v.vehicle_id]} "
-                "with another profile"
-            )
-        memo = self._memos[v.vehicle_id] = self._scan(v)
+        if s is not None:
+            self._check_absent(s)
+        memo = self._scan(v)
+        self._install(self._slot(v.vehicle_id), memo)
         return memo
 
     def _scan(self, v: VehicleProfile) -> RelevanceMemo:
@@ -399,19 +509,22 @@ class RevenueEstimator:
         else:
             rows, dists = _NO_ROWS, np.zeros(0)
         relevant = dists <= self.params.d_max
-        rows = rows[relevant]
+        rows, dists = rows[relevant], dists[relevant]
         ids = self._union_ids[rows]
         start, stop = self._used, self._used + rows.size
         if stop > self._rows.size:
             size = max(stop, 2 * self._rows.size)
             self._rows = _grown(self._rows, start, size)
+            self._dists = _grown(self._dists, start, size)
             self._unserved = _grown(self._unserved, start, size)
             self._credited = _grown(self._credited, start, size)
         self._used = stop
         self._rows[start:stop] = rows
-        served = self.registry.get(v.vehicle_id) if v.vehicle_id in self._served else None
+        self._dists[start:stop] = dists
+        s = self._slot_of.get(v.vehicle_id)
+        served = self.registry.get(v.vehicle_id) if s is not None and self._served[s] else None
         self._unserved[start:stop] = ~np.isin(ids, list(served)) if served else True
-        return RelevanceMemo(v, rows, ids, dists[relevant], start)
+        return RelevanceMemo(v, rows, ids, dists, start)
 
     def _window(self, v: VehicleProfile) -> np.ndarray:
         """Union rows, ascending, whose window points lie within the reach
@@ -442,33 +555,44 @@ class RevenueEstimator:
     def on_broadcasts(self, selected: Mapping[int, Sequence[int]]) -> None:
         """One step's broadcasts, the ad ids selected[poa] at each PoA, as
         one `on_broadcast` call per PoA would apply them. Every id is
-        checked before any broadcast is applied."""
+        checked before any broadcast is applied. The cells sent stay marked
+        for `sent` until the next call."""
         sent = [(self._poas.get(pid), ad_ids) for pid, ad_ids in selected.items() if ad_ids]
+        at = rows = _NO_ROWS
+        if sent:
+            rows = None
+            if all(st is not None for st, _ in sent):
+                at = np.repeat([st.row for st, _ in sent], [len(ad_ids) for _, ad_ids in sent])
+                rows = self._candidate_rows(at, list(itertools.chain.from_iterable(a for _, a in sent)))
+            if rows is None:  # raise the first PoA's KeyError
+                for pid, ad_ids in selected.items():
+                    if ad_ids:
+                        self._check_candidates(self._poas[pid], ad_ids)
+        self._sent[self._sent_cells] = False
+        self._sent[at, rows] = True
+        self._sent_cells = (at, rows)
         if not sent:
             return
-        rows = None
-        if all(st is not None for st, _ in sent):
-            at = np.repeat([st.row for st, _ in sent], [len(ad_ids) for _, ad_ids in sent])
-            rows = self._candidate_rows(at, list(itertools.chain.from_iterable(a for _, a in sent)))
-        if rows is None:  # raise the first PoA's KeyError
-            for pid, ad_ids in selected.items():
-                if ad_ids:
-                    self._check_candidates(self._poas[pid], ad_ids)
         # every vehicle credited for a selected ad is present: none remains
         self._counts[at, rows] = 0
         self._ranked = None
-        memos, under = [], []
-        for st, ad_ids in sent:
-            if st.present:
-                self._unfiled.append((list(st.present), tuple(ad_ids)))
-                self._served.update(st.present)
-                memos.extend(st.present.values())
-                under.extend([st.row] * len(st.present))
-        if memos:
-            self._sent[at, rows] = True
-            idx, _, sizes = self._entries(memos)
-            self._unserved[idx] &= ~self._sent[np.repeat(under, sizes), self._rows[idx]]
-            self._sent[at, rows] = False
+        # the vehicles present under a PoA that broadcast, by PoA row
+        sending = np.zeros(len(self._pids) + 1, dtype=bool)  # the last for row -1
+        sending[at] = True
+        slots = np.flatnonzero(sending[self._at])
+        under = self._at[slots]
+        order = np.argsort(under, kind="stable")
+        slots, under = slots[order], under[order]
+        sent_rows = [st.row for st, _ in sent]
+        lo = np.searchsorted(under, sent_rows, side="left").tolist()
+        hi = np.searchsorted(under, sent_rows, side="right").tolist()
+        for (_, ad_ids), a, b in zip(sent, lo, hi):
+            if a < b:
+                self._unfiled.append((self._vids[slots[a:b]].tolist(), tuple(ad_ids)))
+        if slots.size:
+            self._served[slots] = True
+            idx, owner = self._entries(slots)
+            self._unserved[idx] &= ~self._sent[under[owner], self._rows[idx]]
 
     def _positive_by_revenue(self, poa: int) -> tuple[np.ndarray, np.ndarray]:
         """(union rows, ad ids) of the positive-estimate ads, ordered by

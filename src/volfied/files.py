@@ -83,15 +83,19 @@ def _write_csv(path, header: str, rows: Iterable[str]) -> None:
     atomic_write_text(path, _csv_text(header, rows))
 
 
-def _read_csv(path, header: str, parse_row: Callable, collect: Callable = list, key=None):
-    """Parse the CSV file at `path`; returns `collect` of its records.
+def _listed(records: Iterable, n_dims: int) -> list:
+    return list(records)
+
+
+def _read_csv(path, header: str, parse_row: Callable, collect: Callable = _listed, key=None):
+    """Parse the CSV file at `path`; returns `collect(records, n_dims)`.
 
     The first line must be `header`, its `f1,...,fn` standing for one or
-    more feature columns. Each non-blank line after it must have as many
-    fields as the header, and `parse_row(fields)` makes it a record. No two
-    records may share the attribute named `key`, if given. `collect` takes
-    the records as they are read, so an error it raises names the line at
-    fault too. Any ValueError is raised again as "{path}: line N: ...", the
+    more feature columns, n_dims of them. Each non-blank line after it must
+    have as many fields as the header, and `parse_row(fields)` makes it a
+    record. No two records may share the attribute named `key`, if given.
+    `collect` takes the records as they are read, so an error it raises
+    names the line at fault too. Any ValueError is raised again as "{path}: line N: ...", the
     header being line 1.
     """
     lineno = 1
@@ -121,7 +125,7 @@ def _read_csv(path, header: str, parse_row: Callable, collect: Callable = list, 
             n_dims = width - header.count(",") + _FEATURES.count(",")
             if n_dims < 1 or line != _with_features(header, n_dims):
                 raise ValueError(f"unexpected header {line!r}: want {header!r}")
-            return collect(records(fh, width))
+            return collect(records(fh, width), n_dims)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
 
@@ -135,7 +139,7 @@ def write_ads_csv(path, ads: Sequence[Ad]) -> None:
         map(repr, table.base_values.tolist()),
         scopes,
     )
-    n_dims = table.features.shape[1] if len(table) else 1
+    n_dims = max(table.features.shape[1], 1)  # a table of no Ads has none
     _write_csv(path, _with_features(_ADS_HEADER, n_dims), map(",".join, zip(*columns)))
 
 
@@ -153,11 +157,12 @@ def _target_poa(scope: str, target: str) -> int:
     return poa
 
 
-def _ads_table(rows: Iterable[list[str]]) -> AdTable:
-    """The ads of every row, converted column by column."""
+def _ads_table(rows: Iterable[list[str]], n_dims: int) -> AdTable:
+    """The ads of every row, converted column by column; no rows give a
+    table of n_dims features."""
     columns = list(zip(*rows))
     if not columns:
-        return AdTable.from_ads([])
+        return AdTable([], np.zeros((0, n_dims)), [], [])
     ids, *feats, values, scopes, targets = columns
     flat = np.array(list(map(float, itertools.chain.from_iterable(feats))))
     return AdTable(
@@ -229,7 +234,7 @@ def load_trace(path) -> MobilityTrace:
         path,
         TRACE_HEADER,
         lambda f: (int(f[0]), int(f[1]), float(f[2]), float(f[3])),
-        collect=MobilityTrace.from_records,
+        collect=lambda records, n_dims: MobilityTrace.from_records(records),
     )
 
 

@@ -2,12 +2,13 @@
 
 Each step runs five phases: (1) coverage changes fire exit and enter
 events, only for the vehicles whose PoA changed, with vehicle detection
-sampled once per dwell, and the broker-side estimator takes them all in
-one batch; (2) every PoA's strategy selects up to k ads; (3) the
+sampled once per dwell, and the broker-side estimator takes them all, by
+vehicle slot, in one batch; (2) every PoA's strategy selects up to k ads; (3) the
 estimator takes all the step's broadcasts in one batch, which updates the
 served registry; (4) covered vehicles receive their PoA's set, and every
 vehicle present in the trace that received ads or holds cached ones
-advances its display step (an absent vehicle keeps its cache); (5)
+advances its display step (an absent vehicle keeps its cache), all in one
+array pass over their memo entries (`vehicle.step_displays`); (5)
 cumulative metrics are appended. Revenue accounting uses the displays
 actually made, never the broker's estimates.
 """
@@ -30,7 +31,9 @@ from .broker import (
 )
 from .model import Ad, AdTable, DistanceMetric, PoA, VehicleProfile
 from .sparse import SparseApproxParams, m_sparse_set
-from .vehicle import VehicleState, step_display
+from .vehicle import DisplayFlags, step_displays
+# perfbench/tracer.py wraps `step_display` under this module's name.
+from .vehicle import step_display  # noqa: F401
 
 __all__ = [
     "MobilityTrace",
@@ -195,12 +198,14 @@ class _CoverageIndex:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate PoA ids")
         self.ids = np.array(ids, dtype=np.int64)
-        self.xy = np.array([[p.x_m, p.y_m] for p in ordered], dtype=float)
+        self.xy = np.array([[p.x_m, p.y_m] for p in ordered], dtype=float).reshape(-1, 2)
         self.r2 = np.array([p.range_m * p.range_m for p in ordered], dtype=float)
 
     def lookup(self, positions: np.ndarray) -> np.ndarray:
         """Index into `ids` of the PoA each position associates with, -1
         where none covers it."""
+        if not self.ids.size:
+            return np.full(len(positions), -1, dtype=np.int64)
         dx = positions[:, 0, None] - self.xy[:, 0]
         dy = positions[:, 1, None] - self.xy[:, 1]
         d2 = dx * dx + dy * dy
@@ -236,19 +241,6 @@ def _candidates_by_poa(config: SimConfig, catalog: AdTable, poas: Sequence[PoA])
     return out
 
 
-class _ByAdId(dict):
-    """Ad id -> the catalog's `Ad`, looked up on first use."""
-
-    def __init__(self, catalog: AdTable):
-        super().__init__()
-        self._catalog = catalog
-        self._row = dict(zip(catalog.ids.tolist(), range(len(catalog))))
-
-    def __missing__(self, ad_id: int) -> Ad:
-        ad = self[ad_id] = self._catalog[self._row[ad_id]]
-        return ad
-
-
 def run(
     config: SimConfig,
     trace: MobilityTrace,
@@ -268,16 +260,18 @@ def run(
 
     params = config.selection_params
     select = STRATEGIES[config.strategy]
-    catalog = AdTable.from_ads(ads)
-    est = RevenueEstimator(params, _candidates_by_poa(config, catalog, poas))
+    est = RevenueEstimator(params, _candidates_by_poa(config, AdTable.from_ads(ads), poas))
     index = _CoverageIndex(poas)
     poa_ids = index.ids.tolist()
-    by_ad_id = _ByAdId(catalog)
+    # per index into poa_ids, and last for no PoA (index -1): the PoA's row
+    # in the estimator's tables and its id (-1 is no Local ad's target)
+    poa_row = np.append(est.poa_rows(poa_ids), -1)
+    poa_id = np.append(index.ids, -1)
     vids = sorted(by_vid)
-    vid_of = np.array(vids, dtype=np.int64)
-    states = [VehicleState(profile=by_vid[vid]) for vid in vids]
-    # trace column -> vehicle index
-    column = np.searchsorted(vid_of, trace.ids)
+    # vehicle index -> estimator slot, and trace column -> vehicle index
+    slot = est.vehicle_slots([by_vid[vid] for vid in vids])
+    column = np.searchsorted(np.array(vids, dtype=np.int64), trace.ids)
+    flags = DisplayFlags()
 
     det_rng = rng_stream(config.seed, STREAM_DETECTION)
     strat_rng = rng_stream(config.seed, STREAM_RANDOM_STRATEGY)
@@ -286,7 +280,7 @@ def run(
     # per vehicle: index into poa_ids of the PoA it is under (-1: none),
     # and whether its cache holds anything to display later
     current = np.full(len(vids), -1, dtype=np.int64)
-    cached = np.array([bool(s.cache) for s in states], dtype=bool)
+    cached = np.zeros(len(vids), dtype=bool)
     metrics: list[StepMetrics] = []
     revenue = 0.0
     impressions = 0
@@ -302,49 +296,49 @@ def run(
             present[column[here]] = True
             new[column[here]] = index.lookup(xy[here])
 
-        # events only for the vehicles whose PoA changed, in ascending id,
-        # all in one call; one detection draw per dwell, aligned across
+        # events only for the vehicles whose PoA changed, all in one call;
+        # one detection draw per dwell, in ascending id, aligned across
         # configs
         changed = np.flatnonzero(new != current)
         left = changed[current[changed] >= 0]
         came = changed[new[changed] >= 0]
-        detected = det_rng.uniform(size=came.size) < config.detection_accuracy
-        est.on_events(
-            zip(index.ids[current[left]].tolist(), vid_of[left].tolist()),
-            zip(
-                index.ids[new[came]].tolist(),
-                [states[i].profile for i in came.tolist()],
-                detected.tolist(),
-            ),
-        )
+        came = came[det_rng.uniform(size=came.size) < config.detection_accuracy]
+        est.on_slot_events(slot[left], slot[came], poa_row[new[came]])
         current = new
 
         # every PoA selects before any broadcasts: a selection reads only
         # its own PoA's estimates, and a broadcast changes only those
-        received: list[list[Ad]] = []
         chosen_by_poa = {}
-        for pid in poa_ids:
+        sending = np.zeros(len(poa_ids) + 1, dtype=bool)
+        for j, pid in enumerate(poa_ids):
             chosen = chosen_by_poa[pid] = select(est, pid, params, stats, strat_rng)
             broadcasts += len(chosen)
-            received.append([by_ad_id[a] for a in chosen])
-        received.append([])  # what a vehicle under no PoA (index -1) receives
+            sending[j] = bool(chosen)
         est.on_broadcasts(chosen_by_poa)
 
         # a present vehicle displays when it receives ads or holds a cache;
         # an absent one keeps its cache for when it is back
-        sending = np.array([bool(ads) for ads in received])
-        for i in np.flatnonzero(present & (sending[current] | cached)).tolist():
-            state = states[i]
-            poa = int(current[i])
-            if state.relevance is None:
-                state.relevance = est.relevance(state.profile)
-            for ad_id, dist in step_display(
-                state, received[poa], poa_ids[poa] if poa >= 0 else None, params, config.cache_size
-            ):
-                revenue += by_ad_id[ad_id].base_value
-                impressions += 1
-                distance_sum += dist
-            cached[i] = bool(state.cache)
+        show = np.flatnonzero(present & (sending[current] | cached))
+        if show.size:
+            idx, owner, rows, dists = est.memo_entries(slot[show])
+            under = current[show][owner]
+            target = est.union_target[rows]
+            shown, kept = step_displays(
+                flags,
+                idx,
+                owner,
+                dists,
+                est.sent(poa_row[under], rows),
+                (target < 0) | (target == poa_id[under]),
+                params.m,
+                config.cache_size,
+            )
+            cached[show] = False
+            cached[show[owner[kept]]] = True
+            # a left fold from the running totals, as one `+=` per impression
+            revenue = float(np.add.accumulate(np.append(revenue, est.union_base[rows[shown]]))[-1])
+            distance_sum = float(np.add.accumulate(np.append(distance_sum, dists[shown]))[-1])
+            impressions += shown.size
 
         metrics.append(
             StepMetrics(

@@ -1,12 +1,22 @@
-"""Shared helpers: random single-step instances and realized-revenue runs."""
+"""Shared helpers: random single-step instances, realized-revenue runs and
+the simulator's step loop as a loop over events and vehicles."""
 
 import numpy as np
 import pytest
 
-from volfied.broker import RevenueEstimator, SelectionParams
-from volfied.model import Ad, DistanceMetric, VehicleProfile
+from volfied.broker import RevenueEstimator, SelectionParams, SelectionStats
+from volfied.model import Ad, AdTable, DistanceMetric, VehicleProfile
 from volfied.oracle import OracleInstance, simulate_display
-from volfied.sim import STRATEGIES
+from volfied.sim import (
+    STRATEGIES,
+    STREAM_DETECTION,
+    STREAM_RANDOM_STRATEGY,
+    StepMetrics,
+    _candidates_by_poa,
+    _CoverageIndex,
+    rng_stream,
+)
+from volfied.vehicle import VehicleState, step_display
 
 
 def random_instance(
@@ -106,7 +116,7 @@ def credited_ids(est, poa):
     """Ad ids the estimator credits to each detected vehicle under `poa`:
     the entries of its memo credited on entering and still unserved."""
     credited = {}
-    for vid, memo in est._poas[poa].present.items():
+    for vid, memo in est.present(poa).items():
         at = slice(memo.start, memo.stop)
         credited[vid] = set(memo.ids[est._credited[at] & est._unserved[at]].tolist())
     return credited
@@ -125,6 +135,97 @@ def realized_revenue(instance, strategy, rng=None):
     broadcasts = {pid: select(est, pid, instance.params, None, rng) for pid in poa_ids}
     _, revenue = simulate_display(broadcasts, instance)
     return broadcasts, revenue
+
+
+def reference_run(config, trace, ads, profiles, poas, display=step_display, new_state=VehicleState):
+    """`sim.run` as a loop over events and vehicles, the reference that the
+    array passes of `run` must equal.
+
+    In each step, every vehicle whose PoA changed, in ascending id, leaves
+    its old PoA by `on_vehicle_exit` and enters its new one by
+    `on_vehicle_enter`, with the same detection draws as `run`. Each PoA
+    then selects and broadcasts by `on_broadcast`. Every present vehicle
+    that received ads or holds a cache calls `display` (`step_display`'s
+    signature) on its state, made by `new_state(profile=...)`, reading the
+    estimator's memo of its relevant ads. Returns `run`'s (metrics,
+    summary).
+    """
+    by_vid = {p.vehicle_id: p for p in profiles}
+    params = config.selection_params
+    select = STRATEGIES[config.strategy]
+    est = RevenueEstimator(params, _candidates_by_poa(config, AdTable.from_ads(ads), poas))
+    index = _CoverageIndex(poas)
+    poa_ids = index.ids.tolist()
+    by_ad_id = {a.ad_id: a for a in ads}
+    vids = sorted(by_vid)
+    states = [new_state(profile=by_vid[vid]) for vid in vids]
+    column = np.searchsorted(np.array(vids, dtype=np.int64), trace.ids)
+    det_rng = rng_stream(config.seed, STREAM_DETECTION)
+    strat_rng = rng_stream(config.seed, STREAM_RANDOM_STRATEGY)
+    stats = SelectionStats()
+
+    current = np.full(len(vids), -1, dtype=np.int64)
+    cached = np.array([bool(s.cache) for s in states], dtype=bool)
+    metrics = []
+    revenue, impressions, distance_sum, broadcasts = 0.0, 0, 0.0, 0
+    for step in range(config.steps):
+        new = np.full(len(vids), -1, dtype=np.int64)
+        present = np.zeros(len(vids), dtype=bool)
+        if step < trace.n_steps:
+            xy = trace.positions[step]
+            here = ~np.isnan(xy[:, 0])
+            present[column[here]] = True
+            new[column[here]] = index.lookup(xy[here])
+
+        changed = np.flatnonzero(new != current)
+        draws = det_rng.uniform(size=np.count_nonzero(new[changed] >= 0))
+        detected = iter((draws < config.detection_accuracy).tolist())
+        for i in changed.tolist():
+            if current[i] >= 0:
+                est.on_vehicle_exit(poa_ids[current[i]], vids[i])
+            if new[i] >= 0:
+                est.on_vehicle_enter(poa_ids[new[i]], states[i].profile, detected=next(detected))
+        current = new
+
+        received = []
+        for pid in poa_ids:
+            chosen = select(est, pid, params, stats, strat_rng)
+            est.on_broadcast(pid, chosen)
+            broadcasts += len(chosen)
+            received.append([by_ad_id[a] for a in chosen])
+        received.append([])  # what a vehicle under no PoA (index -1) receives
+
+        sending = np.array([bool(got) for got in received])
+        for i in np.flatnonzero(present & (sending[current] | cached)).tolist():
+            state = states[i]
+            poa = int(current[i])
+            if state.relevance is None:
+                state.relevance = est.relevance(state.profile)
+            where = poa_ids[poa] if poa >= 0 else None
+            for ad_id, dist in display(state, received[poa], where, params, config.cache_size):
+                revenue += by_ad_id[ad_id].base_value
+                impressions += 1
+                distance_sum += dist
+            cached[i] = bool(state.cache)
+
+        metrics.append(
+            StepMetrics(
+                step=step,
+                revenue_cum=revenue,
+                impressions_cum=impressions,
+                avg_distance_cum=distance_sum / impressions if impressions else 0.0,
+                broadcasts_cum=broadcasts,
+            )
+        )
+    last = metrics[-1] if metrics else StepMetrics(0, 0.0, 0, 0.0, 0)
+    summary = {
+        "revenue": last.revenue_cum,
+        "impressions": last.impressions_cum,
+        "avg_distance": last.avg_distance_cum,
+        "broadcasts": last.broadcasts_cum,
+        "distance_evals": stats.distance_evals,
+    }
+    return metrics, summary
 
 
 # One line per acceptance criterion, echoed in the terminal summary so the

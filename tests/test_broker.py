@@ -589,7 +589,7 @@ class TestRelevanceMemo:
                     est.on_events(exits, bad)
                 assert_same()
                 # the profile it is present with stays: another one raises
-                (other,) = [v for v in profiles[vid] if v is not est._memos[vid].profile]
+                (other,) = [v for v in profiles[vid] if v is not est.present(was)[vid].profile]
                 with pytest.raises(ValueError, match=f"under poa {was} with another profile"):
                     est.relevance(other)
             est.on_events(exits, enters)

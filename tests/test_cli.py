@@ -404,6 +404,13 @@ class TestSparsify:
         assert mapping[1] == "2,1,0.020000"
         assert mapping[2] == "3,1,0.010000"
 
+    def test_header_only_catalog_keeps_its_features(self, tmp_path):
+        ads_csv = tmp_path / "ads.csv"
+        ads_csv.write_text("ad_id,f1,f2,base_value,scope,target_poa\n")
+        out = tmp_path / "out"
+        assert main(["sparsify", str(ads_csv), "--out", str(out)]) == 0
+        assert (out / "ads_sparse.csv").read_text() == ads_csv.read_text()
+
     def test_repeated_ad_id_rejected(self, tmp_path, capsys):
         ads_csv = tmp_path / "ads.csv"
         ads_csv.write_text(

@@ -67,6 +67,17 @@ class TestAdsCsv:
         with pytest.raises(ValueError, match=rf"ads\.csv: line 3: ad 2: base_value must be"):
             load_ads_csv(path)
 
+    @pytest.mark.parametrize("n_dims", [1, 3])
+    def test_header_only_keeps_its_features(self, tmp_path, n_dims):
+        header = "ad_id," + ",".join(f"f{i + 1}" for i in range(n_dims))
+        header += ",base_value,scope,target_poa\n"
+        path = tmp_path / "ads.csv"
+        path.write_text(header)
+        table = load_ads_csv(path)
+        assert len(table) == 0 and table.features.shape == (0, n_dims)
+        write_ads_csv(tmp_path / "again.csv", table)
+        assert (tmp_path / "again.csv").read_text() == header
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "ads.csv"
         path.write_text("nope,f1\n")

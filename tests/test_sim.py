@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import volfied.sim
-from conftest import estimator_for, random_instance, realized_revenue
+from conftest import estimator_for, random_instance, realized_revenue, reference_run
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.files import load_trace, write_trace_csv
 from volfied.model import Ad, DistanceMetric, PoA, VehicleProfile
@@ -203,6 +203,9 @@ class TestCoverage:
     def test_no_positions(self):
         assert lookup_ids(self.POAS, np.zeros((0, 2))) == []
 
+    def test_no_poas(self):
+        assert lookup_ids([], [(0.0, 0.0), (150.0, 0.0)]) == [None, None]
+
 
 def tiny_scenario(strategy="volfied", steps=3, **cfg_over):
     """One stationary vehicle under one PoA with one relevant ad."""
@@ -237,6 +240,15 @@ class TestRun:
             for m in metrics
         )
         assert summary["revenue"] == 0.0
+
+    def test_no_poas(self):
+        # a header-only poas.csv: no vehicle is ever covered
+        cfg, trace, ads, profiles, _ = tiny_scenario(steps=3, cache_size=2)
+        metrics, summary = run(cfg, trace, ads, profiles, [])
+        assert [(m.revenue_cum, m.impressions_cum, m.broadcasts_cum) for m in metrics] == [
+            (0.0, 0, 0)
+        ] * 3
+        assert summary["revenue"] == 0.0 and summary["avg_distance"] == 0.0
 
     @pytest.mark.parametrize("strategy", ["volfied", "topk", "random"])
     def test_single_relevant_ad_any_strategy(self, strategy):
@@ -317,8 +329,8 @@ class _NonEmpty(list):
 
 
 class _AlwaysPooling(VehicleState):
-    """A vehicle state whose cache never tests empty, so run() advances its
-    display on every step, idle or not."""
+    """A vehicle state whose cache never tests empty, so the reference loop
+    advances its display on every step, idle or not."""
 
     @property
     def cache(self):
@@ -332,7 +344,7 @@ class _AlwaysPooling(VehicleState):
 class TestIdleSkip:
     @pytest.mark.parametrize("strategy", ["volfied", "topk"])
     @pytest.mark.parametrize("cache_size", [0, 3])
-    def test_display_runs_only_for_busy_vehicles(self, monkeypatch, strategy, cache_size):
+    def test_display_runs_only_for_busy_vehicles(self, strategy, cache_size):
         cfg, trace, ads, profiles, poas = random_run_scenario(seed=11, strategy=strategy)
         cfg = dataclasses.replace(cfg, cache_size=cache_size)
         calls = []
@@ -342,14 +354,15 @@ class TestIdleSkip:
             calls.append((state.profile.vehicle_id, [ad.ad_id for ad in received], cached))
             return step_display(state, received, *args)
 
-        monkeypatch.setattr(volfied.sim, "step_display", counting)
-        skipping = run(cfg, trace, ads, profiles, poas)
+        skipping = reference_run(cfg, trace, ads, profiles, poas, display=counting)
         made = list(calls)
         calls.clear()
-        monkeypatch.setattr(volfied.sim, "VehicleState", _AlwaysPooling)
-        every_step = run(cfg, trace, ads, profiles, poas)
+        every_step = reference_run(
+            cfg, trace, ads, profiles, poas, display=counting, new_state=_AlwaysPooling
+        )
 
-        assert skipping == every_step
+        # skipping the idle vehicles changes nothing, and run() skips them all
+        assert skipping == every_step == run(cfg, trace, ads, profiles, poas)
         assert len(calls) == cfg.steps * len(profiles)
         busy = [call for call in calls if call[1] or call[2]]
         assert made == busy
@@ -492,7 +505,6 @@ class TestRealTraceShapes:
         chosen_strategy = volfied.sim.STRATEGIES[strategy]
         patched = [
             (volfied.sim, "RevenueEstimator", Recording),
-            (volfied.sim, "step_display", display),
             (volfied.sim.STRATEGIES, strategy, select),
         ]
         saved = []
@@ -504,7 +516,9 @@ class TestRealTraceShapes:
                 else:
                     saved.append((owner, name, getattr(owner, name)))
                     setattr(owner, name, value)
-            metrics, _ = run(cfg, trace, ads, profiles, self.POAS)
+            out = run(cfg, trace, ads, profiles, self.POAS)
+            clock[0] = 0
+            assert reference_run(cfg, trace, ads, profiles, self.POAS, display=display) == out
         finally:
             for owner, name, value in reversed(saved):
                 if isinstance(owner, dict):
@@ -515,9 +529,89 @@ class TestRealTraceShapes:
         # absent vehicles make no display step, so no impressions
         for step, vid, _ in displays:
             assert vid in trace.positions_at(step - 1)
-        assert metrics[-1].impressions_cum == sum(n for *_, n in displays)
+        assert out[0][-1].impressions_cum == sum(n for *_, n in displays)
         # every vehicle has left by the last step: nothing is credited
-        (est,) = estimators
+        est = estimators[0]
         for pid in (0, 1):
             assert not est._counts[est._poas[pid].row].any()
-            assert est._poas[pid].present == {}
+            assert est.present(pid) == {}
+
+
+# Three PoAs in a row, 400 m apart, and the spots under them or between.
+_ROW_POAS = [PoA(poa_id=p, x_m=400.0 * p, y_m=0.0, range_m=150.0) for p in range(3)]
+_ROW_SPOTS = [(0.0, 0.0), (10.0, 5.0), (400.0, 0.0), (390.0, -5.0), (800.0, 20.0), (200.0, 200.0)]
+
+
+@st.composite
+def small_worlds(draw):
+    """A few vehicles moving between three PoAs and out of coverage, and
+    leaving and coming back to the trace; Global and Local ads, close
+    enough that vehicles pool and cache several, some at equal distances;
+    every display knob."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    n_steps = draw(st.integers(1, 10))
+    records = [
+        (step, vid, *draw(st.sampled_from(_ROW_SPOTS)))
+        for vid in ids
+        for step in range(n_steps)
+        if draw(st.integers(0, 3))
+    ]
+    cfg = dataclasses.replace(
+        SimConfig(),
+        k=draw(st.integers(2, 4)),
+        m=draw(st.sampled_from([1, 2])),
+        cache_size=draw(st.sampled_from([0, 3])),
+        detection_accuracy=draw(st.sampled_from([1.0, 0.5])),
+        strategy=draw(st.sampled_from(["volfied", "topk", "random"])),
+        metric=draw(st.sampled_from([EUCL, DistanceMetric.ANGULAR])),
+        n_dims=2,
+        d_max=0.5,
+        steps=n_steps + draw(st.integers(0, 2)),
+        n_poas=3,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    rng = np.random.default_rng(cfg.seed)
+    # ads on a coarse grid share features, so their distances tie
+    grid = draw(st.booleans())
+    ads = [
+        Ad(
+            ad_id=3 * i + 1,
+            features=rng.integers(1, 5, 2) / 4.0 if grid else rng.uniform(0.05, 1.0, 2),
+            base_value=float(rng.uniform(0.1, 1.0)),
+            target_poa=[None, 0, 1, 2, None][i % 5],
+        )
+        for i in range(draw(st.integers(1, 16)))
+    ]
+    profiles = [VehicleProfile(vid, rng.uniform(0.05, 1.0, 2)) for vid in ids]
+    return cfg, MobilityTrace.from_records(records), ads, profiles
+
+
+class TestReferenceLoop:
+    @given(small_worlds())
+    @settings(max_examples=300, deadline=None)
+    def test_run_equals_reference_loop(self, world):
+        cfg, trace, ads, profiles = world
+        assert run(cfg, trace, ads, profiles, _ROW_POAS) == reference_run(
+            cfg, trace, ads, profiles, _ROW_POAS
+        )
+
+    def test_local_ad_evicted_from_cache(self):
+        # Under PoA 0 the vehicle gets a Global ad, two Locals of PoA 0 and
+        # a Local of PoA 1 that it never receives there. It shows the
+        # closest (Local 0) and caches the other two. Under PoA 1 the
+        # cached Local of PoA 0 is evicted: it shows the cached Global,
+        # then the Local of PoA 1 it receives there.
+        cfg, _, _, profiles, _ = tiny_scenario("topk", steps=3, cache_size=3)
+        cfg = dataclasses.replace(cfg, n_poas=2)
+        ads = [
+            Ad(ad_id=1, features=np.array([0.01]), base_value=0.9, target_poa=0),
+            Ad(ad_id=2, features=np.array([0.02]), base_value=0.5),
+            Ad(ad_id=3, features=np.array([0.03]), base_value=0.4, target_poa=0),
+            Ad(ad_id=4, features=np.array([0.04]), base_value=0.3, target_poa=1),
+        ]
+        poas = [PoA(0, 0.0, 0.0, 150.0), PoA(1, 400.0, 0.0, 150.0)]
+        trace = MobilityTrace.from_records([(0, 0, 0.0, 0.0), (1, 0, 400.0, 0.0), (2, 0, 400.0, 0.0)])
+        metrics, summary = run(cfg, trace, ads, profiles, poas)
+        assert (metrics, summary) == reference_run(cfg, trace, ads, profiles, poas)
+        assert [m.impressions_cum for m in metrics] == [1, 2, 3]
+        assert summary["revenue"] == 0.9 + 0.5 + 0.3
