@@ -361,7 +361,7 @@ class TestIdleSkip:
             cfg, trace, ads, profiles, poas, display=counting, new_state=_AlwaysPooling
         )
 
-        # skipping the idle vehicles changes nothing, and run() skips them all
+        # skipping the idle vehicles changes nothing, and run()'s array pass agrees
         assert skipping == every_step == run(cfg, trace, ads, profiles, poas)
         assert len(calls) == cfg.steps * len(profiles)
         busy = [call for call in calls if call[1] or call[2]]
@@ -610,7 +610,9 @@ class TestReferenceLoop:
             Ad(ad_id=4, features=np.array([0.04]), base_value=0.3, target_poa=1),
         ]
         poas = [PoA(0, 0.0, 0.0, 150.0), PoA(1, 400.0, 0.0, 150.0)]
-        trace = MobilityTrace.from_records([(0, 0, 0.0, 0.0), (1, 0, 400.0, 0.0), (2, 0, 400.0, 0.0)])
+        trace = MobilityTrace.from_records(
+            [(0, 0, 0.0, 0.0), (1, 0, 400.0, 0.0), (2, 0, 400.0, 0.0)]
+        )
         metrics, summary = run(cfg, trace, ads, profiles, poas)
         assert (metrics, summary) == reference_run(cfg, trace, ads, profiles, poas)
         assert [m.impressions_cum for m in metrics] == [1, 2, 3]
