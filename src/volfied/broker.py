@@ -9,7 +9,6 @@ exact and enter/exit round trips restore state bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import warnings
@@ -80,9 +79,10 @@ class RelevanceMemo:
     the distances to them. The memo's entries sit at `start` onwards in the
     estimator's flat entry arrays, which also hold each entry's distance,
     whether the vehicle's served registry lacks the ad and whether it was
-    credited on entering."""
+    credited on entering; the display reads them through
+    `RevenueEstimator.memo_entries`."""
 
-    __slots__ = ("profile", "rows", "ids", "dists", "start", "stop", "_dist_of")
+    __slots__ = ("profile", "rows", "ids", "dists", "start", "stop")
 
     def __init__(self, profile, rows, ids, dists, start):
         self.profile = profile
@@ -90,14 +90,6 @@ class RelevanceMemo:
         self.ids = ids
         self.dists = dists
         self.start, self.stop = start, start + rows.size
-        self._dist_of = None
-
-    def distances(self, ad_ids: Iterable[int]) -> list[float]:
-        """Distance to each ad, inf for an ad that is not relevant."""
-        if self._dist_of is None:
-            self._dist_of = dict(zip(self.ids.tolist(), self.dists.tolist()))
-        dist_of = self._dist_of
-        return [dist_of.get(ad_id, math.inf) for ad_id in ad_ids]
 
 
 class _PoaState:
@@ -125,13 +117,13 @@ class RevenueEstimator:
     credit again anywhere.
 
     Profiles and candidate sets are fixed, so a vehicle's relevant ads are
-    found once, on its first detected enter (or first `relevance` call),
-    and remembered in a `RelevanceMemo`, which the display reads too. The
-    scan covers the union of all candidate sets through a window: the
-    union rows are sorted once on one coordinate, two `searchsorted` calls
-    take those within reach of the profile on it, a second coordinate
-    drops more, and `distances_to` decides which of the rest lie within
-    d_max.
+    found once, on its first detected enter (or first `memo_entries` or
+    `relevance` call), and remembered in a `RelevanceMemo`, whose entries
+    the display reads through `memo_entries`. The scan covers the union of
+    all candidate sets through a window: the union rows are sorted once on
+    one coordinate, two `searchsorted` calls take those within reach of
+    the profile on it, a second coordinate drops more, and `distances_to`
+    decides which of the rest lie within d_max.
 
     Values and contributor counts are (PoA x union row) tables, and the
     memos' entries lie end to end in flat arrays (row, distance, unserved,
@@ -139,19 +131,20 @@ class RevenueEstimator:
     and slot arrays hold the PoA row it is present under, detected (-1:
     none), and where its memo's entries start and stop. So a step's events
     are a few array operations over the slots they move and the entries
-    of their memos. `on_slot_events` takes a step's exits and enters by
-    slot: an enter credits the memo's rows worth something at the PoA that
-    the memo marks unserved, and an exit takes back the entries credited
-    on entering that its memo still marks unserved. `on_events` takes them
-    by vehicle id and profile, checks them all and calls it.
-    `on_broadcasts` takes a step's broadcasts: it zeroes the selected ads'
-    counts, since every vehicle credited for them is present, and
-    registers them for those vehicles, in the registry and in their memos'
-    flags. The flags and the registry are thus the one record of who was
-    served. That holds because a vehicle is present under at most one PoA
-    and its memo does not change while it is present; breaking either
-    raises ValueError. The per-vehicle `on_vehicle_enter`,
-    `on_vehicle_exit` and `on_broadcast` are the one-event cases.
+    of their memos. `on_slot_events`, the one event path, takes a step's
+    exits and enters by slot: an enter credits the memo's rows worth
+    something at the PoA that the memo marks unserved, and an exit takes
+    back the entries credited on entering that its memo still marks
+    unserved. `on_broadcasts` takes a step's broadcasts: it zeroes the
+    selected ads' counts, since every vehicle credited for them is
+    present, and registers them for those vehicles, in the registry and in
+    their memos' flags. The flags and the registry are thus the one record
+    of who was served. That holds because a vehicle is present under at
+    most one PoA and its memo does not change while it is present;
+    breaking either raises ValueError. The per-vehicle `on_vehicle_enter`,
+    `on_vehicle_exit` and `on_broadcast` are the one-event cases, by PoA
+    id and vehicle id or profile; the first two check their event before
+    they hand it to `on_slot_events`.
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, Sequence[Ad]]):
@@ -342,81 +335,35 @@ class RevenueEstimator:
                 "with another profile"
             )
 
-    def _install(self, s: int, memo: RelevanceMemo) -> None:
-        self._memo[s], self._profile[s] = memo, memo.profile
-        self._start[s], self._stop[s] = memo.start, memo.stop
-
     def on_vehicle_enter(self, poa: int, v: VehicleProfile, detected: bool) -> None:
         """Credit every candidate ad relevant to v, unless already served.
 
-        Undetected vehicles leave no trace: the broker never saw them.
+        Undetected vehicles leave no trace: the broker never saw them. A
+        detected vehicle must not be present under any PoA: it raises
+        ValueError, as a PoA id the estimator does not know raises
+        KeyError, before anything changes.
         """
-        self.on_events(enters=[(poa, v, detected)])
+        enters = at = _NO_ROWS
+        if detected:
+            at = np.array([self._poas[poa].row], dtype=np.int64)
+            vid = v.vehicle_id
+            s = self._slot_of.get(vid)
+            if s is not None and self._at[s] >= 0:
+                was = self._pids[self._at[s]]
+                if was == poa:
+                    raise ValueError(f"vehicle {vid} already present under poa {poa}")
+                raise ValueError(f"vehicle {vid} entered poa {poa} while present under poa {was}")
+            enters = self.vehicle_slots([v])
+        self.on_slot_events(_NO_ROWS, enters, at)
 
     def on_vehicle_exit(self, poa: int, vehicle_id: int) -> None:
-        """Remove the vehicle's credits; no-op for vehicles never detected."""
-        self.on_events(exits=[(poa, vehicle_id)])
-
-    def on_events(
-        self,
-        exits: Iterable[tuple[int, int]] = (),
-        enters: Iterable[tuple[int, VehicleProfile, bool]] = (),
-    ) -> None:
-        """One step's coverage events: each (poa, vehicle id) exit in turn,
-        then each (poa, profile, detected) enter in turn, as that many
-        `on_vehicle_exit` and `on_vehicle_enter` calls would apply them.
-
-        Every event is checked, and every new profile scanned, before any
-        is applied, so an event that raises leaves the counts and who is
-        present as they were. `last_event_examined` is the last event's.
-        """
-        poas, slot_of, at = self._poas, self._slot_of, self._at
-        # vehicle id -> slot, of the exits that take effect: of a vehicle
-        # present under that PoA
-        leaving: dict[int, int] = {}
-        last = None  # whether the last event is applied, if there is one
-        for pid, vid in exits:
-            row = poas[pid].row
-            s = slot_of.get(vid)
-            last = s is not None and at[s] == row and vid not in leaving
-            if last:
-                leaving[vid] = s
-        # vehicle id -> (PoA id, PoA row, memo), of the detected enters
-        arriving: dict[int, tuple[int, int, RelevanceMemo]] = {}
-        for pid, v, detected in enters:
-            last = detected
-            if not detected:
-                continue
-            row = poas[pid].row
-            vid = v.vehicle_id
-            s = slot_of.get(vid)
-            if vid in arriving:
-                was = arriving[vid][0]
-            elif vid in leaving or s is None or at[s] < 0:
-                was = None
-            else:
-                was = self._pids[at[s]]
-            if was == pid:
-                raise ValueError(f"vehicle {vid} already present under poa {pid}")
-            if was is not None:
-                raise ValueError(f"vehicle {vid} entered poa {pid} while present under poa {was}")
-            memo = None if s is None else self._memo[s]
-            if memo is None or memo.profile is not v:
-                memo = self._scan(v)
-            arriving[vid] = (pid, row, memo)
-        if last is None:
-            return
-
-        enter_slots = [self._slot(vid) for vid in arriving]
-        self._move(
-            np.array(list(leaving.values()), dtype=np.int64),
-            np.array(enter_slots, dtype=np.int64),
-            np.array([row for _, row, _ in arriving.values()], dtype=np.int64),
-            zip(enter_slots, [memo for _, _, memo in arriving.values()]),
-        )
-        # an applied last event is the last that _move applied
-        if not last:
-            self.last_event_examined = 0
+        """Remove the vehicle's credits; no-op for a vehicle not present
+        and detected under `poa` (KeyError for a PoA id the estimator does
+        not know)."""
+        row = self._poas[poa].row
+        s = self._slot_of.get(vehicle_id)
+        exits = np.array([s], dtype=np.int64) if s is not None and self._at[s] == row else _NO_ROWS
+        self.on_slot_events(exits, _NO_ROWS, _NO_ROWS)
 
     def on_slot_events(self, exits: np.ndarray, enters: np.ndarray, at: np.ndarray) -> None:
         """One step's coverage events by vehicle slot, in one pass over
@@ -426,21 +373,14 @@ class RevenueEstimator:
         rows `at`. An exit takes back its entries credited on entering and
         still unserved; an enter credits its entries worth something at the
         PoA and still unserved, scanning a memo for the slot's profile if
-        it has none. The examined counts are per event, exits first."""
-        self._move(exits, enters, at, ())
-
-    def _move(self, exits, enters, at, memos: Iterable[tuple[int, RelevanceMemo]]) -> None:
-        """`on_slot_events`, with the (slot, memo) pairs `memos` installed
-        after the exits have taken back their old memos' credit."""
+        it has none. The examined counts are per event, exits first, and
+        `last_event_examined` is the last applied event's (0 if none)."""
+        self._scan_missing(enters)
         exits = exits[self._at[exits] >= 0]
-        out, out_owner = self._entries(exits)
-        for s, memo in memos:
-            self._install(s, memo)
-        for s in enters[self._start[enters] < 0].tolist():
-            self._install(s, self._scan(self._profile[s]))
         if not exits.size and not enters.size:
             self.last_event_examined = 0
             return
+        out, out_owner = self._entries(exits)
         left = self._at[exits]
         self._at[exits] = -1
         self._at[enters] = at
@@ -469,14 +409,20 @@ class RevenueEstimator:
         shift = starts + sizes - sizes.cumsum()
         return np.arange(owner.size) + shift[owner], owner
 
+    def _scan_missing(self, slots: np.ndarray) -> None:
+        """Scan a memo for the profile of each slot at `slots` that has
+        none."""
+        for s in slots[self._start[slots] < 0].tolist():
+            memo = self._memo[s] = self._scan(self._profile[s])
+            self._start[s], self._stop[s] = memo.start, memo.stop
+
     def memo_entries(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The memo entries of the vehicles at `slots`, slot after slot and
         ascending by union row within a memo: their flat indices, the index
         into `slots` of the vehicle each belongs to, their union rows and
         their distances. A vehicle's memo is scanned for its slot's profile
         the first time."""
-        for s in slots[self._start[slots] < 0].tolist():
-            self._install(s, self._scan(self._profile[s]))
+        self._scan_missing(slots)
         idx, owner = self._entries(slots)
         return idx, owner, self._rows[idx], self._dists[idx]
 
@@ -487,18 +433,12 @@ class RevenueEstimator:
 
     def relevance(self, v: VehicleProfile) -> RelevanceMemo:
         """The memo of v's relevant candidate ads, at any PoA; scanned once
-        per profile object and remembered under its vehicle id. A vehicle
+        per profile object and remembered in its vehicle's slot. A vehicle
         present under a PoA keeps its memo: another profile object under
         its id raises ValueError."""
-        s = self._slot_of.get(v.vehicle_id)
-        memo = None if s is None else self._memo[s]
-        if memo is not None and memo.profile is v:
-            return memo
-        if s is not None:
-            self._check_absent(s)
-        memo = self._scan(v)
-        self._install(self._slot(v.vehicle_id), memo)
-        return memo
+        slots = self.vehicle_slots([v])
+        self._scan_missing(slots)
+        return self._memo[slots[0]]
 
     def _scan(self, v: VehicleProfile) -> RelevanceMemo:
         """A new memo of v's relevant union rows, its entries appended to

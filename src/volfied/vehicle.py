@@ -6,10 +6,12 @@ and keeps the next closest in a bounded cache for later steps. The cache
 lets short dwell times under a PoA pay off after the vehicle leaves
 coverage.
 
-`step_display` is that rule for one vehicle, on a `VehicleState`.
-`step_displays` is the same rule for many vehicles in one array pass: their
-state is a pair of flags (displayed, cached) per entry of their relevance
-memos, in `DisplayFlags`, and one `lexsort` ranks every vehicle's pool.
+`step_display` is that rule for one vehicle, on a `VehicleState`; it
+evaluates its own distances with `model.distances_to`. `step_displays` is
+the same rule for many vehicles in one array pass: their state is a pair of
+flags (displayed, cached) per entry of the estimator's relevance memos, in
+`DisplayFlags`, the distances are the memos', and one `lexsort` ranks every
+vehicle's pool.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .broker import RelevanceMemo, SelectionParams
-from .model import Ad, VehicleProfile, rank_for_profile, rank_relevant
+from .broker import SelectionParams
+from .model import Ad, VehicleProfile, rank_for_profile
 # perfbench/tracer.py wraps `distance` under this module's name.
 from .model import distance  # noqa: F401
 
@@ -33,16 +35,12 @@ class VehicleState:
 
     `displayed` only ever grows: an ad is shown to a vehicle at most once.
     `cache` holds (ad, distance) pairs sorted by (distance, ad_id), disjoint
-    from `displayed`, and no larger than the cache capacity. `relevance`,
-    when set, is the broker's memo of the ads relevant to `profile` and
-    their distances, which the display then reads instead of evaluating
-    them; it must cover every ad the vehicle receives.
+    from `displayed`, and no larger than the cache capacity.
     """
 
     profile: VehicleProfile
     displayed: set[int] = field(default_factory=set)
     cache: list[tuple[Ad, float]] = field(default_factory=list)
-    relevance: RelevanceMemo | None = None
 
 
 def step_display(
@@ -67,13 +65,9 @@ def step_display(
     pool: dict[int, Ad] = {ad.ad_id: ad for ad, _ in state.cache}
     for ad in received:
         pool.setdefault(ad.ad_id, ad)
-    if state.relevance is None:
-        ranked = rank_for_profile(
-            pool.values(), state.profile, current_poa, params.d_max, params.metric, state.displayed
-        )
-    else:
-        dists = state.relevance.distances(pool)
-        ranked = rank_relevant(pool.values(), dists, current_poa, params.d_max, state.displayed)
+    ranked = rank_for_profile(
+        pool.values(), state.profile, current_poa, params.d_max, params.metric, state.displayed
+    )
     shown = ranked[: params.m]
     state.cache = ranked[params.m : params.m + cache_capacity]
 

@@ -146,9 +146,9 @@ def reference_run(config, trace, ads, profiles, poas, display=step_display, new_
     `on_vehicle_enter`, with the same detection draws as `run`. Each PoA
     then selects and broadcasts by `on_broadcast`. Every present vehicle
     that received ads or holds a cache calls `display` (`step_display`'s
-    signature) on its state, made by `new_state(profile=...)`, reading the
-    estimator's memo of its relevant ads. Returns `run`'s (metrics,
-    summary).
+    signature) on its state, made by `new_state(profile=...)`, which
+    evaluates the distances to the ads in its pool. Returns `run`'s
+    (metrics, summary).
     """
     by_vid = {p.vehicle_id: p for p in profiles}
     params = config.selection_params
@@ -199,8 +199,6 @@ def reference_run(config, trace, ads, profiles, poas, display=step_display, new_
         for i in np.flatnonzero(present & (sending[current] | cached)).tolist():
             state = states[i]
             poa = int(current[i])
-            if state.relevance is None:
-                state.relevance = est.relevance(state.profile)
             where = poa_ids[poa] if poa >= 0 else None
             for ad_id, dist in display(state, received[poa], where, params, config.cache_size):
                 revenue += by_ad_id[ad_id].base_value

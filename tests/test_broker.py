@@ -132,8 +132,28 @@ class TestEstimatorEvents:
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
         est = RevenueEstimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vehicle 0 already present under poa 0$"):
             est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
+        assert est.revenue(0, 1) == 0.6
+
+    def test_unknown_poa_is_a_key_error(self):
+        ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
+        est = RevenueEstimator(params(), {0: [ad]})
+        v = VehicleProfile(5, np.array([0.5]))
+        # the PoA is looked up first, even for a vehicle never seen
+        with pytest.raises(KeyError):
+            est.on_vehicle_exit(99, 5)
+        with pytest.raises(KeyError):
+            est.on_vehicle_enter(99, v, detected=True)
+        # an undetected enter leaves no trace, wherever it is
+        est.on_vehicle_enter(99, v, detected=False)
+        est.on_vehicle_enter(0, v, detected=True)
+        # and before the vehicle's presence is checked
+        with pytest.raises(KeyError):
+            est.on_vehicle_exit(99, 5)
+        with pytest.raises(KeyError):
+            est.on_vehicle_enter(99, v, detected=True)
+        assert (est.revenue(0, 1), list(est.present(0))) == (0.6, [5])
 
     def test_enter_at_second_poa_rejected(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
@@ -537,20 +557,21 @@ class TestRelevanceMemo:
     @given(world=estimator_world(), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_batches_match_per_event_scan(self, world, data):
-        # Each step moves some vehicles (exit, enter, or both: a switch),
-        # hands all its events to one on_events call and the same events,
-        # exits first, to the reference one by one; then some PoAs
-        # broadcast, by one on_broadcasts call and one reference call each.
+        # Each step moves some vehicles (exit, enter, or both: a switch) and
+        # hands them to on_slot_events by slot, as sim.run does: every exit,
+        # of a detected vehicle or not, and the detected enters. The
+        # reference takes the events that apply one by one, exits first.
+        # Then some PoAs broadcast, by one on_broadcasts call and one
+        # reference call each.
         p, candidates, profiles = world
         est = RevenueEstimator(p, candidates)
         ref = ScanningEstimator(p, candidates)
         pids = sorted(candidates)
-        at = {}  # vehicle id -> (PoA it is under, detected)
-        peak = 0
+        at = {}  # vehicle id -> (PoA it is under, detected, profile)
+        last = peak = 0  # examined by the last event applied, and by any
 
         def assert_same():
-            assert est.last_event_examined == ref.last_event_examined
-            assert est.max_event_examined == peak
+            assert (est.last_event_examined, est.max_event_examined) == (last, peak)
             for pid in pids:
                 ids = ref.ids[pid]
                 assert counts_by_id(est, pid) == dict(zip(ids, ref.counts[pid].tolist()))
@@ -560,45 +581,59 @@ class TestRelevanceMemo:
             assert est.registry == ref.registry
 
         for _ in range(data.draw(st.integers(1, 8))):
-            exits, enters = [], []
-            for vid in sorted(profiles):
-                move = data.draw(st.sampled_from(["stay", "exit", "enter", "switch"]))
-                if vid in at and move in ("exit", "switch"):
-                    exits.append((at.pop(vid)[0], vid))
-                if vid not in at and move in ("enter", "switch"):
-                    v = profiles[vid][data.draw(st.integers(0, 1))]
-                    poa, detected = data.draw(st.sampled_from(pids)), data.draw(st.booleans())
-                    enters.append((poa, v, detected))
-                    at[vid] = (poa, detected)
-            # an enter of a vehicle present and detected, not leaving, raises
-            # and leaves the estimator as it was
-            entering = {v.vehicle_id for _, v, _ in enters}
-            staying = [vid for vid, (_, det) in at.items() if det and vid not in entering]
-            if staying and data.draw(st.booleans()):
-                vid = data.draw(st.sampled_from(staying))
+            # an enter of a vehicle present and detected raises and leaves
+            # the estimator as it was
+            present = sorted(vid for vid, (_, detected, _) in at.items() if detected)
+            if present and data.draw(st.booleans()):
+                vid = data.draw(st.sampled_from(present))
                 poa = data.draw(st.sampled_from(pids))
-                was = at[vid][0]
-                bad = enters[:]
-                bad.insert(data.draw(st.integers(0, len(bad))), (poa, profiles[vid][1], True))
+                was, _, v = at[vid]
                 message = (
                     f"vehicle {vid} already present under poa {poa}"
                     if poa == was
                     else f"vehicle {vid} entered poa {poa} while present under poa {was}"
                 )
                 with pytest.raises(ValueError, match=f"^{message}$"):
-                    est.on_events(exits, bad)
+                    est.on_vehicle_enter(poa, profiles[vid][data.draw(st.integers(0, 1))], True)
                 assert_same()
                 # the profile it is present with stays: another one raises
-                (other,) = [v for v in profiles[vid] if v is not est.present(was)[vid].profile]
+                (other,) = [u for u in profiles[vid] if u is not v]
                 with pytest.raises(ValueError, match=f"under poa {was} with another profile"):
                     est.relevance(other)
-            est.on_events(exits, enters)
-            for poa, vid in exits:
-                ref.exit(poa, vid)
-                peak = max(peak, ref.last_event_examined)
-            for poa, v, detected in enters:
-                ref.enter(poa, v, detected)
-                peak = max(peak, ref.last_event_examined)
+
+            exits, enters = [], []
+            for vid in sorted(profiles):
+                move = data.draw(st.sampled_from(["stay", "exit", "enter", "switch"]))
+                if vid in at and move in ("exit", "switch"):
+                    exits.append((vid, *at.pop(vid)))
+                if vid not in at and move in ("enter", "switch"):
+                    v = profiles[vid][data.draw(st.integers(0, 1))]
+                    poa, detected = data.draw(st.sampled_from(pids)), data.draw(st.booleans())
+                    if detected:
+                        enters.append((poa, v))
+                    at[vid] = (poa, detected, v)
+            exit_slots = est.vehicle_slots([v for *_, v in exits])
+            # a vehicle that comes back with another profile object leaves
+            # before its slot takes that profile
+            leaving = {vid: v for vid, _, detected, v in exits if detected}
+            if any(leaving.get(v.vehicle_id, v) is not v for _, v in enters):
+                est.on_slot_events(exit_slots, exit_slots[:0], exit_slots[:0])
+                exit_slots = exit_slots[:0]
+            est.on_slot_events(
+                exit_slots,
+                est.vehicle_slots([v for _, v in enters]),
+                est.poa_rows([poa for poa, _ in enters]),
+            )
+            last = 0
+            for vid, poa, detected, _ in exits:
+                if detected:
+                    ref.exit(poa, vid)
+                    last = ref.last_event_examined
+                    peak = max(peak, last)
+            for poa, v in enters:
+                ref.enter(poa, v, True)
+                last = ref.last_event_examined
+                peak = max(peak, last)
             assert_same()
 
             selected = {

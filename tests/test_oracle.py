@@ -16,7 +16,7 @@ from conftest import (
     random_instance,
     realized_revenue,
 )
-from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
+from volfied.broker import SelectionParams, select_volfied
 from volfied.model import (
     Ad,
     DistanceMetric,
@@ -511,22 +511,16 @@ class TestOneDisplayRule:
     @given(single_poa_instances())
     @settings(max_examples=300, deadline=None)
     def test_simulate_display_is_step_display(self, drawn):
-        # with the distances evaluated by the display or read from the
-        # estimator's relevance memo, as the simulator does
         inst, broadcast = drawn
         displays, _ = simulate_display({0: broadcast}, inst)
         by_id = {a.ad_id: a for a in inst.ads}
-        est = RevenueEstimator(inst.params, {0: list(inst.ads)})
         for prof in inst.vehicles:
             vid = prof.vehicle_id
             poa = inst.coverage[vid]
             received = [by_id[i] for i in broadcast] if poa is not None else []
-            for memo in (None, est.relevance(prof)):
-                state = VehicleState(
-                    profile=prof, displayed=set(inst.displayed[vid]), relevance=memo
-                )
-                shown = step_display(state, received, poa, inst.params, cache_capacity=0)
-                assert [ad_id for ad_id, _ in shown] == displays[vid]
+            state = VehicleState(profile=prof, displayed=set(inst.displayed[vid]))
+            shown = step_display(state, received, poa, inst.params, cache_capacity=0)
+            assert [ad_id for ad_id, _ in shown] == displays[vid]
 
     @given(single_poa_instances())
     @settings(max_examples=300, deadline=None)

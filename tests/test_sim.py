@@ -595,6 +595,20 @@ class TestReferenceLoop:
             cfg, trace, ads, profiles, _ROW_POAS
         )
 
+    def test_run_uses_only_the_batch_path(self, monkeypatch):
+        cfg, trace, ads, profiles, poas = random_run_scenario(seed=11)
+        cfg = dataclasses.replace(cfg, cache_size=3, detection_accuracy=0.7)
+        expected = reference_run(cfg, trace, ads, profiles, poas)
+        assert expected[1]["impressions"] > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run() took a one-event path")
+
+        for name in ("on_vehicle_enter", "on_vehicle_exit", "on_broadcast", "relevance"):
+            monkeypatch.setattr(RevenueEstimator, name, refuse)
+        monkeypatch.setattr(volfied.sim, "step_display", refuse)
+        assert run(cfg, trace, ads, profiles, poas) == expected
+
     def test_local_ad_evicted_from_cache(self):
         # Under PoA 0 the vehicle gets a Global ad, two Locals of PoA 0 and
         # a Local of PoA 1 that it never receives there. It shows the
