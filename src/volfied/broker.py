@@ -303,7 +303,11 @@ class RevenueEstimator:
         for v in profiles:
             s = self._slot(v.vehicle_id)
             if self._profile[s] is not v:
-                self._check_absent(s)
+                if self._at[s] >= 0:
+                    raise ValueError(
+                        f"vehicle {v.vehicle_id} is present under poa "
+                        f"{self._pids[self._at[s]]} with another profile"
+                    )
                 self._profile[s], self._memo[s] = v, None
                 self._start[s] = self._stop[s] = -1
             slots.append(s)
@@ -327,13 +331,6 @@ class RevenueEstimator:
         self._memo.append(None)
         self._profile.append(None)
         return s
-
-    def _check_absent(self, s: int) -> None:
-        if self._at[s] >= 0:
-            raise ValueError(
-                f"vehicle {self._vids[s]} is present under poa {self._pids[self._at[s]]} "
-                "with another profile"
-            )
 
     def on_vehicle_enter(self, poa: int, v: VehicleProfile, detected: bool) -> None:
         """Credit every candidate ad relevant to v, unless already served.
