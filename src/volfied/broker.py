@@ -62,7 +62,7 @@ class SelectionParams:
             warnings.warn(
                 f"k={self.k} < m={self.m}: broadcast budget below display budget",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
 
@@ -101,6 +101,68 @@ class _PoaState:
     def __init__(self, row: int, ads: Sequence[Ad]):
         self.row = row
         self.ads = ads
+
+
+class _ConflictMemo:
+    """Which union rows lie within 2*d_max of each other under one metric:
+    `select_volfied`'s conflict test, decided once per pair.
+
+    A union row is learned on first use. It takes the next position p, and
+    `masks[p]` gets bit q for every learned row q within 2*d_max of it
+    (bit p too), as `masks[q]` gets bit p. The rows of one `positions` call
+    are learned against every learned row by one `paired_distances` call.
+    That kernel reduces each pair on its own and either operand may come
+    first, so a pair is decided with the same bits as in any other block.
+    L learned rows take L^2/8 bytes of masks.
+    """
+
+    __slots__ = ("key", "masks", "_reach", "_union_feats", "_at", "_feats")
+
+    def __init__(self, metric: DistanceMetric, d_max: float, union_feats: np.ndarray):
+        self.key = (metric, d_max)
+        self.masks: list[int] = []
+        self._reach = 2.0 * d_max
+        self._union_feats = union_feats
+        # the position of each union row (-1: not learned), and the learned
+        # rows' features by position
+        self._at = np.full(len(union_feats), -1, dtype=np.int64)
+        self._feats = np.empty_like(union_feats)
+
+    def positions(self, rows: np.ndarray) -> list[int]:
+        """The position of each of `rows` (distinct union rows), learning
+        those not learned yet."""
+        at = self._at[rows]
+        new = rows[at < 0]
+        if new.size:
+            self._learn(new)
+            at = self._at[rows]
+        return at.tolist()
+
+    def _learn(self, rows: np.ndarray) -> None:
+        old = len(self.masks)
+        total = old + rows.size
+        feats = self._union_feats[rows]
+        self._feats[old:total] = feats
+        near = paired_distances(self.key[0], feats[:, None], self._feats[None, :total])
+        near = near <= self._reach
+        self._at[rows] = np.arange(old, total)
+        self.masks.extend(_row_bits(near))
+        # the rows learned before get the new rows' bits
+        earlier = np.flatnonzero(near[:, :old].any(axis=0))
+        masks = self.masks
+        for q, bits in zip(earlier.tolist(), _row_bits(near[:, earlier].T)):
+            masks[q] |= bits << old
+
+
+def _row_bits(near: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as an int with bit j for column j."""
+    packed = np.packbits(near, axis=1, bitorder="little")
+    if packed.shape[1] <= 8:  # one 64-bit word a row
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        return words.view("<u8").ravel().tolist()
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _grown(a: np.ndarray, used: int, size: int, fill=0) -> np.ndarray:
@@ -145,6 +207,9 @@ class RevenueEstimator:
     `on_vehicle_exit` and `on_broadcast` are the one-event cases, by PoA
     id and vehicle id or profile; the first two check their event before
     they hand it to `on_slot_events`.
+
+    `conflict_memo` keeps, for `select_volfied`, which union rows lie
+    within 2*d_max of each other, each pair decided once.
     """
 
     def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, Sequence[Ad]]):
@@ -245,6 +310,7 @@ class RevenueEstimator:
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
         self.max_event_examined = 0
+        self._conflicts: _ConflictMemo | None = None
 
     @property
     def registry(self) -> dict[int, set[int]]:
@@ -531,6 +597,13 @@ class RevenueEstimator:
             idx, owner = self._entries(slots)
             self._unserved[idx] &= ~self._sent[under[owner], self._rows[idx]]
 
+    def conflict_memo(self, metric: DistanceMetric, d_max: float) -> _ConflictMemo:
+        """The conflict memo of the union rows for (metric, d_max), kept
+        until a call asks for another pair."""
+        if self._conflicts is None or self._conflicts.key != (metric, d_max):
+            self._conflicts = _ConflictMemo(metric, d_max, self._union_feats)
+        return self._conflicts
+
     def _positive_by_revenue(self, poa: int) -> tuple[np.ndarray, np.ndarray]:
         """(union rows, ad ids) of the positive-estimate ads, ordered by
         R descending then AdId ascending."""
@@ -577,35 +650,37 @@ def select_volfied(
     lie within 2*d_max of it; stops at k admitted. Zero-estimate ads are
     skipped: they cannot contribute revenue but could block a slot.
 
-    The conflict distances come in blocks: the head of the candidate list
-    against itself and the ads admitted before it, by one
-    `paired_distances` call. `stats.distance_evals` counts the pairs the
-    greedy consults, one per admitted ad for every candidate examined.
+    The conflicts come from the estimator's conflict memo for the call's
+    metric and d_max, which decides each pair of union rows once per
+    estimator. The candidates are read in blocks: the head of the list,
+    then blocks twice as long as the one before, each learned by the memo
+    in one `paired_distances` call if it holds rows it has not seen. A
+    candidate is admitted iff its mask shares fewer than m bits with the
+    admitted ads'. A lone candidate, or the first one when k is 1, is
+    admitted without any memo work. `stats.distance_evals` counts the
+    pairs the greedy consults, one per admitted ad for every candidate
+    examined.
     """
     rows, ids = est._positive_by_revenue(poa)
-    reach = 2.0 * params.d_max
+    if params.k == 1 or len(rows) <= 1:
+        # the first candidate is always admitted, consulting no pair
+        return ids[:1].tolist()
+    memo = est.conflict_memo(params.metric, params.d_max)
+    masks = memo.masks
     chosen: list[int] = []  # indices into rows
-    chosen_feats = est._union_feats[:0]
+    taken = 0  # the admitted ads' bits
     evals = 0
     start, size = 0, _HEAD_PER_SLOT * params.k
     while start < len(rows) and len(chosen) < params.k:
         stop = min(start + size, len(rows))
-        block = est._union_feats[rows[start:stop]]
-        # columns: the ads admitted before the block, then the block itself
-        prior = len(chosen)
-        against = np.concatenate([chosen_feats, block]) if prior else block
-        near = (paired_distances(params.metric, block[:, None], against[None]) <= reach).tolist()
-        columns = list(range(prior))
-        for i in range(start, stop):
+        for i, p in enumerate(memo.positions(rows[start:stop]), start):
             n = len(chosen)
             if n >= params.k:
                 break
-            row = near[i - start]
             evals += n
-            if sum([row[c] for c in columns]) < params.m:
+            if (masks[p] & taken).bit_count() < params.m:
                 chosen.append(i)
-                columns.append(prior + i - start)
-        chosen_feats = against[columns]
+                taken |= 1 << p
         start, size = stop, 2 * size
     if stats is not None:
         stats.distance_evals += evals

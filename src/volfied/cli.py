@@ -102,7 +102,10 @@ def _parse_list(text: str, what: str, parse=str) -> list[str]:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(tok) for tok in _parse_list(text, "--seed", int)]
+    seeds = [int(tok) for tok in _parse_list(text, "--seed", int)]
+    for seed in seeds:
+        SimConfig.check_seed(seed)
+    return seeds
 
 
 def _parse_strategies(text: str) -> list[str]:
@@ -125,6 +128,7 @@ def _parse_sweep(text: str) -> tuple[str, str, type, list[str]]:
 def _cmd_gen(args, what: str) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.seed
+    SimConfig.check_seed(seed)
     os.makedirs(args.out, exist_ok=True)
     if what == "ads":
         write_ads_csv(os.path.join(args.out, "ads.csv"), gen_ads(config, seed))

@@ -152,7 +152,14 @@ class SimConfig:
     speed_mps: float = 14.0
     step_duration_s: float = 60.0
 
+    @staticmethod
+    def check_seed(seed: int) -> None:
+        """Raise ValueError unless seed >= 0."""
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+
     def __post_init__(self):
+        self.check_seed(self.seed)
         SelectionParams.check(self.k, self.m, self.d_max)
         SparseApproxParams.check(self.epsilon, self.m)
         if not 0.0 <= self.detection_accuracy <= 1.0:

@@ -1,11 +1,12 @@
-"""Shared helpers: random single-step instances, realized-revenue runs and
-the simulator's step loop as a loop over events and vehicles."""
+"""Shared helpers: random single-step instances, realized-revenue runs, the
+simulator's step loop as a loop over events and vehicles, and the block
+greedy that `select_volfied` must equal."""
 
 import numpy as np
 import pytest
 
-from volfied.broker import RevenueEstimator, SelectionParams, SelectionStats
-from volfied.model import Ad, AdTable, DistanceMetric, VehicleProfile
+from volfied.broker import _HEAD_PER_SLOT, RevenueEstimator, SelectionParams, SelectionStats
+from volfied.model import Ad, AdTable, DistanceMetric, VehicleProfile, paired_distances
 from volfied.oracle import OracleInstance, simulate_display
 from volfied.sim import (
     STRATEGIES,
@@ -224,6 +225,41 @@ def reference_run(config, trace, ads, profiles, poas, display=step_display, new_
         "distance_evals": stats.distance_evals,
     }
     return metrics, summary
+
+
+def block_greedy(est, poa, params, stats=None):
+    """`select_volfied` without the conflict memo, the reference it must
+    equal in ids and `distance_evals`: each block of the ranking is checked
+    against itself and the ads admitted before it by one fresh
+    `paired_distances` call."""
+    rows, ids = est._positive_by_revenue(poa)
+    reach = 2.0 * params.d_max
+    chosen: list[int] = []  # indices into rows
+    chosen_feats = est._union_feats[:0]
+    evals = 0
+    start, size = 0, _HEAD_PER_SLOT * params.k
+    while start < len(rows) and len(chosen) < params.k:
+        stop = min(start + size, len(rows))
+        block = est._union_feats[rows[start:stop]]
+        # columns: the ads admitted before the block, then the block itself
+        prior = len(chosen)
+        against = np.concatenate([chosen_feats, block]) if prior else block
+        near = (paired_distances(params.metric, block[:, None], against[None]) <= reach).tolist()
+        columns = list(range(prior))
+        for i in range(start, stop):
+            n = len(chosen)
+            if n >= params.k:
+                break
+            row = near[i - start]
+            evals += n
+            if sum([row[c] for c in columns]) < params.m:
+                chosen.append(i)
+                columns.append(prior + i - start)
+        chosen_feats = against[columns]
+        start, size = stop, 2 * size
+    if stats is not None:
+        stats.distance_evals += evals
+    return ids[chosen].tolist()
 
 
 # One line per acceptance criterion, echoed in the terminal summary so the

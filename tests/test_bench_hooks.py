@@ -10,8 +10,9 @@ import importlib
 import os
 import pathlib
 
-from volfied import cli
-from volfied.sim import MobilityTrace
+from volfied import cli, sim
+from volfied.scenario import build_scenario
+from volfied.sim import MobilityTrace, SimConfig
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,3 +31,24 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     assert cli._workers(1) == 1
     assert [cli._workers(n) for n in range(1, 6)] == [min(n, cpus) for n in range(1, 6)]
+
+
+def test_select_spans_count_the_run_evals(monkeypatch):
+    """perfbench's `broker.select_distance_evals` sums the `evals` of the
+    select spans, read from the `SelectionStats` the run passes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    cfg = SimConfig(
+        k=3, d_max=0.3, n_ads=200, n_dims=2, n_poas=3, n_vehicles=30, steps=20,
+        area_w_m=600.0, area_h_m=600.0, poa_range_m=250.0, seed=1,
+    )
+    ads, profiles, poas, trace = build_scenario(cfg, cfg.seed)
+    try:
+        tracer.install()
+        _, summary = sim.run(cfg, trace, ads, profiles, poas)
+    finally:
+        assert tracer.uninstall() == []
+    evals = [span[5]["evals"] for span in tracer.spans if span[2] == "broker.select"]
+    assert len(evals) == cfg.steps * cfg.n_poas
+    assert summary["distance_evals"] > 0
+    assert sum(evals) == summary["distance_evals"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import credited_ids
+from conftest import block_greedy, credited_ids
 import volfied.broker
 from volfied.broker import (
     RevenueEstimator,
@@ -30,6 +30,8 @@ from volfied.model import (
     distances_to,
     is_relevant,
 )
+from volfied.scenario import build_scenario
+from volfied.sim import SimConfig, run
 
 EUCL = DistanceMetric.EUCLIDEAN
 ANG = DistanceMetric.ANGULAR
@@ -259,6 +261,100 @@ class TestSelectVolfied:
             assert stats.distance_evals <= count * k
 
 
+# Integer coordinates put Euclidean pairs at exactly 2*d_max = 1, 2 or 3
+# and orthogonal pairs at exactly 2*d_max = pi/2 apart; none is the zero
+# vector, so either metric applies to every world.
+GRID_D_MAX = {EUCL: (0.5, 1.0, 1.5), ANG: (np.pi / 8, np.pi / 4, np.pi / 3)}
+
+
+@st.composite
+def grid_points(draw, n_dims):
+    point = draw(st.lists(st.integers(0, 3), min_size=n_dims, max_size=n_dims))
+    return np.array(point if any(point) else [1] * n_dims, dtype=float)
+
+
+@st.composite
+def call_params(draw, est_params):
+    """The estimator's params, or one whose d_max or metric differs."""
+    metric, d_max = est_params.metric, est_params.d_max
+    change = draw(st.sampled_from(["none", "d_max", "metric"]))
+    if change == "d_max":
+        d_max = draw(st.sampled_from([d for d in GRID_D_MAX[metric] if d != d_max]))
+    elif change == "metric":
+        metric = ANG if metric is EUCL else EUCL
+    return SelectionParams(k=est_params.k, m=est_params.m, d_max=d_max, metric=metric)
+
+
+class TestConflictMemo:
+    """`select_volfied` reads conflicts from the estimator's memo; the block
+    greedy (conftest) computes them afresh on every call."""
+
+    @pytest.mark.filterwarnings("ignore:k=.*broadcast budget below display budget")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_block_greedy(self, data):
+        draw = data.draw
+        n_dims = draw(st.integers(1, 3), label="n_dims")
+        metric = draw(st.sampled_from([EUCL, ANG]), label="metric")
+        p = SelectionParams(
+            k=draw(st.integers(1, 8), label="k"),
+            m=draw(st.integers(1, 3), label="m"),
+            d_max=draw(st.sampled_from(GRID_D_MAX[metric]), label="d_max"),
+            metric=metric,
+        )
+        ads = [
+            Ad(i, draw(grid_points(n_dims)), draw(st.sampled_from([1.0, 2.0])))
+            for i in range(draw(st.integers(1, 30), label="n_ads"))
+        ]
+        est = RevenueEstimator(p, {0: ads, 1: ads[: len(ads) // 2]})
+        vehicles = [VehicleProfile(v, draw(grid_points(n_dims))) for v in range(8)]
+        under = {}  # vehicle id -> PoA
+        for _ in range(draw(st.integers(1, 6), label="steps")):
+            for v in draw(st.lists(st.sampled_from(vehicles), max_size=4, unique=True)):
+                poa = under.pop(v.vehicle_id, None)
+                if poa is None:
+                    under[v.vehicle_id] = draw(st.sampled_from([0, 1]))
+                    est.on_vehicle_enter(under[v.vehicle_id], v, detected=True)
+                else:
+                    est.on_vehicle_exit(poa, v.vehicle_id)
+            for poa in (0, 1):
+                q = draw(call_params(p))
+                got, want = SelectionStats(), SelectionStats()
+                chosen = select_volfied(est, poa, q, got)
+                assert chosen == block_greedy(est, poa, q, want)
+                assert got.distance_evals == want.distance_evals
+                if draw(st.booleans()):
+                    est.on_broadcast(poa, chosen)
+
+    def test_learned_pairs_at_most_l_squared(self, monkeypatch):
+        """The angular d_max = 0.3 case whose whole blocks cost close to
+        quadratic work: the memo computes each pair of learned rows once."""
+        cfg = SimConfig(
+            k=4, m=1, d_max=0.3, metric=ANG, n_ads=2000, n_poas=12, n_vehicles=120, steps=8,
+            area_w_m=2000.0, area_h_m=2000.0, n_dims=3, poa_range_m=400.0, seed=0,
+        )
+        world = build_scenario(cfg, cfg.seed)
+        pairs, memos = [], []
+        kernel, memo_of = volfied.broker.paired_distances, RevenueEstimator.conflict_memo
+
+        def counted(*args):
+            out = kernel(*args)
+            pairs.append(out.size)
+            return out
+
+        def kept(*args):
+            memos.append(memo_of(*args))
+            return memos[-1]
+
+        monkeypatch.setattr(volfied.broker, "paired_distances", counted)
+        monkeypatch.setattr(RevenueEstimator, "conflict_memo", kept)
+        _, summary = run(cfg, world[3], *world[:3])
+        learned = len(memos[-1].masks)
+        assert all(m is memos[0] for m in memos)
+        assert summary["distance_evals"] > 0 and learned > 0
+        assert sum(pairs) <= learned**2
+
+
 class TestTopkRandom:
     def test_example1_topk_sends_both(self):
         est, _, _ = example1()
@@ -409,8 +505,10 @@ class TestEstimatorConsistency:
 
 class TestParamsValidation:
     def test_k_less_than_m_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             SelectionParams(k=1, m=2, d_max=0.15, metric=EUCL)
+        # the warning names the line that made the params
+        assert caught[0].filename == __file__
 
     def test_positive_required(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,13 @@ class TestGen:
         for name in ("ads.csv", "poas.csv", "trace.csv", "profiles.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("cmd", ["gen-ads", "gen-poas", "gen-trace", "gen-profiles"])
+    def test_negative_seed_makes_no_directory(self, tmp_path, capsys, cmd):
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(write_config(tmp_path)), "--out", str(out), "--seed=-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_invalid_dimension_writes_nothing(self, tmp_path, capsys):
         doc = json.loads(write_config(tmp_path).read_text())
         doc["n_dims"] = 0
@@ -367,6 +374,8 @@ class TestJobLists:
             (["sweep", "--sweep", "C=0,0"], "sweep C repeats '0'"),
             (["sweep", "--sweep", "d_max=0.1,0.10"], "sweep d_max repeats '0.1' as '0.10'"),
             (["sweep", "--sweep", "k="], "sweep k has no values"),
+            (["run", "--seed=-1"], "seed must be >= 0, got -1"),
+            (["sweep", "--seed", "2,-3", "--sweep", "C=0"], "seed must be >= 0, got -3"),
         ],
     )
     def test_rejected_before_output(self, tmp_path, capsys, args, message):

@@ -375,6 +375,10 @@ class TestIdleSkip:
         with pytest.raises(ValueError, match="cache_size"):
             SimConfig(cache_size=-1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            SimConfig(seed=-1)
+
 
 def random_run_scenario(seed, strategy="volfied", steps=8):
     rng = np.random.default_rng(seed)
