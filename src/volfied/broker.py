@@ -157,10 +157,6 @@ class _ConflictMemo:
 def _row_bits(near: np.ndarray) -> list[int]:
     """Each row of a 2-D boolean array as an int with bit j for column j."""
     packed = np.packbits(near, axis=1, bitorder="little")
-    if packed.shape[1] <= 8:  # one 64-bit word a row
-        words = np.zeros((len(packed), 8), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        return words.view("<u8").ravel().tolist()
     width, raw = packed.shape[1], packed.tobytes()
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
@@ -656,13 +652,12 @@ def select_volfied(
     then blocks twice as long as the one before, each learned by the memo
     in one `paired_distances` call if it holds rows it has not seen. A
     candidate is admitted iff its mask shares fewer than m bits with the
-    admitted ads'. A lone candidate, or the first one when k is 1, is
-    admitted without any memo work. `stats.distance_evals` counts the
-    pairs the greedy consults, one per admitted ad for every candidate
-    examined.
+    admitted ads'. A lone candidate is admitted without any memo work.
+    `stats.distance_evals` counts the pairs the greedy consults, one per
+    admitted ad for every candidate examined.
     """
     rows, ids = est._positive_by_revenue(poa)
-    if params.k == 1 or len(rows) <= 1:
+    if len(rows) <= 1:
         # the first candidate is always admitted, consulting no pair
         return ids[:1].tolist()
     memo = est.conflict_memo(params.metric, params.d_max)
