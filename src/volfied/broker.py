@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -59,10 +60,18 @@ class SelectionParams:
     def __post_init__(self):
         self.check(self.k, self.m, self.d_max)
         if self.k < self.m:
+            # name the line that made the params: past this module (with
+            # the generated __init__) and `dataclasses.replace`
+            level, frame = 1, sys._getframe()
+            while frame.f_back is not None and frame.f_globals.get("__name__") in (
+                __name__,
+                "dataclasses",
+            ):
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"k={self.k} < m={self.m}: broadcast budget below display budget",
                 UserWarning,
-                stacklevel=3,  # past the dataclass __init__, to its caller
+                stacklevel=level,
             )
 
 

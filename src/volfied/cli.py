@@ -6,10 +6,15 @@ and `sweep` regenerate the scenario deterministically per seed, write one
 metrics CSV per (strategy, seed, sweep value) combination plus a summary
 CSV, and exit 0 only when every combination completed.
 
-The combinations (jobs) run in a pool of forked worker processes, one per
-usable CPU and no more than there are jobs; with one job or one CPU they
-run one after another in the calling process. Either way the summary rows
-and the failure lines come out in job order.
+Jobs that differ only in the cache size form a group: the cache is on the
+vehicle side, so a group builds its world once and makes one simulation
+pass (`sim.run_cache_sizes`), then writes each job's metrics CSV. The
+groups run in a pool of forked worker processes, one per usable CPU and no
+more than there are groups; with one group or one CPU they run one after
+another in the calling process. Either way the summary rows and the
+failure lines come out in job order. A failure in a group's pass fails
+every job of the group; a failure writing one job's CSV fails that job
+alone.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ from .model import DistanceMetric, paired_distances
 from .model import distance  # noqa: F401
 from .oracle import instance_from_json, result_to_json, solve_exact
 from .scenario import build_scenario, gen_ads, gen_poas, gen_profiles, gen_synthetic
-from .sim import SimConfig, StepMetrics, run
+from .sim import SimConfig, StepMetrics, run_cache_sizes
+# perfbench/tracer.py wraps `run` under this module's name.
+from .sim import run  # noqa: F401
 from .sparse import m_sparse_set
 
 __all__ = ["main"]
@@ -178,33 +185,60 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _run_one(config: SimConfig, out_dir: str, strategy: str, seed: int,
-             sweep_name: str | None, token: str | None) -> str:
-    ads, profiles, poas, trace = build_scenario(config, seed)
-    metrics, _ = run(config, trace, ads, profiles, poas)
-    suffix = f"_{sweep_name}_{token}" if sweep_name else ""
-    path = os.path.join(out_dir, f"metrics_{strategy}_seed{seed}{suffix}.csv")
-    write_metrics_csv(path, strategy, metrics)
-    last = metrics[-1] if metrics else StepMetrics(0, 0.0, 0, 0.0, 0)
-    return render_summary_row(strategy, seed, token or "", last)
+def _run_one(group: list[tuple]) -> list[tuple[bool, str]]:
+    """Run one group of jobs that differ only in the cache size: one world
+    and one pass, then each job's metrics CSV. Per job, (True, its summary
+    row) or (False, the error text), so no exception has to be pickled on
+    its way back from a worker."""
+    config = group[0][0]
+    ads, profiles, poas, trace = build_scenario(config, config.seed)
+    cache_sizes = [job[0].cache_size for job in group]
+    runs = run_cache_sizes(config, cache_sizes, trace, ads, profiles, poas)
+    results = []
+    for (_, out_dir, strategy, seed, sweep_name, token), (metrics, _) in zip(group, runs):
+        suffix = f"_{sweep_name}_{token}" if sweep_name else ""
+        path = os.path.join(out_dir, f"metrics_{strategy}_seed{seed}{suffix}.csv")
+        try:
+            write_metrics_csv(path, strategy, metrics)
+        except Exception as exc:
+            results.append((False, str(exc)))
+        else:
+            last = metrics[-1] if metrics else StepMetrics(0, 0.0, 0, 0.0, 0)
+            results.append((True, render_summary_row(strategy, seed, token or "", last)))
+    return results
 
 
-def _job(job: tuple) -> tuple[bool, str]:
-    """Run one job: (True, its summary row) or (False, the error text), so
-    no exception has to be pickled on its way back from a worker. Module
-    level, and not `_run_one` itself, so that it pickles by name even when
-    `_run_one` or `run` is replaced by a wrapper."""
+def _group(group: list[tuple]) -> list[tuple[bool, str]]:
+    """`_run_one`, with a failure before the CSVs given to every job of the
+    group. Module level, and not `_run_one` itself, so that it pickles by
+    name even when `_run_one` or `run_cache_sizes` is replaced by a
+    wrapper."""
     try:
-        return True, _run_one(*job)
+        return _run_one(group)
     except Exception as exc:
-        return False, str(exc)
+        return [(False, str(exc))] * len(group)
 
 
 def _run_jobs(jobs: list[tuple]) -> list[tuple[bool, str]]:
-    """The `_job` result of every job, in job order."""
-    workers = _workers(len(jobs))
+    """The `_run_one` result of every job, in job order. Jobs whose configs
+    differ only in the cache size run as one group."""
+    by_world: dict[SimConfig, list[int]] = {}
+    for i, job in enumerate(jobs):
+        by_world.setdefault(dataclasses.replace(job[0], cache_size=0), []).append(i)
+    indices = list(by_world.values())
+    outcomes = _run_groups([[jobs[i] for i in group] for group in indices])
+    results: list = [None] * len(jobs)
+    for group, outcome in zip(indices, outcomes):
+        for i, result in zip(group, outcome):
+            results[i] = result
+    return results
+
+
+def _run_groups(groups: list[list[tuple]]) -> list[list[tuple[bool, str]]]:
+    """The `_group` result of every group, in group order."""
+    workers = _workers(len(groups))
     if workers == 1:
-        return [_job(job) for job in jobs]
+        return [_group(group) for group in groups]
     # Imported here: they add about 2 MB to a process, and only a pool
     # uses them.
     import multiprocessing
@@ -215,14 +249,14 @@ def _run_jobs(jobs: list[tuple]) -> list[tuple[bool, str]]:
     # parent's module state, including any name replaced at run time.
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = [pool.submit(_job, job) for job in jobs]
-        results = []
-        for future in futures:
+        futures = [pool.submit(_group, group) for group in groups]
+        outcomes = []
+        for group, future in zip(groups, futures):
             try:
-                results.append(future.result())
+                outcomes.append(future.result())
             except BrokenProcessPool as exc:  # a worker died; its jobs are lost
-                results.append((False, str(exc)))
-        return results
+                outcomes.append([(False, str(exc))] * len(group))
+        return outcomes
 
 
 def _cmd_run(args, sweep_required: bool) -> int:

@@ -11,6 +11,11 @@ advances its display step (an absent vehicle keeps its cache), all in one
 array pass over their memo entries (`vehicle.step_displays`); (5)
 cumulative metrics are appended. Revenue accounting uses the displays
 actually made, never the broker's estimates.
+
+The cache is on the vehicle side, and phases 1-3 never read it. So
+`run_cache_sizes` runs phases 1-3 once per step for several cache sizes,
+and phases 4-5 once per cache size, each on its own display state; `run`
+is its one-size case.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "STRATEGIES",
     "rng_stream",
     "run",
+    "run_cache_sizes",
 ]
 
 # vehicle ids are held in an int64 array
@@ -258,12 +264,46 @@ def run(
     """Simulate `config.steps` steps; returns per-step cumulative metrics
     and a final summary dict (revenue, impressions, avg_distance, broadcasts).
     Deterministic for a fixed config and seed."""
+    return run_cache_sizes(config, [config.cache_size], trace, ads, profiles, poas)[0]
+
+
+class _Display:
+    """The vehicle side of a run at one cache size: its display flags,
+    which vehicles hold a cache, and its running totals and metrics."""
+
+    def __init__(self, cache_size: int, n_vehicles: int):
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
+        self.cache_size = cache_size
+        self.flags = DisplayFlags()
+        self.cached = np.zeros(n_vehicles, dtype=bool)
+        self.metrics: list[StepMetrics] = []
+        self.revenue = 0.0
+        self.impressions = 0
+        self.distance_sum = 0.0
+
+
+def run_cache_sizes(
+    config: SimConfig,
+    cache_sizes: Sequence[int],
+    trace: MobilityTrace,
+    ads: Sequence[Ad],
+    profiles: Sequence[VehicleProfile],
+    poas: Sequence[PoA],
+) -> list[tuple[list[StepMetrics], dict]]:
+    """`run` at each of `cache_sizes` (in place of `config.cache_size`), in
+    one pass: the broker side (events, selection, broadcasts and their RNG
+    draws) never sees a vehicle's cache, so it runs once, and each cache
+    size keeps its own display state. Returns one `run` result per cache
+    size, in order."""
     by_vid = {p.vehicle_id: p for p in profiles}
     if len(by_vid) != len(profiles):
         raise ValueError("duplicate vehicle ids in profiles")
     missing = [vid for vid in trace.ids.tolist() if vid not in by_vid]
     if missing:
         raise ValueError(f"trace references vehicles without profiles: {missing}")
+    vids = sorted(by_vid)
+    displays = [_Display(c, len(vids)) for c in cache_sizes]
 
     params = config.selection_params
     select = STRATEGIES[config.strategy]
@@ -274,24 +314,16 @@ def run(
     # in the estimator's tables and its id (-1 is no Local ad's target)
     poa_row = np.append(est.poa_rows(poa_ids), -1)
     poa_id = np.append(index.ids, -1)
-    vids = sorted(by_vid)
     # vehicle index -> estimator slot, and trace column -> vehicle index
     slot = est.vehicle_slots([by_vid[vid] for vid in vids])
     column = np.searchsorted(np.array(vids, dtype=np.int64), trace.ids)
-    flags = DisplayFlags()
 
     det_rng = rng_stream(config.seed, STREAM_DETECTION)
     strat_rng = rng_stream(config.seed, STREAM_RANDOM_STRATEGY)
     stats = SelectionStats()
 
-    # per vehicle: index into poa_ids of the PoA it is under (-1: none),
-    # and whether its cache holds anything to display later
+    # per vehicle: index into poa_ids of the PoA it is under (-1: none)
     current = np.full(len(vids), -1, dtype=np.int64)
-    cached = np.zeros(len(vids), dtype=bool)
-    metrics: list[StepMetrics] = []
-    revenue = 0.0
-    impressions = 0
-    distance_sum = 0.0
     broadcasts = 0
 
     for step in range(config.steps):
@@ -324,44 +356,56 @@ def run(
         est.on_broadcasts(chosen_by_poa)
 
         # a present vehicle displays when it receives ads or holds a cache;
-        # an absent one keeps its cache for when it is back
-        show = np.flatnonzero(present & (sending[current] | cached))
-        if show.size:
-            idx, owner, rows, dists = est.memo_entries(slot[show])
-            under = current[show][owner]
-            target = est.union_target[rows]
-            shown, kept = step_displays(
-                flags,
-                idx,
-                owner,
-                dists,
-                est.sent(poa_row[under], rows),
-                (target < 0) | (target == poa_id[under]),
-                params.m,
-                config.cache_size,
-            )
-            cached[show] = False
-            cached[show[owner[kept]]] = True
-            # a left fold from the running totals, as one `+=` per impression
-            revenue = float(np.add.accumulate(np.append(revenue, est.union_base[rows[shown]]))[-1])
-            distance_sum = float(np.add.accumulate(np.append(distance_sum, dists[shown]))[-1])
-            impressions += shown.size
+        # an absent one keeps its cache for when it is back. Every vehicle
+        # that receives ads displays at every cache size, so the memos the
+        # first display scans are the same whichever size comes first.
+        for d in displays:
+            show = np.flatnonzero(present & (sending[current] | d.cached))
+            if show.size:
+                idx, owner, rows, dists = est.memo_entries(slot[show])
+                under = current[show][owner]
+                target = est.union_target[rows]
+                shown, kept = step_displays(
+                    d.flags,
+                    idx,
+                    owner,
+                    dists,
+                    est.sent(poa_row[under], rows),
+                    (target < 0) | (target == poa_id[under]),
+                    params.m,
+                    d.cache_size,
+                )
+                d.cached[show] = False
+                d.cached[show[owner[kept]]] = True
+                # a left fold from the running totals, as one `+=` per impression
+                d.revenue = float(
+                    np.add.accumulate(np.append(d.revenue, est.union_base[rows[shown]]))[-1]
+                )
+                d.distance_sum = float(
+                    np.add.accumulate(np.append(d.distance_sum, dists[shown]))[-1]
+                )
+                d.impressions += shown.size
 
-        metrics.append(
-            StepMetrics(
-                step=step,
-                revenue_cum=revenue,
-                impressions_cum=impressions,
-                avg_distance_cum=distance_sum / impressions if impressions else 0.0,
-                broadcasts_cum=broadcasts,
+            d.metrics.append(
+                StepMetrics(
+                    step=step,
+                    revenue_cum=d.revenue,
+                    impressions_cum=d.impressions,
+                    avg_distance_cum=d.distance_sum / d.impressions if d.impressions else 0.0,
+                    broadcasts_cum=broadcasts,
+                )
             )
+
+    return [
+        (
+            d.metrics,
+            {
+                "revenue": d.revenue,
+                "impressions": d.impressions,
+                "avg_distance": d.distance_sum / d.impressions if d.impressions else 0.0,
+                "broadcasts": broadcasts,
+                "distance_evals": stats.distance_evals,
+            },
         )
-
-    summary = {
-        "revenue": metrics[-1].revenue_cum if metrics else 0.0,
-        "impressions": metrics[-1].impressions_cum if metrics else 0,
-        "avg_distance": metrics[-1].avg_distance_cum if metrics else 0.0,
-        "broadcasts": metrics[-1].broadcasts_cum if metrics else 0,
-        "distance_evals": stats.distance_evals,
-    }
-    return metrics, summary
+        for d in displays
+    ]

@@ -5,6 +5,8 @@ number of contributing vehicles) and cross-checked by full recomputation;
 selection expectations are hand-traces of the greedy scan.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,9 +508,12 @@ class TestEstimatorConsistency:
 class TestParamsValidation:
     def test_k_less_than_m_warns(self):
         with pytest.warns(UserWarning) as caught:
+            params = SelectionParams(k=2, m=2, d_max=0.15, metric=EUCL)
             SelectionParams(k=1, m=2, d_max=0.15, metric=EUCL)
-        # the warning names the line that made the params
-        assert caught[0].filename == __file__
+            dataclasses.replace(params, k=1)
+        # the warning names the line that made the params, also through
+        # `dataclasses.replace`
+        assert [w.filename for w in caught] == [__file__, __file__]
 
     def test_positive_required(self):
         with pytest.raises(ValueError):

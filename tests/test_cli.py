@@ -13,9 +13,16 @@ import pytest
 
 import volfied.cli
 from volfied.cli import main
-from volfied.files import load_ads_csv, write_mapping_csv
+from volfied.files import (
+    SUMMARY_HEADER,
+    load_ads_csv,
+    render_metrics_csv,
+    render_summary_row,
+    write_mapping_csv,
+)
 from volfied.model import DistanceMetric, distance
-from volfied.sim import SimConfig
+from volfied.scenario import build_scenario
+from volfied.sim import SimConfig, run
 
 
 def write_config(tmp_path, **overrides):
@@ -173,14 +180,15 @@ class TestSweep:
         assert all(r.split(",")[2] in {"1", "2"} for r in rows)
 
     def test_failed_jobs_named_in_order_and_others_written(self, tmp_path, capsys, monkeypatch):
-        # every epsilon = 0.02 job fails inside run(), after the output exists
-        def run(config, *inputs):
+        # every epsilon = 0.02 job fails in its simulation pass, after the
+        # output directory exists
+        def run_cache_sizes(config, *inputs):
             if config.epsilon == 0.02:
                 raise ValueError("injected failure")
             return real_run(config, *inputs)
 
-        real_run = volfied.cli.run
-        monkeypatch.setattr(volfied.cli, "run", run)
+        real_run = volfied.cli.run_cache_sizes
+        monkeypatch.setattr(volfied.cli, "run_cache_sizes", run_cache_sizes)
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "1",
@@ -200,7 +208,7 @@ class TestSweep:
         ]
 
     def test_failed_jobs_named_in_order_in_a_pool(self, tmp_path, capsys, monkeypatch):
-        # the workers are forked, so they run the patched `run` too
+        # the workers are forked, so they run the patched pass too
         monkeypatch.setattr(volfied.cli, "_workers", lambda n_jobs: 2)
         self.test_failed_jobs_named_in_order_and_others_written(tmp_path, capsys, monkeypatch)
         assert multiprocessing.active_children() == []
@@ -313,14 +321,15 @@ class TestPool:
         with pytest.raises((pickle.PicklingError, AttributeError)):
             pickle.dumps(Unpicklable("x"))
 
-        def run(config, *inputs):
-            if config.cache_size == 4:
+        # the C = 4 jobs fail writing their CSVs, after their group's pass
+        def write_metrics_csv(path, *rest):
+            if path.endswith("_C_4.csv"):
                 raise Unpicklable("cannot be sent back")
-            return real_run(config, *inputs)
+            return real_write(path, *rest)
 
-        real_run = volfied.cli.run
-        monkeypatch.setattr(volfied.cli, "run", run)
-        monkeypatch.setattr(volfied.cli, "_workers", lambda n_jobs: 2)
+        real_write = volfied.cli.write_metrics_csv
+        monkeypatch.setattr(volfied.cli, "write_metrics_csv", write_metrics_csv)
+        monkeypatch.setattr(volfied.cli, "_workers", lambda n_groups: 2)
         out = tmp_path / "out"
         assert self.sweep(tmp_path, out) == 1
         err = capsys.readouterr().err
@@ -330,15 +339,35 @@ class TestPool:
         )
         assert multiprocessing.active_children() == []
 
+    def test_failed_pass_names_its_group(self, tmp_path, capsys, monkeypatch):
+        def run_cache_sizes(config, cache_sizes, *inputs):
+            if config.strategy == "volfied":
+                assert cache_sizes == [0, 4]
+                raise ValueError("injected failure")
+            return real_run(config, cache_sizes, *inputs)
+
+        real_run = volfied.cli.run_cache_sizes
+        monkeypatch.setattr(volfied.cli, "run_cache_sizes", run_cache_sizes)
+        monkeypatch.setattr(volfied.cli, "_workers", lambda n_groups: 2)
+        out = tmp_path / "out"
+        assert self.sweep(tmp_path, out) == 1
+        err = capsys.readouterr().err
+        assert err.count(": injected failure\n") == 2
+        assert self.outcome(out, err) == (
+            [("volfied", "0"), ("volfied", "4")], [("topk", "0"), ("topk", "4")]
+        )
+        assert not list(out.glob("metrics_volfied_*"))
+        assert multiprocessing.active_children() == []
+
     def test_worker_death(self, tmp_path, capsys, monkeypatch):
-        # The third job's worker dies once the first two jobs have written
-        # their CSVs and had time to send their rows back; the fourth job
-        # may or may not finish before the pool is found broken.
+        # The topk group's worker dies in its pass once the volfied group
+        # has written its CSVs and had time to send its rows back; both
+        # topk jobs are lost with it.
         out = tmp_path / "out"
         done = [out / f"metrics_volfied_seed1_C_{value}.csv" for value in ("0", "4")]
 
-        def run(config, *inputs):
-            if config.strategy == "topk" and config.cache_size == 0:
+        def run_cache_sizes(config, *inputs):
+            if config.strategy == "topk":
                 deadline = time.monotonic() + 60.0
                 while not all(p.exists() for p in done) and time.monotonic() < deadline:
                     time.sleep(0.01)
@@ -346,9 +375,9 @@ class TestPool:
                 os._exit(3)
             return real_run(config, *inputs)
 
-        real_run = volfied.cli.run
-        monkeypatch.setattr(volfied.cli, "run", run)
-        monkeypatch.setattr(volfied.cli, "_workers", lambda n_jobs: 2)
+        real_run = volfied.cli.run_cache_sizes
+        monkeypatch.setattr(volfied.cli, "run_cache_sizes", run_cache_sizes)
+        monkeypatch.setattr(volfied.cli, "_workers", lambda n_groups: 2)
         assert self.sweep(tmp_path, out) == 1
         err = capsys.readouterr().err
         assert "terminated abruptly" in err
@@ -356,6 +385,47 @@ class TestPool:
         assert named[0] == ("topk", "0") and set(named) <= {("topk", "0"), ("topk", "4")}
         assert rows == [job for job in self.JOBS if job not in named]
         assert multiprocessing.active_children() == []
+
+
+class TestGroups:
+    """Jobs that differ only in the cache size share one world and one pass."""
+
+    def sweep(self, tmp_path, out, sweep):
+        return main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out),
+                     "--seed", "1", "--strategy", "volfied,topk", "--sweep", sweep])
+
+    def test_pool_gets_groups(self, tmp_path, monkeypatch):
+        asked = []
+
+        def workers(n_groups):
+            asked.append(n_groups)
+            return 1
+
+        monkeypatch.setattr(volfied.cli, "_workers", workers)
+        assert self.sweep(tmp_path, tmp_path / "C", "C=0,1,4") == 0
+        assert self.sweep(tmp_path, tmp_path / "k", "k=1,2,3") == 0
+        assert asked == [2, 6]
+
+    def test_cache_sweep_same_bytes_as_one_run_per_job(self, tmp_path):
+        out = tmp_path / "out"
+        assert self.sweep(tmp_path, out, "C=0,1,4") == 0
+        config = volfied.cli.load_config(str(write_config(tmp_path)))
+        expected = {}
+        rows = [SUMMARY_HEADER]
+        for strategy in ("volfied", "topk"):
+            for value in ("0", "1", "4"):
+                job = dataclasses.replace(
+                    config, strategy=strategy, seed=1, cache_size=int(value)
+                )
+                ads, profiles, poas, trace = build_scenario(job, job.seed)
+                metrics, _ = run(job, trace, ads, profiles, poas)
+                name = f"metrics_{strategy}_seed1_C_{value}.csv"
+                expected[name] = render_metrics_csv(strategy, metrics).encode()
+                rows.append(render_summary_row(strategy, 1, value, metrics[-1]))
+        expected["summary.csv"] = ("\n".join(rows) + "\n").encode()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+        # the cache changes what topk shows here, so the sizes are told apart
+        assert expected["metrics_topk_seed1_C_0.csv"] != expected["metrics_topk_seed1_C_4.csv"]
 
 
 class TestJobLists:

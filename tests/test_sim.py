@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 import volfied.sim
 from conftest import estimator_for, random_instance, realized_revenue, reference_run
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
-from volfied.files import load_trace, write_trace_csv
+from volfied.files import load_trace, render_metrics_csv, write_trace_csv
 from volfied.model import Ad, DistanceMetric, PoA, VehicleProfile
 from volfied.oracle import OracleInstance
 from volfied.scenario import gen_poas, gen_population, gen_synthetic
-from volfied.sim import MobilityTrace, SimConfig, _CoverageIndex, run
+from volfied.sim import MobilityTrace, SimConfig, _CoverageIndex, run, run_cache_sizes
 from volfied.vehicle import VehicleState, step_display
 
 EUCL = DistanceMetric.EUCLIDEAN
@@ -635,3 +635,27 @@ class TestReferenceLoop:
         assert (metrics, summary) == reference_run(cfg, trace, ads, profiles, poas)
         assert [m.impressions_cum for m in metrics] == [1, 2, 3]
         assert summary["revenue"] == 0.9 + 0.5 + 0.3
+
+
+class TestCacheSizePass:
+    """`run_cache_sizes`: one broker pass, one display state per cache size."""
+
+    @given(small_worlds(), st.integers(1, 3), st.booleans(),
+           st.lists(st.sampled_from([0, 1, 3, 5]), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_one_run_per_cache_size(self, world, m, use_sparse, sizes):
+        cfg, trace, ads, profiles = world
+        cfg = dataclasses.replace(cfg, m=m, k=max(cfg.k, m), use_sparse=use_sparse)
+        grouped = run_cache_sizes(cfg, sizes, trace, ads, profiles, _ROW_POAS)
+        assert len(grouped) == len(sizes)
+        for size, (metrics, summary) in zip(sizes, grouped):
+            alone = run(dataclasses.replace(cfg, cache_size=size), trace, ads, profiles, _ROW_POAS)
+            assert render_metrics_csv(cfg.strategy, metrics) == render_metrics_csv(
+                cfg.strategy, alone[0]
+            )
+            assert summary == alone[1]
+
+    def test_negative_cache_size_in_a_pass_rejected(self):
+        cfg, trace, ads, profiles, poas = tiny_scenario()
+        with pytest.raises(ValueError, match="^cache_size must be >= 0, got -1$"):
+            run_cache_sizes(cfg, [0, -1], trace, ads, profiles, poas)
