@@ -32,7 +32,6 @@ from .model import (
 __all__ = [
     "SelectionParams",
     "SelectionStats",
-    "RelevanceMemo",
     "RevenueEstimator",
     "select_volfied",
     "select_topk",
@@ -80,36 +79,6 @@ class SelectionStats:
     """Instrumentation filled in by select_volfied."""
 
     distance_evals: int = 0
-
-
-class RelevanceMemo:
-    """One vehicle profile's relevant ads: the rows of the estimator's union
-    catalog within d_max of it, ascending (their ad ids ascend too), and
-    the distances to them. The memo's entries sit at `start` onwards in the
-    estimator's flat entry arrays, which also hold each entry's distance,
-    whether the vehicle's served registry lacks the ad and whether it was
-    credited on entering; the display reads them through
-    `RevenueEstimator.memo_entries`."""
-
-    __slots__ = ("profile", "rows", "ids", "dists", "start", "stop")
-
-    def __init__(self, profile, rows, ids, dists, start):
-        self.profile = profile
-        self.rows = rows
-        self.ids = ids
-        self.dists = dists
-        self.start, self.stop = start, start + rows.size
-
-
-class _PoaState:
-    """A PoA's row in the estimator's (PoA x union row) tables and its
-    candidate ads."""
-
-    __slots__ = ("row", "ads")
-
-    def __init__(self, row: int, ads: Sequence[Ad]):
-        self.row = row
-        self.ads = ads
 
 
 class _ConflictMemo:
@@ -185,9 +154,10 @@ class RevenueEstimator:
 
     Profiles and candidate sets are fixed, so a vehicle's relevant ads are
     found once, on its first detected enter (or first `memo_entries` or
-    `relevance` call), and remembered in a `RelevanceMemo`, whose entries
-    the display reads through `memo_entries`. The scan covers the union of
-    all candidate sets through a window: the union rows are sorted once on
+    `relevance` call), and kept as its memo: a run of entries in the flat
+    arrays below, which the display reads through `memo_entries` and
+    `present` and `relevance` read too. The scan covers the union of all
+    candidate sets through a window: the union rows are sorted once on
     one coordinate, two `searchsorted` calls take those within reach of
     the profile on it, a second coordinate drops more, and `distances_to`
     decides which of the rest lie within d_max.
@@ -266,10 +236,9 @@ class RevenueEstimator:
         shape = (len(pids), len(holder))
         self._candidate = np.zeros(shape, dtype=bool)
         self._pids = pids
-        self._poas = {}
-        for row, (pid, ads, stop) in enumerate(zip(pids, tables, stops)):
-            self._candidate[row, rows[stop - len(ads) : stop]] = True
-            self._poas[pid] = _PoaState(row, ads)
+        self._poa_row = {pid: row for row, pid in enumerate(pids)}
+        for row, (t, stop) in enumerate(zip(tables, stops)):
+            self._candidate[row, rows[stop - len(t) : stop]] = True
         # ad_value over the table at once: a candidate in scope is worth its
         # base value, any other cell 0
         in_scope = (target < 0) | (target == np.array(pids, dtype=np.int64)[:, None])
@@ -301,8 +270,8 @@ class RevenueEstimator:
         self._credited = np.zeros(0, dtype=bool)
         # per slot, the first `_n_slots` in use: vehicle id, the PoA row it
         # is present under, detected (-1: none), where its memo's entries
-        # start and stop (-1: no memo), whether a broadcast reached it, its
-        # memo and the profile the next memo is scanned for
+        # start and stop (-1: no memo), whether a broadcast reached it, and
+        # the profile its memo is (or the next one will be) scanned for
         self._slot_of: dict[int, int] = {}
         self._n_slots = 0
         self._vids = np.zeros(0, dtype=np.int64)
@@ -310,7 +279,6 @@ class RevenueEstimator:
         self._start = np.zeros(0, dtype=np.int64)
         self._stop = np.zeros(0, dtype=np.int64)
         self._served = np.zeros(0, dtype=bool)
-        self._memo: list[RelevanceMemo | None] = []
         self._profile: list[VehicleProfile] = []
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
@@ -327,18 +295,15 @@ class RevenueEstimator:
         self._unfiled.clear()
         return self._registry
 
-    def candidate_ads(self, poa: int) -> Sequence[Ad]:
-        return self._poas[poa].ads
-
     def revenue(self, poa: int, ad_id: int) -> float:
-        st = self._poas[poa]
-        row = self._check_candidates(st, [ad_id])[0]
-        return float(self._values[st.row, row] * self._counts[st.row, row])
+        at = self._poa_row[poa]
+        row = self._check_candidates(at, [ad_id])[0]
+        return float(self._values[at, row] * self._counts[at, row])
 
-    def _check_candidates(self, st: _PoaState, ad_ids: Sequence[int]) -> np.ndarray:
-        """Union rows of ad ids that are candidates at st (KeyError for any
-        other id)."""
-        rows = self._candidate_rows(st.row, ad_ids)
+    def _check_candidates(self, at: int, ad_ids: Sequence[int]) -> np.ndarray:
+        """Union rows of ad ids that are candidates at the PoA row `at`
+        (KeyError for any other id)."""
+        rows = self._candidate_rows(at, ad_ids)
         if rows is None:
             raise KeyError(f"not all of {ad_ids} are candidates here")
         return rows
@@ -356,14 +321,15 @@ class RevenueEstimator:
             return rows
         return None
 
-    def present(self, poa: int) -> dict[int, RelevanceMemo]:
-        """Vehicle id -> memo of each detected vehicle present under `poa`."""
-        slots = np.flatnonzero(self._at == self._poas[poa].row).tolist()
-        return {int(self._vids[s]): self._memo[s] for s in slots}
+    def present(self, poa: int) -> dict[int, slice]:
+        """Vehicle id -> the slice of the flat entry arrays that holds its
+        memo, for each detected vehicle present under `poa`."""
+        slots = np.flatnonzero(self._at == self._poa_row[poa]).tolist()
+        return {int(self._vids[s]): slice(self._start[s], self._stop[s]) for s in slots}
 
     def poa_rows(self, poa_ids: Iterable[int]) -> np.ndarray:
         """The row of each PoA id in the estimator's tables."""
-        return np.array([self._poas[pid].row for pid in poa_ids], dtype=np.int64)
+        return np.array([self._poa_row[pid] for pid in poa_ids], dtype=np.int64)
 
     def vehicle_slots(self, profiles: Iterable[VehicleProfile]) -> np.ndarray:
         """The slot of each profile's vehicle, made on first sight. A memo is
@@ -379,7 +345,7 @@ class RevenueEstimator:
                         f"vehicle {v.vehicle_id} is present under poa "
                         f"{self._pids[self._at[s]]} with another profile"
                     )
-                self._profile[s], self._memo[s] = v, None
+                self._profile[s] = v
                 self._start[s] = self._stop[s] = -1
             slots.append(s)
         return np.array(slots, dtype=np.int64)
@@ -399,7 +365,6 @@ class RevenueEstimator:
                 _grown(a, s, size, -1) for a in (self._at, self._start, self._stop)
             )
         self._vids[s] = vid
-        self._memo.append(None)
         self._profile.append(None)
         return s
 
@@ -413,7 +378,7 @@ class RevenueEstimator:
         """
         enters = at = _NO_ROWS
         if detected:
-            at = np.array([self._poas[poa].row], dtype=np.int64)
+            at = np.array([self._poa_row[poa]], dtype=np.int64)
             vid = v.vehicle_id
             s = self._slot_of.get(vid)
             if s is not None and self._at[s] >= 0:
@@ -428,7 +393,7 @@ class RevenueEstimator:
         """Remove the vehicle's credits; no-op for a vehicle not present
         and detected under `poa` (KeyError for a PoA id the estimator does
         not know)."""
-        row = self._poas[poa].row
+        row = self._poa_row[poa]
         s = self._slot_of.get(vehicle_id)
         exits = np.array([s], dtype=np.int64) if s is not None and self._at[s] == row else _NO_ROWS
         self.on_slot_events(exits, _NO_ROWS, _NO_ROWS)
@@ -481,8 +446,7 @@ class RevenueEstimator:
         """Scan a memo for the profile of each slot at `slots` that has
         none."""
         for s in slots[self._start[slots] < 0].tolist():
-            memo = self._memo[s] = self._scan(self._profile[s])
-            self._start[s], self._stop[s] = memo.start, memo.stop
+            self._start[s], self._stop[s] = self._scan(self._profile[s])
 
     def memo_entries(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The memo entries of the vehicles at `slots`, slot after slot and
@@ -499,18 +463,17 @@ class RevenueEstimator:
         PoA row; never at PoA row -1."""
         return self._sent[at, rows]
 
-    def relevance(self, v: VehicleProfile) -> RelevanceMemo:
-        """The memo of v's relevant candidate ads, at any PoA; scanned once
-        per profile object and remembered in its vehicle's slot. A vehicle
-        present under a PoA keeps its memo: another profile object under
-        its id raises ValueError."""
-        slots = self.vehicle_slots([v])
-        self._scan_missing(slots)
-        return self._memo[slots[0]]
+    def relevance(self, v: VehicleProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(union rows, ad ids, distances) of v's relevant candidate ads, at
+        any PoA, ascending by union row: its memo, scanned once per profile
+        object. A vehicle present under a PoA keeps its memo: another
+        profile object under its id raises ValueError."""
+        _, _, rows, dists = self.memo_entries(self.vehicle_slots([v]))
+        return rows, self._union_ids[rows], dists
 
-    def _scan(self, v: VehicleProfile) -> RelevanceMemo:
-        """A new memo of v's relevant union rows, its entries appended to
-        the flat arrays, unserved unless the registry holds them."""
+    def _scan(self, v: VehicleProfile) -> tuple[int, int]:
+        """Append a new memo of v's relevant union rows to the flat arrays,
+        unserved unless the registry holds them; its (start, stop)."""
         if self._union_ids.size:
             rows = self._window(v)
             dists = distances_to(self.params.metric, v.interests, self._union_feats[rows])
@@ -532,7 +495,7 @@ class RevenueEstimator:
         s = self._slot_of.get(v.vehicle_id)
         served = self.registry.get(v.vehicle_id) if s is not None and self._served[s] else None
         self._unserved[start:stop] = ~np.isin(ids, list(served)) if served else True
-        return RelevanceMemo(v, rows, ids, dists, start)
+        return start, stop
 
     def _window(self, v: VehicleProfile) -> np.ndarray:
         """Union rows, ascending, whose window points lie within the reach
@@ -565,17 +528,17 @@ class RevenueEstimator:
         one `on_broadcast` call per PoA would apply them. Every id is
         checked before any broadcast is applied. The cells sent stay marked
         for `sent` until the next call."""
-        sent = [(self._poas.get(pid), ad_ids) for pid, ad_ids in selected.items() if ad_ids]
+        sent = [(self._poa_row.get(pid), ad_ids) for pid, ad_ids in selected.items() if ad_ids]
         at = rows = _NO_ROWS
         if sent:
             rows = None
-            if all(st is not None for st, _ in sent):
-                at = np.repeat([st.row for st, _ in sent], [len(ad_ids) for _, ad_ids in sent])
+            if all(row is not None for row, _ in sent):
+                at = np.repeat([row for row, _ in sent], [len(ad_ids) for _, ad_ids in sent])
                 rows = self._candidate_rows(at, list(itertools.chain.from_iterable(a for _, a in sent)))
             if rows is None:  # raise the first PoA's KeyError
                 for pid, ad_ids in selected.items():
                     if ad_ids:
-                        self._check_candidates(self._poas[pid], ad_ids)
+                        self._check_candidates(self._poa_row[pid], ad_ids)
         self._sent[self._sent_cells] = False
         self._sent[at, rows] = True
         self._sent_cells = (at, rows)
@@ -591,7 +554,7 @@ class RevenueEstimator:
         under = self._at[slots]
         order = np.argsort(under, kind="stable")
         slots, under = slots[order], under[order]
-        sent_rows = [st.row for st, _ in sent]
+        sent_rows = [row for row, _ in sent]
         lo = np.searchsorted(under, sent_rows, side="left").tolist()
         hi = np.searchsorted(under, sent_rows, side="right").tolist()
         for (_, ad_ids), a, b in zip(sent, lo, hi):
@@ -614,7 +577,7 @@ class RevenueEstimator:
         R descending then AdId ascending."""
         if self._ranked is None:
             self._ranked = self._rank()
-        return self._ranked[self._poas[poa].row]
+        return self._ranked[self._poa_row[poa]]
 
     def _rank(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """`_positive_by_revenue` of every PoA row, from one pass over the

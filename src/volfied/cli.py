@@ -64,23 +64,36 @@ SWEEP_PARAMS = {
     "p": ("detection_accuracy", float),
 }
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
+# field -> the type of its default: int, float, bool, str or DistanceMetric
+_CONFIG_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
+# the JSON types a config field takes, by the type of its default: a string
+# for any other, such as a metric
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "a boolean"),
+}
 
 
 def load_config(path: str | None) -> SimConfig:
-    """Config file must carry every field; None means built-in defaults."""
+    """Config file must carry every field, each a JSON value of the field's
+    type; None means built-in defaults."""
     if path is None:
         return SimConfig()
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    missing = sorted(_CONFIG_FIELDS - doc.keys())
+    missing = sorted(_CONFIG_FIELDS.keys() - doc.keys())
     if missing:
         raise ValueError(f"config missing field: {missing[0]}")
     unknown = sorted(doc.keys() - _CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"unknown config field: {unknown[0]}")
+    for name, kind in _CONFIG_FIELDS.items():
+        types, expected = _JSON_TYPES.get(kind, ((str,), "a string"))
+        if type(doc[name]) not in types:
+            raise ValueError(f"config field {name} must be {expected}, got {doc[name]!r}")
     doc = dict(doc)
     doc["metric"] = DistanceMetric(doc["metric"])
     return SimConfig(**doc)

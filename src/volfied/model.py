@@ -29,7 +29,6 @@ __all__ = [
     "count_within",
     "window_points",
     "ad_value",
-    "is_relevant",
     "rank_relevant",
     "rank_for_profile",
 ]
@@ -396,15 +395,3 @@ def rank_for_profile(
         return []
     dists = distances_to(metric, profile.interests, np.stack([a.features for a in scoped]))
     return rank_relevant(scoped, dists.tolist(), poa_id, d_max)
-
-
-def is_relevant(
-    ad: Ad,
-    profile: VehicleProfile,
-    poa_id: int | None,
-    d_max: float,
-    metric: DistanceMetric,
-) -> bool:
-    """True iff the ad is within d_max of the profile (ties relevant) and
-    its scope admits the vehicle's current PoA."""
-    return bool(rank_for_profile([ad], profile, poa_id, d_max, metric))

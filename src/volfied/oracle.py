@@ -2,17 +2,17 @@
 
 Small instances decompose per PoA because each vehicle associates with at
 most one PoA and display history is fixed within the step, so the optimal
-broadcast for one PoA is independent of the others. Per PoA, every subset
-of eligible ads up to size k is priced through the same display rule the
-vehicles execute, all subsets in one pass:
+broadcast for one PoA is independent of the others. `simulate_display`
+and `solve_exact` take the vehicles' menus from one builder: per PoA, one
+distance block and `model.rank_relevant` per covered vehicle. Per PoA,
+every subset of eligible ads up to size k is priced in one pass:
 
 - a cached membership table has one column per subset, in
   `itertools.combinations` order for r = 1..k, and one row per candidate;
-- each covered vehicle's menu is `model.rank_relevant` over one distance
-  block per PoA; vehicles in ascending id, menu in rank order, an ad adds
-  its value to every column that holds it and has shown fewer than m ads
-  to that vehicle (and 0.0, which is exact, to the others), so each
-  subset's revenue has the bits of that subset priced on its own;
+- vehicles in ascending id, menu in rank order, an ad adds its value to
+  every column that holds it and has shown fewer than m ads to that
+  vehicle (and 0.0, which is exact, to the others), so each subset's
+  revenue has the bits of that subset priced on its own;
 - the best revenue wins, ties going to the lexicographically smallest ad
   id tuple whatever its size; a best revenue of 0 gives no broadcast;
 - the reported revenue adds the winning columns in ascending PoA id, the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .model import (
     VehicleProfile,
     ad_value,
     paired_distances,
-    rank_for_profile,
     rank_relevant,
 )
 # perfbench/tracer.py wraps `distance` under this module's name.
@@ -117,23 +116,39 @@ def simulate_display(
         clean[pid] = [by_id[ad_id] for ad_id in unique]
 
     displays: dict[int, list[int]] = {v.vehicle_id: [] for v in instance.vehicles}
-    per_poa: dict[int, list[VehicleProfile]] = {}
-    for prof in instance.vehicles:
-        poa = instance.coverage.get(prof.vehicle_id)
-        if poa is not None and poa in clean:
-            per_poa.setdefault(poa, []).append(prof)
-
     revenue = 0.0
-    for poa in sorted(per_poa):
+    for poa, menus in _menus(instance, clean):
         subtotal = 0.0
-        for prof in sorted(per_poa[poa], key=lambda p: p.vehicle_id):
-            seen = instance.displayed.get(prof.vehicle_id, frozenset())
-            ranked = rank_for_profile(clean[poa], prof, poa, params.d_max, params.metric, seen)
-            for ad, _ in ranked[: params.m]:
-                displays[prof.vehicle_id].append(ad.ad_id)
+        for vid, menu in menus:
+            for ad, _ in menu[: params.m]:
+                displays[vid].append(ad.ad_id)
                 subtotal += ad_value(ad, poa)
         revenue += subtotal
     return displays, revenue
+
+
+def _menus(instance: OracleInstance, offered: Mapping[int, Sequence[Ad]]) -> Iterator[tuple]:
+    """(PoA id, [(vehicle id, menu)]) per PoA with offered ads and covered
+    vehicles, both ascending. A menu is `model.rank_relevant` over the
+    PoA's ads less those the vehicle has shown, with the distances of one
+    `paired_distances` block of (covered vehicles x offered ads)."""
+    params = instance.params
+    by_vid = {v.vehicle_id: v for v in instance.vehicles}
+    for poa in sorted({p for p in instance.coverage.values() if offered.get(p)}):
+        ads = offered[poa]
+        vids = sorted(vid for vid, p in instance.coverage.items() if p == poa)
+        interests = np.stack([by_vid[vid].interests for vid in vids])
+        features = np.stack([a.features for a in ads])
+        if interests.shape[1] != features.shape[1]:
+            raise ValueError(
+                f"PoA {poa}: vehicles have {interests.shape[1]} features, "
+                f"ads have {features.shape[1]}"
+            )
+        dists = paired_distances(params.metric, interests[:, None, :], features[None, :, :])
+        yield poa, [
+            (vid, rank_relevant(ads, row, poa, params.d_max, instance.displayed.get(vid, ())))
+            for vid, row in zip(vids, dists.tolist())
+        ]
 
 
 @functools.cache
@@ -158,45 +173,30 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
     exceeds the enumeration budget (more than 15 eligible ads at one PoA,
     or k above 5), and when a PoA's candidates and covered vehicles do
     not share one feature dimension or, under the angular metric, include
-    a zero vector.
+    a zero vector, even one the vehicle has shown.
     """
     params = instance.params
     if params.k > MAX_K:
         raise ValueError(f"enumeration budget exceeded: k={params.k} (max {MAX_K})")
 
-    poa_ids = sorted({p for p in instance.coverage.values() if p is not None})
-    by_vid = {v.vehicle_id: v for v in instance.vehicles}
-    broadcasts: dict[int, tuple[int, ...]] = {}
-    revenue = 0.0
-    for poa in poa_ids:
-        candidates = sorted(
-            (a for a in instance.ads if ad_value(a, poa) > 0.0),
-            key=lambda a: a.ad_id,
-        )
-        if len(candidates) > MAX_CANDIDATES:
+    candidates: dict[int, list[Ad]] = {}
+    for poa in sorted({p for p in instance.coverage.values() if p is not None}):
+        ads = sorted((a for a in instance.ads if ad_value(a, poa) > 0.0), key=lambda a: a.ad_id)
+        if len(ads) > MAX_CANDIDATES:
             raise ValueError(
-                f"enumeration budget exceeded: {len(candidates)} eligible ads "
+                f"enumeration budget exceeded: {len(ads)} eligible ads "
                 f"at PoA {poa} (max {MAX_CANDIDATES})"
             )
-        broadcasts[poa] = ()
-        if not candidates:
-            continue
-        covered = sorted(vid for vid, p in instance.coverage.items() if p == poa)
-        interests = np.stack([by_vid[vid].interests for vid in covered])
-        features = np.stack([a.features for a in candidates])
-        if interests.shape[1] != features.shape[1]:
-            raise ValueError(
-                f"PoA {poa}: vehicles have {interests.shape[1]} features, "
-                f"ads have {features.shape[1]}"
-            )
-        dists = paired_distances(params.metric, interests[:, None, :], features[None, :, :])
-        table = _subset_table(len(candidates), params.k)
-        pos = {a.ad_id: i for i, a in enumerate(candidates)}
+        candidates[poa] = ads
+    broadcasts: dict[int, tuple[int, ...]] = dict.fromkeys(candidates, ())
+    revenue = 0.0
+    for poa, menus in _menus(instance, candidates):
+        table = _subset_table(len(candidates[poa]), params.k)
+        pos = {a.ad_id: i for i, a in enumerate(candidates[poa])}
         rev = np.zeros(table.shape[1])
-        for vid, row in zip(covered, dists.tolist()):
-            seen = instance.displayed.get(vid, frozenset())
+        for _, menu in menus:
             shown = np.zeros(table.shape[1], dtype=np.int64)
-            for ad, _ in rank_relevant(candidates, row, poa, params.d_max, seen):
+            for ad, _ in menu:
                 hit = table[pos[ad.ad_id]] & (shown < params.m)
                 # adding 0.0 where the ad is not shown leaves those sums exact
                 rev += hit * ad_value(ad, poa)
@@ -207,7 +207,7 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
                 tuple(np.flatnonzero(table[:, col]).tolist())
                 for col in np.flatnonzero(rev == best).tolist()
             )
-            broadcasts[poa] = tuple(candidates[i].ad_id for i in combo)
+            broadcasts[poa] = tuple(candidates[poa][i].ad_id for i in combo)
             # the winning column holds what simulate_display would add up
             revenue += float(best)
     return OracleResult(broadcasts=broadcasts, revenue=revenue)
@@ -247,34 +247,41 @@ def instance_to_json(instance: OracleInstance) -> dict:
     return doc
 
 
+def _int(value, name: str, null: bool = False):
+    """The value of a JSON integer field, or null where `null` allows it;
+    ValueError naming the field for any other value, booleans included."""
+    if not (type(value) is int or null and value is None):
+        raise ValueError(f"instance field {name} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(doc: dict) -> OracleInstance:
     try:
         p = doc["params"]
         params = SelectionParams(
-            k=int(p["k"]),
-            m=int(p["m"]),
+            k=_int(p["k"], "k"),
+            m=_int(p["m"], "m"),
             d_max=float(p["d_max"]),
             metric=DistanceMetric(p["metric"]),
         )
         ads = tuple(
             Ad(
-                ad_id=int(a["ad_id"]),
+                ad_id=_int(a["ad_id"], "ad_id"),
                 features=a["features"],
                 base_value=float(a["base_value"]),
-                target_poa=None if a.get("target_poa") is None else int(a["target_poa"]),
+                target_poa=_int(a.get("target_poa"), "target_poa", null=True),
             )
             for a in doc["ads"]
         )
         vehicles = tuple(
-            VehicleProfile(vehicle_id=int(v["vehicle_id"]), interests=v["interests"])
+            VehicleProfile(vehicle_id=_int(v["vehicle_id"], "vehicle_id"), interests=v["interests"])
             for v in doc["vehicles"]
         )
         coverage = {
-            int(vid): (None if poa is None else int(poa))
-            for vid, poa in doc["coverage"].items()
+            int(vid): _int(poa, "coverage", null=True) for vid, poa in doc["coverage"].items()
         }
         displayed = {
-            int(vid): frozenset(int(a) for a in ads_)
+            int(vid): frozenset(_int(a, "displayed") for a in ads_)
             for vid, ads_ in doc.get("displayed", {}).items()
         }
     except KeyError as exc:

@@ -25,7 +25,6 @@ __all__ = [
     "build_scenario",
     "gen_ads",
     "gen_poas",
-    "gen_population",
     "gen_profiles",
     "gen_synthetic",
 ]
@@ -57,11 +56,6 @@ def gen_profiles(config: SimConfig, seed: int) -> list[VehicleProfile]:
         VehicleProfile(vehicle_id=v, interests=interests[v])
         for v in range(config.n_vehicles)
     ]
-
-
-def gen_population(config: SimConfig, seed: int) -> tuple[AdTable, list[VehicleProfile]]:
-    """Catalog and vehicle profiles for one seed (independent RNG streams)."""
-    return gen_ads(config, seed), gen_profiles(config, seed)
 
 
 def gen_poas(config: SimConfig) -> list[PoA]:

@@ -33,7 +33,6 @@ from .model import Ad, AdTable, DistanceMetric, distance, paired_distances, wind
 __all__ = [
     "SparseApproxParams",
     "SparseAdSet",
-    "epsilon_set",
     "m_sparse_set",
     "check_ball_bound",
     "update_cost_bound",
@@ -183,22 +182,15 @@ def _greedy_layer(feats, keys, shifts, threshold, metric, removed, rep) -> None:
                     rep[targets] = src[lo]
 
 
-def epsilon_set(ads: Sequence[Ad], epsilon: float, metric: DistanceMetric) -> SparseAdSet:
-    """Single-layer sparse approximation, `m_sparse_set` with m = 1.
-
-    Sorts by value descending (AdId ascending on ties), repeatedly keeps
-    the top ad and drops every remaining ad within 2*epsilon of it (ties
-    dropped, decided by `paired_distances`); each dropped ad maps to the
-    kept ad that removed it.
-    """
-    return m_sparse_set(ads, epsilon, 1, metric)
-
-
 def m_sparse_set(
     ads: Sequence[Ad], epsilon: float, m: int, metric: DistanceMetric
 ) -> SparseAdSet:
-    """m-layer sparse approximation: layer i is the single-layer build over
-    the ads not selected by layers 1..i-1, and the layers are unioned."""
+    """m-layer sparse approximation. A layer sorts its ads by value
+    descending (AdId ascending on ties), repeatedly keeps the top ad and
+    drops every remaining ad within 2*epsilon of it (ties dropped, decided
+    by `paired_distances`); each dropped ad maps to the kept ad that
+    removed it. Layer i is built over the ads not selected by layers
+    1..i-1, and the layers are unioned; m = 1 gives one layer."""
     params = SparseApproxParams(epsilon=epsilon, m=m, metric=metric)
     table = AdTable.from_ads(ads)
     if not len(table):

@@ -117,9 +117,9 @@ def credited_ids(est, poa):
     """Ad ids the estimator credits to each detected vehicle under `poa`:
     the entries of its memo credited on entering and still unserved."""
     credited = {}
-    for vid, memo in est.present(poa).items():
-        at = slice(memo.start, memo.stop)
-        credited[vid] = set(memo.ids[est._credited[at] & est._unserved[at]].tolist())
+    for vid, at in est.present(poa).items():
+        rows = est._rows[at][est._credited[at] & est._unserved[at]]
+        credited[vid] = set(est._union_ids[rows].tolist())
     return credited
 
 

@@ -7,6 +7,7 @@ together in the terminal summary. Criteria 1-8 are exact or property-based,
 work-count bound.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import time
@@ -43,21 +44,31 @@ ANG = DistanceMetric.ANGULAR
 # shared instance families
 
 
+def k_below_m(k, m):
+    """Expects the k < m warning of params made inside it when k < m."""
+    if k < m:
+        return pytest.warns(UserWarning, match="below display budget")
+    return contextlib.nullcontext()
+
+
 def single_step_instances():
     """200 varied single-PoA instances: |A| <= 200, n in {2,5}, both metrics."""
     for i in range(200):
         n_dims = (2, 5)[i % 2]
         metric = (EUCL, ANG)[(i // 2) % 2]
-        yield i, random_instance(
-            seed=1000 + i,
-            n_ads=(5, 20, 60, 120, 200)[i % 5],
-            n_vehicles=15,
-            k=1 + (i % 8),
-            m=1 + (i % 3),
-            n_dims=n_dims,
-            d_max=0.3 if metric is EUCL else 0.35,
-            metric=metric,
-        )
+        k, m = 1 + (i % 8), 1 + (i % 3)
+        with k_below_m(k, m):
+            inst = random_instance(
+                seed=1000 + i,
+                n_ads=(5, 20, 60, 120, 200)[i % 5],
+                n_vehicles=15,
+                k=k,
+                m=m,
+                n_dims=n_dims,
+                d_max=0.3 if metric is EUCL else 0.35,
+                metric=metric,
+            )
+        yield i, inst
 
 
 # Fixed synthetic scenario for the statistical criteria: 20 PoAs on a
@@ -192,7 +203,8 @@ def test_03_revenue_identity_and_k_monotonicity(criterion_report):
 
         revs = []
         for k in range(1, 11):
-            params_k = dataclasses.replace(inst.params, k=k)
+            with k_below_m(k, inst.params.m):
+                params_k = dataclasses.replace(inst.params, k=k)
             inst_k = dataclasses.replace(inst, params=params_k)
             chosen_k = select_volfied(est, 0, params_k)
             _, rev_k = simulate_display({0: chosen_k}, inst_k)
@@ -480,20 +492,22 @@ def test_12_selection_distance_eval_budget(criterion_report):
     for i in range(1000):
         n_dims = (2, 5)[i % 2]
         metric = (EUCL, ANG)[(i // 2) % 2]
-        inst = random_instance(
-            seed=5000 + i,
-            n_ads=5 + (i % 50),
-            n_vehicles=8,
-            k=1 + (i % 10),
-            m=1 + (i % 3),
-            n_dims=n_dims,
-            d_max=0.3 if metric is EUCL else 0.35,
-            metric=metric,
-        )
+        k, m = 1 + (i % 10), 1 + (i % 3)
+        with k_below_m(k, m):
+            inst = random_instance(
+                seed=5000 + i,
+                n_ads=5 + (i % 50),
+                n_vehicles=8,
+                k=k,
+                m=m,
+                n_dims=n_dims,
+                d_max=0.3 if metric is EUCL else 0.35,
+                metric=metric,
+            )
         est = estimator_for(inst)
         stats = SelectionStats()
         select_volfied(est, 0, inst.params, stats)
-        budget = len(est.candidate_ads(0)) * inst.params.k
+        budget = len(inst.ads) * inst.params.k
         if stats.distance_evals > budget:
             violations += 1
     ok = violations == 0

@@ -30,7 +30,7 @@ from volfied.model import (
     ad_value,
     distance,
     distances_to,
-    is_relevant,
+    rank_for_profile,
 )
 from volfied.scenario import build_scenario
 from volfied.sim import SimConfig, run
@@ -60,7 +60,7 @@ def recompute_revenue(candidates, present_profiles, registry, poa_id, d_max, met
         total = 0.0
         for v in present_profiles:
             if (
-                is_relevant(a, v, poa_id, d_max, metric)
+                rank_for_profile([a], v, poa_id, d_max, metric)
                 and a.ad_id not in registry.get(v.vehicle_id, set())
             ):
                 total += ad_value(a, poa_id)
@@ -524,7 +524,7 @@ class TestParamsValidation:
 
 def counts_by_id(est, poa):
     """Contributor count of each candidate ad id at `poa`."""
-    row = est._poas[poa].row
+    row = est.poa_rows([poa])[0]
     rows = np.flatnonzero(est._candidate[row])
     return dict(zip(est._union_ids[rows].tolist(), est._counts[row, rows].tolist()))
 
@@ -793,10 +793,12 @@ class TestRelevanceMemo:
         est = RevenueEstimator(params(), {0: [ad]})
         v = VehicleProfile(5, np.array([0.0]))
         est.on_vehicle_enter(0, v, detected=True)
-        memo = est.relevance(v)
+        memo, used = est.relevance(v), est._used
         with pytest.raises(ValueError, match="vehicle 5 is present under poa 0 with another profile"):
             est.relevance(VehicleProfile(5, np.array([1.0])))
-        assert est.relevance(v) is memo
+        again = est.relevance(v)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in memo]
+        assert est._used == used
         est.on_vehicle_exit(0, 5)
         assert est.revenue(0, 1) == 0.0
 
@@ -904,11 +906,11 @@ class TestRelevanceWindow:
         with np.errstate(over="ignore", invalid="ignore"):
             est = RevenueEstimator(p, {0: ads, 1: ads[::2]})
             for v in profiles:
-                memo = est.relevance(v)
+                memo_rows, memo_ids, memo_dists = est.relevance(v)
                 rows, ids, dists = full_scan(p, ads, v)
-                assert memo.rows.tolist() == rows.tolist()
-                assert memo.ids.tolist() == ids.tolist()
-                assert memo.dists.tobytes() == dists.tobytes()
+                assert memo_rows.tolist() == rows.tolist()
+                assert memo_ids.tolist() == ids.tolist()
+                assert memo_dists.tobytes() == dists.tobytes()
 
     @pytest.mark.parametrize("n_dims", [1, 5])
     def test_boundary_ads_on_every_axis(self, n_dims):
@@ -919,9 +921,9 @@ class TestRelevanceWindow:
             for i, offset in enumerate([edge, -edge, past, -past] * n_dims)
         ]
         est = RevenueEstimator(params(d_max=edge), {0: ads})
-        memo = est.relevance(VehicleProfile(0, np.zeros(n_dims)))
-        assert memo.ids.tolist() == [i for i in range(4 * n_dims) if i % 4 < 2]
-        assert memo.dists.tolist() == [edge] * (2 * n_dims)
+        _, ids, dists = est.relevance(VehicleProfile(0, np.zeros(n_dims)))
+        assert ids.tolist() == [i for i in range(4 * n_dims) if i % 4 < 2]
+        assert dists.tolist() == [edge] * (2 * n_dims)
 
     def test_scans_only_the_window(self, monkeypatch):
         scans = []
@@ -933,8 +935,8 @@ class TestRelevanceWindow:
         monkeypatch.setattr(volfied.broker, "distances_to", counting)
         ads = [Ad(ad_id=i, features=np.array([i / 64, 0.0]), base_value=1.0) for i in range(100)]
         est = RevenueEstimator(params(d_max=5 / 64), {0: ads})
-        memo = est.relevance(VehicleProfile(0, np.array([50 / 64, 0.0])))
-        assert memo.ids.tolist() == list(range(45, 56))
+        _, ids, _ = est.relevance(VehicleProfile(0, np.array([50 / 64, 0.0])))
+        assert ids.tolist() == list(range(45, 56))
         # only the eleven rows within reach on the first coordinate
         assert scans == [11]
 
@@ -942,15 +944,16 @@ class TestRelevanceWindow:
         # 1e-170 squared underflows to 0, so the kernel puts the ad at 0
         ad = Ad(ad_id=1, features=np.array([1e-170, 0.0]), base_value=1.0)
         est = RevenueEstimator(params(d_max=1e-200), {0: [ad]})
-        memo = est.relevance(VehicleProfile(0, np.zeros(2)))
-        assert (memo.ids.tolist(), memo.dists.tolist()) == ([1], [0.0])
+        _, ids, dists = est.relevance(VehicleProfile(0, np.zeros(2)))
+        assert (ids.tolist(), dists.tolist()) == ([1], [0.0])
 
     def test_angular_rounded_to_parallel(self):
         # 1e-8 rad apart, ten chords of d_max, but the cosine rounds to 1
         ad = Ad(ad_id=1, features=np.array([1.0, 1e-8]), base_value=1.0)
         p = SelectionParams(k=1, m=1, d_max=1e-9, metric=ANG)
-        memo = RevenueEstimator(p, {0: [ad]}).relevance(VehicleProfile(0, np.array([1.0, 0.0])))
-        assert (memo.ids.tolist(), memo.dists.tolist()) == ([1], [0.0])
+        est = RevenueEstimator(p, {0: [ad]})
+        _, ids, dists = est.relevance(VehicleProfile(0, np.array([1.0, 0.0])))
+        assert (ids.tolist(), dists.tolist()) == ([1], [0.0])
 
     def test_angular_subnormal_products(self):
         # The vectors are 0.1005 rad apart, but the kernel's products are
@@ -961,13 +964,13 @@ class TestRelevanceWindow:
         ad = Ad(ad_id=1, features=feats, base_value=1.0)
         on = float(distances_to(ANG, v.interests, ad.features[None, :])[0])
         p = SelectionParams(k=1, m=1, d_max=on, metric=ANG)
-        memo = RevenueEstimator(p, {0: [ad]}).relevance(v)
-        assert (memo.ids.tolist(), memo.dists.tolist()) == ([1], [on])
+        _, ids, dists = RevenueEstimator(p, {0: [ad]}).relevance(v)
+        assert (ids.tolist(), dists.tolist()) == ([1], [on])
 
     def test_empty_union(self):
         est = RevenueEstimator(params(), {0: []})
-        memo = est.relevance(VehicleProfile(0, np.array([0.5])))
-        assert (memo.rows.size, memo.ids.size, memo.dists.size) == (0, 0, 0)
+        rows, ids, dists = est.relevance(VehicleProfile(0, np.array([0.5])))
+        assert (rows.size, ids.size, dists.size) == (0, 0, 0)
 
     def test_angular_zero_profile_raises(self):
         a = Ad(ad_id=1, features=np.array([1.0, 0.0]), base_value=1.0)

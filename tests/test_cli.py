@@ -151,6 +151,35 @@ class TestRun:
         assert "'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("use_sparse", "no", "a boolean"),
+            ("use_sparse", 0, "a boolean"),
+            ("k", 5.0, "an integer"),
+            ("k", "5", "an integer"),
+            ("k", True, "an integer"),
+            ("steps", 5.5, "an integer"),
+            ("n_dims", 2.0, "an integer"),
+            ("d_max", True, "a number"),
+            ("d_max", "0.15", "a number"),
+            ("strategy", None, "a string"),
+            ("metric", 0, "a string"),
+        ],
+    )
+    def test_json_type_checked_before_output(self, tmp_path, capsys, field, value, expected):
+        cfg = write_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        message = f"config field {field} must be {expected}, got {value!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_float_field_takes_an_integer(self, tmp_path):
+        cfg = write_config(tmp_path, area_w_m=800)
+        assert volfied.cli.load_config(str(cfg)).area_w_m == 800
+
     def test_multiple_seeds(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

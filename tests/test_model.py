@@ -24,8 +24,8 @@ from volfied.model import (
     count_within,
     distance,
     distances_to,
-    is_relevant,
     paired_distances,
+    rank_for_profile,
 )
 
 EUCL = DistanceMetric.EUCLIDEAN
@@ -255,15 +255,15 @@ class TestAdValueAndRelevance:
         v = VehicleProfile(vehicle_id=0, interests=np.array([0.0, 0.0]))
         at_threshold = Ad(ad_id=1, features=np.array([0.15, 0.0]), base_value=0.5)
         just_outside = Ad(ad_id=2, features=np.array([0.150001, 0.0]), base_value=0.5)
-        assert is_relevant(at_threshold, v, 0, 0.15, EUCL)
-        assert not is_relevant(just_outside, v, 0, 0.15, EUCL)
+        assert rank_for_profile([at_threshold], v, 0, 0.15, EUCL)
+        assert not rank_for_profile([just_outside], v, 0, 0.15, EUCL)
 
     def test_local_ad_irrelevant_off_target(self):
         v = VehicleProfile(vehicle_id=0, interests=np.array([0.5, 0.5]))
         ad = Ad(ad_id=1, features=np.array([0.5, 0.5]), base_value=0.5, target_poa=2)
-        assert is_relevant(ad, v, 2, 0.1, EUCL)
-        assert not is_relevant(ad, v, 1, 0.1, EUCL)
-        assert not is_relevant(ad, v, None, 0.1, EUCL)
+        assert rank_for_profile([ad], v, 2, 0.1, EUCL)
+        assert not rank_for_profile([ad], v, 1, 0.1, EUCL)
+        assert not rank_for_profile([ad], v, None, 0.1, EUCL)
 
 
 class TestValidation:

@@ -1,8 +1,10 @@
 """Exact enumeration solver: hand-checked optima, bounds, budget guards."""
 
 import dataclasses
+import functools
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -286,6 +288,32 @@ class TestSolveExact:
         )
         with pytest.raises(ValueError, match="zero vectors"):
             solve_exact(inst)
+
+
+    @pytest.mark.parametrize(
+        "metric, interests, message",
+        [
+            # an angular zero vector among the ads the vehicle has shown
+            (ANG, [1.0, 0.1], "angular distance undefined for zero vectors"),
+            # a 1-D profile with 2-D ads
+            (EUCL, [0.1], "PoA 0: vehicles have 1 features, ads have 2"),
+        ],
+    )
+    def test_simulate_display_raises_as_solve_exact(self, metric, interests, message):
+        inst = OracleInstance(
+            ads=(
+                Ad(ad_id=1, features=np.array([0.0, 0.0]), base_value=1.0),
+                Ad(ad_id=2, features=np.array([1.0, 0.0]), base_value=1.0),
+            ),
+            vehicles=(VehicleProfile(vehicle_id=0, interests=np.array(interests)),),
+            coverage={0: 0},
+            params=SelectionParams(k=2, m=1, d_max=0.5, metric=metric),
+            displayed={0: frozenset({1})},
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_exact(inst)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_display({0: [1, 2]}, inst)
 
 
 def reference_solve(instance):
@@ -585,3 +613,24 @@ class TestInstanceJson:
         )
         back = instance_from_json(instance_to_json(inst))
         assert back.displayed == {0: frozenset({2})}
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("params", "k"), 2.7, "k"),
+            (("params", "m"), True, "m"),
+            (("ads", 0, "ad_id"), 1.9, "ad_id"),
+            (("ads", 1, "target_poa"), False, "target_poa"),
+            (("vehicles", 0, "vehicle_id"), "0", "vehicle_id"),
+            (("coverage", "0"), 0.6, "coverage"),
+            (("displayed", "0", 0), 2.0, "displayed"),
+        ],
+    )
+    def test_non_integer_rejected(self, path, value, field):
+        doc = instance_to_json(example1())
+        doc["displayed"] = {"0": [2]}
+        *parents, key = path
+        functools.reduce(lambda node, step: node[step], parents, doc)[key] = value
+        message = f"instance field {field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            instance_from_json(doc)

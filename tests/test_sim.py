@@ -13,7 +13,7 @@ from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.files import load_trace, render_metrics_csv, write_trace_csv
 from volfied.model import Ad, DistanceMetric, PoA, VehicleProfile
 from volfied.oracle import OracleInstance
-from volfied.scenario import gen_poas, gen_population, gen_synthetic
+from volfied.scenario import gen_ads, gen_poas, gen_profiles, gen_synthetic
 from volfied.sim import MobilityTrace, SimConfig, _CoverageIndex, run, run_cache_sizes
 from volfied.vehicle import VehicleState, step_display
 
@@ -111,26 +111,26 @@ class TestGenSynthetic:
 class TestGenPopulation:
     def test_no_locals_at_fraction_one(self):
         cfg = dataclasses.replace(SimConfig(), n_ads=100, global_fraction=1.0, n_vehicles=5)
-        ads, _ = gen_population(cfg, seed=1)
+        ads = gen_ads(cfg, seed=1)
         assert all(a.is_global for a in ads)
 
     def test_exact_local_count(self):
         cfg = dataclasses.replace(
             SimConfig(), n_ads=10000, global_fraction=0.9, n_vehicles=1, n_poas=10
         )
-        ads, _ = gen_population(cfg, seed=1)
+        ads = gen_ads(cfg, seed=1)
         locals_ = [a for a in ads if not a.is_global]
         assert len(locals_) == 1000
         assert all(0 <= a.target_poa < 10 for a in locals_)
 
     def test_values_positive(self):
         cfg = dataclasses.replace(SimConfig(), n_ads=5000, n_vehicles=1)
-        ads, _ = gen_population(cfg, seed=2)
+        ads = gen_ads(cfg, seed=2)
         assert all(0.0 < a.base_value <= 1.0 for a in ads)
 
     def test_profile_distribution(self):
         cfg = dataclasses.replace(SimConfig(), n_ads=10, n_vehicles=20000, n_dims=5)
-        _, profiles = gen_population(cfg, seed=3)
+        profiles = gen_profiles(cfg, seed=3)
         coords = np.concatenate([p.interests for p in profiles])
         assert coords.size >= 100_000
         assert abs(coords.mean() - 0.5) < 0.01
@@ -138,8 +138,8 @@ class TestGenPopulation:
 
     def test_deterministic(self):
         cfg = dataclasses.replace(SimConfig(), n_ads=50, n_vehicles=10)
-        a1, p1 = gen_population(cfg, seed=7)
-        a2, p2 = gen_population(cfg, seed=7)
+        a1, p1 = gen_ads(cfg, seed=7), gen_profiles(cfg, seed=7)
+        a2, p2 = gen_ads(cfg, seed=7), gen_profiles(cfg, seed=7)
         assert [a.base_value for a in a1] == [a.base_value for a in a2]
         assert all(np.array_equal(x.interests, y.interests) for x, y in zip(p1, p2))
 
@@ -395,7 +395,7 @@ def random_run_scenario(seed, strategy="volfied", steps=8):
         seed=seed,
     )
     poas = gen_poas(cfg)
-    ads, profiles = gen_population(cfg, seed=seed)
+    ads, profiles = gen_ads(cfg, seed=seed), gen_profiles(cfg, seed=seed)
     trace = gen_synthetic((cfg.area_w_m, cfg.area_h_m), cfg.n_vehicles, steps, 14.0, seed)
     return cfg, trace, ads, profiles, poas
 
@@ -537,7 +537,7 @@ class TestRealTraceShapes:
         # every vehicle has left by the last step: nothing is credited
         est = estimators[0]
         for pid in (0, 1):
-            assert not est._counts[est._poas[pid].row].any()
+            assert not est._counts[est.poa_rows([pid])[0]].any()
             assert est.present(pid) == {}
 
 

@@ -21,7 +21,6 @@ from volfied.sparse import (
     SparseAdSet,
     SparseApproxParams,
     check_ball_bound,
-    epsilon_set,
     m_sparse_set,
     update_cost_bound,
     verify_analogue_bound,
@@ -124,18 +123,18 @@ def hard_catalogs(draw):
 
 class TestEpsilonSet:
     def test_line_instance(self):
-        out = epsilon_set(line_ads(), epsilon=0.025, metric=EUCL)
+        out = m_sparse_set(line_ads(), epsilon=0.025, m=1, metric=EUCL)
         assert [a.ad_id for a in out.ads] == [1, 4, 5]
         assert out.mapping == {2: 1, 3: 1}
 
     def test_singleton(self):
         ads = line_ads()[:1]
-        out = epsilon_set(ads, epsilon=0.025, metric=EUCL)
+        out = m_sparse_set(ads, epsilon=0.025, m=1, metric=EUCL)
         assert [a.ad_id for a in out.ads] == [1]
         assert out.mapping == {}
 
     def test_empty_input(self):
-        out = epsilon_set([], epsilon=0.025, metric=EUCL)
+        out = m_sparse_set([], epsilon=0.025, m=1, metric=EUCL)
         assert list(out.ads) == [] and out.mapping == {}
 
     def test_all_far_apart_all_kept(self):
@@ -143,7 +142,7 @@ class TestEpsilonSet:
             Ad(ad_id=i, features=np.array([float(i)]), base_value=0.5 + 0.01 * i)
             for i in range(6)
         ]
-        out = epsilon_set(ads, epsilon=0.025, metric=EUCL)
+        out = m_sparse_set(ads, epsilon=0.025, m=1, metric=EUCL)
         assert sorted(a.ad_id for a in out.ads) == list(range(6))
 
     def test_value_tie_broken_by_lower_id(self):
@@ -151,13 +150,13 @@ class TestEpsilonSet:
             Ad(ad_id=7, features=np.array([0.50]), base_value=0.5),
             Ad(ad_id=3, features=np.array([0.51]), base_value=0.5),
         ]
-        out = epsilon_set(ads, epsilon=0.025, metric=EUCL)
+        out = m_sparse_set(ads, epsilon=0.025, m=1, metric=EUCL)
         assert [a.ad_id for a in out.ads] == [3]
         assert out.mapping == {7: 3}
 
     def test_insertion_order_is_value_order(self):
         rng = np.random.default_rng(3)
-        out = epsilon_set(random_ads(rng, 40, 2), epsilon=0.05, metric=EUCL)
+        out = m_sparse_set(random_ads(rng, 40, 2), epsilon=0.05, m=1, metric=EUCL)
         values = [a.base_value for a in out.ads]
         assert values == sorted(values, reverse=True)
 
@@ -170,7 +169,7 @@ class TestEpsilonSet:
             count = int(rng.integers(1, 120))
             eps = float(rng.uniform(0.01, 0.2))
             ads = random_ads(rng, count, n)
-            got = epsilon_set(ads, epsilon=eps, metric=metric)
+            got = m_sparse_set(ads, epsilon=eps, m=1, metric=metric)
             want_kept, want_map = brute_force_epsilon_set(ads, eps, metric)
             assert [a.ad_id for a in got.ads] == [a.ad_id for a in want_kept]
             assert got.mapping == want_map
@@ -216,7 +215,7 @@ class TestEpsilonSet:
             for i, y in enumerate([0.0, 1e-8, -1e-8, 3e-8])
         ]
         assert_matches_brute_force(ads, 1e-9, 1, ANG)
-        assert epsilon_set(ads, 1e-9, ANG).mapping == {1: 0, 2: 0}
+        assert m_sparse_set(ads, 1e-9, 1, ANG).mapping == {1: 0, 2: 0}
 
     def test_angular_zero_vector_raises(self):
         ads = [
@@ -225,7 +224,7 @@ class TestEpsilonSet:
             Ad(ad_id=3, features=np.array([0.0, 1.0]), base_value=0.4),
         ]
         with pytest.raises(ValueError, match="zero vector"):
-            epsilon_set(ads, epsilon=0.01, metric=ANG)
+            m_sparse_set(ads, epsilon=0.01, m=1, metric=ANG)
         with pytest.raises(ValueError, match="zero vector"):
             m_sparse_set(ads, 0.01, 2, ANG)
 
@@ -334,14 +333,6 @@ class TestMSparseSet:
         # a3 was last removed in the second layer, by a2 (distance 0.03 <= 0.05)
         assert out.mapping == {3: 2}
 
-    def test_m1_equals_epsilon_set(self):
-        rng = np.random.default_rng(31)
-        ads = random_ads(rng, 60, 3)
-        a = epsilon_set(ads, epsilon=0.06, metric=EUCL)
-        b = m_sparse_set(ads, epsilon=0.06, m=1, metric=EUCL)
-        assert [x.ad_id for x in a.ads] == [x.ad_id for x in b.ads]
-        assert a.mapping == b.mapping
-
     @pytest.mark.parametrize("metric", [EUCL, ANG])
     def test_list_and_table_give_the_same_set(self, metric):
         rng = np.random.default_rng(37)
@@ -418,7 +409,7 @@ class TestBallBound:
         rng = np.random.default_rng(53)
         ads = random_ads(rng, 150, 2)
         eps = 0.06
-        out = epsilon_set(ads, epsilon=eps, metric=EUCL)
+        out = m_sparse_set(ads, epsilon=eps, m=1, metric=EUCL)
         probes = rng.uniform(0.0, 1.0, size=(10_000, 2))
         assert check_ball_bound(out, probes, eps) <= 1
 
@@ -432,7 +423,7 @@ class TestBallBound:
         assert 1 <= bound <= 3
 
     def test_empty_set(self):
-        out = epsilon_set([], epsilon=0.05, metric=EUCL)
+        out = m_sparse_set([], epsilon=0.05, m=1, metric=EUCL)
         assert check_ball_bound(out, np.zeros((4, 1)), 0.05) == 0
 
     @given(case=hard_catalogs(), data=st.data())
@@ -485,13 +476,13 @@ class TestVerifyAnalogueBound:
     def test_empty_s_true(self):
         rng = np.random.default_rng(61)
         ads = random_ads(rng, 8, 2)
-        sparse = epsilon_set(ads, epsilon=0.03, metric=EUCL)
+        sparse = m_sparse_set(ads, epsilon=0.03, m=1, metric=EUCL)
         assert verify_analogue_bound(ads, sparse, [], d_max=0.2, vehicles=[])
 
     def test_s_inside_sparse_true(self):
         rng = np.random.default_rng(67)
         ads = random_ads(rng, 8, 2)
-        sparse = epsilon_set(ads, epsilon=0.03, metric=EUCL)
+        sparse = m_sparse_set(ads, epsilon=0.03, m=1, metric=EUCL)
         member_ids = [a.ad_id for a in sparse.ads][:2]
         vehicles = [rng.uniform(0.0, 1.0, size=2) for _ in range(5)]
         # members of the sparse set admit the identity bijection
@@ -501,7 +492,7 @@ class TestVerifyAnalogueBound:
         ads = [
             Ad(ad_id=i, features=np.array([float(i)]), base_value=0.5) for i in range(16)
         ]
-        sparse = epsilon_set(ads, epsilon=0.025, metric=EUCL)
+        sparse = m_sparse_set(ads, epsilon=0.025, m=1, metric=EUCL)
         assert len(sparse.ads) == 16
         with pytest.raises(ValueError, match="15"):
             verify_analogue_bound(ads, sparse, [0], d_max=0.2, vehicles=[])
@@ -523,7 +514,7 @@ class TestVerifyAnalogueBound:
 
     def test_representative_in_shell_verifies(self):
         ads, vehicles = self.shell_line()
-        sparse = epsilon_set(ads, epsilon=self.EPS, metric=EUCL)
+        sparse = m_sparse_set(ads, epsilon=self.EPS, m=1, metric=EUCL)
         assert sparse.member_ids() == [1, 3]
         assert sparse.mapping == {2: 1}
         gap = abs(float(ads[0].features[0] - ads[1].features[0]))
@@ -554,7 +545,7 @@ class TestVerifyAnalogueBound:
 
     def test_epsilon_larger_than_half_dmax_warns(self):
         ads = [Ad(ad_id=0, features=np.array([0.5]), base_value=0.5)]
-        sparse = epsilon_set(ads, epsilon=0.2, metric=EUCL)
+        sparse = m_sparse_set(ads, epsilon=0.2, m=1, metric=EUCL)
         with pytest.warns(UserWarning):
             verify_analogue_bound(ads, sparse, [], d_max=0.1, vehicles=[])
 
