@@ -148,6 +148,11 @@ def _grown(a: np.ndarray, used: int, size: int, fill=0) -> np.ndarray:
 class RevenueEstimator:
     """Incremental R(a, u) over fixed per-PoA candidate sets.
 
+    `catalog` holds the broker's ads, no id twice; `candidates[poa]` is a
+    boolean mask over its rows, the ads that PoA broadcasts from, and any
+    other mask raises ValueError naming the PoA. The union catalog, the
+    rows some mask holds, ascends by ad id for the ranking's tie-break.
+
     `registry` maps vehicle id to the set of ad ids already broadcast
     while that vehicle was present and detected; such pairs never earn
     credit again anywhere.
@@ -187,66 +192,42 @@ class RevenueEstimator:
     within 2*d_max of each other, each pair decided once.
     """
 
-    def __init__(self, params: SelectionParams, candidates_by_poa: dict[int, Sequence[Ad]]):
+    def __init__(
+        self, params: SelectionParams, catalog: Sequence[Ad], candidates: Mapping[int, np.ndarray]
+    ):
         self.params = params
         self._registry: dict[int, set[int]] = {}
         # broadcasts not yet in _registry: (vehicle ids present, ad ids)
         self._unfiled: list[tuple[list[int], tuple[int, ...]]] = []
-        # every candidate, PoA after PoA; an id's union row holds the first
-        # of them to carry it, and union rows ascend with ad id
-        pids = list(candidates_by_poa)
-        tables = []
-        for pid, ads in candidates_by_poa.items():
-            if not isinstance(ads, AdTable) and len({a.ad_id for a in ads}) < len(ads):
-                raise ValueError(f"duplicate ad ids in candidates for poa {pid}")
-            tables.append(AdTable.from_ads(ads))
-        ids = np.concatenate([np.zeros(0, np.int64), *(t.ids for t in tables)])
-        order = np.argsort(ids, kind="stable")
-        starts = np.ones(len(ids), dtype=bool)
-        starts[1:] = ids[order[1:]] != ids[order[:-1]]
-        holder = order[starts]  # flat index of each union row's ad
-        rows = np.empty(len(ids), dtype=np.int64)
-        rows[order] = np.cumsum(starts) - 1
-        stops = np.cumsum([len(t) for t in tables]).tolist()
-        # PoA by PoA: fill the union rows whose first carrier is this PoA's,
-        # then check that each of its ads is the ad of its union row (filled
-        # by now: a row's first carrier comes first)
-        owner = np.searchsorted(stops, holder, side="right")
-        feats = np.zeros((len(holder), 0))
-        base, target = np.zeros(len(holder)), np.zeros(len(holder), dtype=np.int64)
-        for k, (pid, t, stop) in enumerate(zip(pids, tables, stops)):
-            if not len(t):
-                continue
-            columns = (t.features, t.base_values, t.target_poa)
-            if not feats.shape[1]:
-                feats = np.zeros((len(holder), columns[0].shape[1]))
-            mine = np.flatnonzero(owner == k)
-            for union, column in zip((feats, base, target), columns):
-                union[mine] = column[holder[mine] - (stop - len(t))]
-            r = rows[stop - len(t) : stop]
-            same = (columns[0] == feats[r]).all(axis=1)
-            same &= (columns[1] == base[r]) & (columns[2] == target[r])
-            if not same.all():
-                ad_id = t.ids[np.argmin(same)]
-                raise ValueError(f"ad id {ad_id} names different ads at poa {pid}")
-        self._union_ids = ids[holder]
-        self._union_feats = feats
+        catalog = AdTable.from_ads(catalog)
+        pids = list(candidates)
+        masks = np.zeros((len(pids), len(catalog)), dtype=bool)
+        for row, (pid, mask) in enumerate(candidates.items()):
+            mask = np.asarray(mask)
+            if mask.dtype != bool or mask.shape != masks.shape[1:]:
+                raise ValueError(
+                    f"candidates for poa {pid} must be a boolean mask over the catalog's "
+                    f"{len(catalog)} rows, got {mask.dtype} of shape {mask.shape}"
+                )
+            masks[row] = mask
+        union = np.flatnonzero(masks.any(axis=0))
+        union = union[np.argsort(catalog.ids[union])]
+        self._union_ids = catalog.ids[union]
+        self._union_feats = catalog.features[union]
         # base value and target PoA id (-1: Global) of each union row
+        base, target = catalog.base_values[union], catalog.target_poa[union]
         self.union_base, self.union_target = base, target
-        shape = (len(pids), len(holder))
-        self._candidate = np.zeros(shape, dtype=bool)
+        self._candidate = masks[:, union]
         self._pids = pids
         self._poa_row = {pid: row for row, pid in enumerate(pids)}
-        for row, (t, stop) in enumerate(zip(tables, stops)):
-            self._candidate[row, rows[stop - len(t) : stop]] = True
         # ad_value over the table at once: a candidate in scope is worth its
         # base value, any other cell 0
         in_scope = (target < 0) | (target == np.array(pids, dtype=np.int64)[:, None])
         self._values = np.where(self._candidate & in_scope, base, 0.0)
-        self._counts = np.zeros(shape, dtype=np.int64)
+        self._counts = np.zeros(self._candidate.shape, dtype=np.int64)
         # the cells the last on_broadcasts call selected, and a last row,
         # never set, for PoA row -1
-        self._sent = np.zeros((len(pids) + 1, len(holder)), dtype=bool)
+        self._sent = np.zeros((len(pids) + 1, len(union)), dtype=bool)
         self._sent_cells = (_NO_ROWS, _NO_ROWS)
         # per PoA row: (union rows, ad ids) of the positive estimates in
         # selection order, None once a count has changed
@@ -254,7 +235,7 @@ class RevenueEstimator:
         # The relevance window: union rows sorted on the first coordinate of
         # their window points, and the second coordinate (the first again
         # in 1-D) in the same order.
-        if len(holder):
+        if len(union):
             points, self._reach = window_points(params.metric, self._union_feats, params.d_max)
             self._axes = (0, min(1, points.shape[1] - 1))
             self._by_first = np.argsort(points[:, 0], kind="stable")
@@ -600,10 +581,6 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 _REACH_SLACK = 2.0**-20
 _TINY_SCALE = 2.0**-460
 
-# select_volfied's first block of candidates, in multiples of k; each later
-# block doubles it.
-_HEAD_PER_SLOT = 4
-
 
 def select_volfied(
     est: RevenueEstimator,
@@ -620,11 +597,10 @@ def select_volfied(
 
     The conflicts come from the estimator's conflict memo for the call's
     metric and d_max, which decides each pair of union rows once per
-    estimator. The candidates are read in blocks: the head of the list,
-    then blocks twice as long as the one before, each learned by the memo
-    in one `paired_distances` call if it holds rows it has not seen. A
-    candidate is admitted iff its mask shares fewer than m bits with the
-    admitted ads'. A lone candidate is admitted without any memo work.
+    estimator: it learns every candidate it has not seen in one
+    `paired_distances` call. A candidate is admitted iff its mask shares
+    fewer than m bits with the admitted ads'. A lone candidate is admitted
+    without any memo work.
     `stats.distance_evals` counts the pairs the greedy consults, one per
     admitted ad for every candidate examined.
     """
@@ -637,18 +613,14 @@ def select_volfied(
     chosen: list[int] = []  # indices into rows
     taken = 0  # the admitted ads' bits
     evals = 0
-    start, size = 0, _HEAD_PER_SLOT * params.k
-    while start < len(rows) and len(chosen) < params.k:
-        stop = min(start + size, len(rows))
-        for i, p in enumerate(memo.positions(rows[start:stop]), start):
-            n = len(chosen)
-            if n >= params.k:
-                break
-            evals += n
-            if (masks[p] & taken).bit_count() < params.m:
-                chosen.append(i)
-                taken |= 1 << p
-        start, size = stop, 2 * size
+    for i, p in enumerate(memo.positions(rows)):
+        n = len(chosen)
+        if n >= params.k:
+            break
+        evals += n
+        if (masks[p] & taken).bit_count() < params.m:
+            chosen.append(i)
+            taken |= 1 << p
     if stats is not None:
         stats.distance_evals += evals
     return ids[chosen].tolist()

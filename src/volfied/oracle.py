@@ -255,34 +255,62 @@ def _int(value, name: str, null: bool = False):
     return value
 
 
+def _real(value, name: str) -> float:
+    """A JSON number field as a float; ValueError naming the field for any other value."""
+    if type(value) not in (int, float):
+        raise ValueError(f"instance field {name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(values, name: str) -> list[float]:
+    if type(values) is not list:
+        raise ValueError(f"instance field {name} must be a list of numbers, got {values!r}")
+    return [_real(x, name) for x in values]
+
+
+def _object(value, name: str) -> dict:
+    if type(value) is not dict:
+        raise ValueError(f"instance {name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _vehicle_key(key: str, name: str) -> int:
+    """An object key's vehicle id, a canonical integer: "7", not " 7", "07" or "7.0"."""
+    if not (key.removeprefix("-").isdecimal() and str(int(key)) == key):
+        raise ValueError(f"instance field {name} has a key that is not an integer: {key!r}")
+    return int(key)
+
+
 def instance_from_json(doc: dict) -> OracleInstance:
+    """The instance a JSON document spells out; a value of another JSON type raises ValueError."""
     try:
-        p = doc["params"]
+        p = _object(_object(doc, "document")["params"], "params")
         params = SelectionParams(
             k=_int(p["k"], "k"),
             m=_int(p["m"], "m"),
-            d_max=float(p["d_max"]),
+            d_max=_real(p["d_max"], "d_max"),
             metric=DistanceMetric(p["metric"]),
         )
         ads = tuple(
             Ad(
                 ad_id=_int(a["ad_id"], "ad_id"),
-                features=a["features"],
-                base_value=float(a["base_value"]),
+                features=_reals(a["features"], "features"),
+                base_value=_real(a["base_value"], "base_value"),
                 target_poa=_int(a.get("target_poa"), "target_poa", null=True),
             )
             for a in doc["ads"]
         )
         vehicles = tuple(
-            VehicleProfile(vehicle_id=_int(v["vehicle_id"], "vehicle_id"), interests=v["interests"])
+            VehicleProfile(_int(v["vehicle_id"], "vehicle_id"), _reals(v["interests"], "interests"))
             for v in doc["vehicles"]
         )
         coverage = {
-            int(vid): _int(poa, "coverage", null=True) for vid, poa in doc["coverage"].items()
+            _vehicle_key(vid, "coverage"): _int(poa, "coverage", null=True)
+            for vid, poa in _object(doc["coverage"], "coverage").items()
         }
         displayed = {
-            int(vid): frozenset(_int(a, "displayed") for a in ads_)
-            for vid, ads_ in doc.get("displayed", {}).items()
+            _vehicle_key(vid, "displayed"): frozenset(_int(a, "displayed") for a in ads_)
+            for vid, ads_ in _object(doc.get("displayed", {}), "displayed").items()
         }
     except KeyError as exc:
         raise ValueError(f"instance file missing field: {exc.args[0]}") from exc

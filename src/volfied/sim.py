@@ -182,6 +182,12 @@ class SimConfig:
             raise ValueError("global_fraction must lie in [0, 1]")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
+        for name in ("poa_range_m", "area_w_m", "area_h_m", "step_duration_s"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (self.speed_mps >= 0 and math.isfinite(self.speed_mps)):
+            raise ValueError(f"speed_mps must be finite and >= 0, got {self.speed_mps}")
 
     @property
     def selection_params(self) -> SelectionParams:
@@ -229,29 +235,20 @@ class _CoverageIndex:
 
 
 def _candidates_by_poa(config: SimConfig, catalog: AdTable, poas: Sequence[PoA]):
-    """Eligible ads per PoA, as tables of the catalog's rows: Globals plus
-    the PoA's own Locals, optionally replaced by their sparse approximation."""
-    globals_ = np.flatnonzero(catalog.target_poa < 0)
-
-    def eligible(pid: int) -> AdTable:
-        return catalog[np.concatenate([globals_, np.flatnonzero(catalog.target_poa == pid)])]
-
-    if not config.use_sparse:
-        return {p.poa_id: eligible(p.poa_id) for p in poas}
-
-    def sparse(eligible: AdTable) -> AdTable:
-        return m_sparse_set(eligible, config.epsilon, config.m, config.metric).ads
-
-    global_only: AdTable | None = None
-    out = {}
-    for p in poas:
-        if not np.any(catalog.target_poa == p.poa_id):
-            if global_only is None:
-                global_only = sparse(catalog[globals_])
-            out[p.poa_id] = global_only
-        else:
-            out[p.poa_id] = sparse(eligible(p.poa_id))
-    return out
+    """Each PoA's eligible ads, as a boolean mask over the catalog's rows:
+    Globals plus the PoA's own Locals, optionally replaced by their sparse
+    approximation."""
+    target = catalog.target_poa
+    masks = {p.poa_id: (target < 0) | (target == p.poa_id) for p in poas}
+    if config.use_sparse:
+        sparse = {}  # by PoA id; PoAs with no Locals share one, under None
+        for pid, eligible in masks.items():
+            key = pid if np.any(target == pid) else None
+            if key not in sparse:
+                kept = m_sparse_set(catalog[eligible], config.epsilon, config.m, config.metric)
+                sparse[key] = np.isin(catalog.ids, kept.ads.ids)
+            masks[pid] = sparse[key]
+    return masks
 
 
 def run(
@@ -307,7 +304,8 @@ def run_cache_sizes(
 
     params = config.selection_params
     select = STRATEGIES[config.strategy]
-    est = RevenueEstimator(params, _candidates_by_poa(config, AdTable.from_ads(ads), poas))
+    catalog = AdTable.from_ads(ads)
+    est = RevenueEstimator(params, catalog, _candidates_by_poa(config, catalog, poas))
     index = _CoverageIndex(poas)
     poa_ids = index.ids.tolist()
     # per index into poa_ids, and last for no PoA (index -1): the PoA's row

@@ -5,7 +5,7 @@ greedy that `select_volfied` must equal."""
 import numpy as np
 import pytest
 
-from volfied.broker import _HEAD_PER_SLOT, RevenueEstimator, SelectionParams, SelectionStats
+from volfied.broker import RevenueEstimator, SelectionParams, SelectionStats
 from volfied.model import Ad, AdTable, DistanceMetric, VehicleProfile, paired_distances
 from volfied.oracle import OracleInstance, simulate_display
 from volfied.sim import (
@@ -100,12 +100,23 @@ def clustered_instance(
     return OracleInstance(ads=ads, vehicles=vehicles, coverage=coverage, params=params)
 
 
+def estimator(params, candidates):
+    """A `RevenueEstimator` over the ads of `candidates` (PoA id -> ads): the
+    catalog holds the first ad that carries each id, and each PoA's mask
+    the rows of its ads' ids."""
+    first = {}
+    for ads in candidates.values():
+        for a in ads:
+            first.setdefault(a.ad_id, a)
+    catalog = AdTable.from_ads(list(first.values()))
+    masks = {pid: np.isin(catalog.ids, [a.ad_id for a in ads]) for pid, ads in candidates.items()}
+    return RevenueEstimator(params, catalog, masks)
+
+
 def estimator_for(instance):
     """Fresh broker estimator fed one detected enter event per covered vehicle."""
     poa_ids = sorted({p for p in instance.coverage.values() if p is not None})
-    est = RevenueEstimator(
-        instance.params, {pid: list(instance.ads) for pid in poa_ids}
-    )
+    est = estimator(instance.params, {pid: instance.ads for pid in poa_ids})
     for prof in instance.vehicles:
         poa = instance.coverage.get(prof.vehicle_id)
         if poa is not None:
@@ -154,7 +165,8 @@ def reference_run(config, trace, ads, profiles, poas, display=step_display, new_
     by_vid = {p.vehicle_id: p for p in profiles}
     params = config.selection_params
     select = STRATEGIES[config.strategy]
-    est = RevenueEstimator(params, _candidates_by_poa(config, AdTable.from_ads(ads), poas))
+    catalog = AdTable.from_ads(ads)
+    est = RevenueEstimator(params, catalog, _candidates_by_poa(config, catalog, poas))
     index = _CoverageIndex(poas)
     poa_ids = index.ids.tolist()
     by_ad_id = {a.ad_id: a for a in ads}
@@ -227,6 +239,11 @@ def reference_run(config, trace, ads, profiles, poas, display=step_display, new_
     return metrics, summary
 
 
+# block_greedy's first block of candidates, in multiples of k; each later
+# block doubles it.
+HEAD_PER_SLOT = 4
+
+
 def block_greedy(est, poa, params, stats=None):
     """`select_volfied` without the conflict memo, the reference it must
     equal in ids and `distance_evals`: each block of the ranking is checked
@@ -237,7 +254,7 @@ def block_greedy(est, poa, params, stats=None):
     chosen: list[int] = []  # indices into rows
     chosen_feats = est._union_feats[:0]
     evals = 0
-    start, size = 0, _HEAD_PER_SLOT * params.k
+    start, size = 0, HEAD_PER_SLOT * params.k
     while start < len(rows) and len(chosen) < params.k:
         stop = min(start + size, len(rows))
         block = est._union_feats[rows[start:stop]]

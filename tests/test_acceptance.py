@@ -15,9 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import clustered_instance, estimator_for, random_instance, realized_revenue
+from conftest import clustered_instance, estimator, estimator_for, random_instance, realized_revenue
 from volfied.broker import (
-    RevenueEstimator,
     SelectionParams,
     SelectionStats,
     is_conflict_free,
@@ -316,7 +315,7 @@ def test_06_sparse_event_cost_bound(criterion_report):
         bound = update_cost_bound(
             SparseApproxParams(epsilon=eps, m=m, metric=EUCL), d_max, n_dims, len(sp.ads)
         )
-        est = RevenueEstimator(params, {0: sp.ads})
+        est = estimator(params, {0: sp.ads})
         for v in range(200):
             est.on_vehicle_enter(
                 0, VehicleProfile(vehicle_id=v, interests=rng.uniform(0.0, 1.0, n_dims)),

@@ -6,12 +6,13 @@ selection expectations are hand-traces of the greedy scan.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import block_greedy, credited_ids
+from conftest import block_greedy, credited_ids, estimator
 import volfied.broker
 from volfied.broker import (
     RevenueEstimator,
@@ -48,7 +49,7 @@ def example1():
     a1 = Ad(ad_id=1, features=np.array([0.1]), base_value=10.0)
     a2 = Ad(ad_id=2, features=np.array([0.05]), base_value=1.0)
     v = VehicleProfile(vehicle_id=0, interests=np.array([0.0]))
-    est = RevenueEstimator(params(k=2, m=1), {0: [a1, a2]})
+    est = estimator(params(k=2, m=1), {0: [a1, a2]})
     est.on_vehicle_enter(0, v, detected=True)
     return est, (a1, a2), v
 
@@ -71,7 +72,7 @@ def recompute_revenue(candidates, present_profiles, registry, poa_id, d_max, met
 class TestEstimatorEvents:
     def test_three_contributors_sum(self):
         ad = Ad(ad_id=1, features=np.array([0.5, 0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         for vid in range(3):
             v = VehicleProfile(vehicle_id=vid, interests=np.array([0.5, 0.5]))
             est.on_vehicle_enter(0, v, detected=True)
@@ -79,13 +80,13 @@ class TestEstimatorEvents:
 
     def test_undetected_enter_no_change(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=False)
         assert est.revenue(0, 1) == 0.0
 
     def test_registry_blocks_credit(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(7, np.array([0.5])), detected=True)
         est.on_broadcast(0, [1])
         est.on_vehicle_exit(0, 7)
@@ -98,7 +99,7 @@ class TestEstimatorEvents:
         # must know what it was served meanwhile
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
         v = VehicleProfile(7, np.array([0.5]))
-        est = RevenueEstimator(params(), {0: [ad], 1: [ad]})
+        est = estimator(params(), {0: [ad], 1: [ad]})
         est.on_vehicle_enter(0, v, detected=True)
         est.on_broadcast(0, [1])
         est.on_vehicle_exit(0, 7)
@@ -108,7 +109,7 @@ class TestEstimatorEvents:
     def test_enter_exit_round_trip(self):
         rng = np.random.default_rng(5)
         ads = [Ad(ad_id=i, features=rng.uniform(0, 1, 2), base_value=0.5) for i in range(10)]
-        est = RevenueEstimator(params(d_max=0.4), {0: ads})
+        est = estimator(params(d_max=0.4), {0: ads})
         est.on_vehicle_enter(0, VehicleProfile(1, np.array([0.4, 0.4])), detected=True)
         before = {i: est.revenue(0, i) for i in range(10)}
         v2 = VehicleProfile(2, rng.uniform(0, 1, 2))
@@ -119,14 +120,14 @@ class TestEstimatorEvents:
 
     def test_exit_of_undetected_is_noop(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
         est.on_vehicle_exit(0, 99)
         assert est.revenue(0, 1) == pytest.approx(0.4)
 
     def test_one_of_two_exits_halves(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
         est.on_vehicle_enter(0, VehicleProfile(1, np.array([0.5])), detected=True)
         est.on_vehicle_exit(0, 0)
@@ -134,7 +135,7 @@ class TestEstimatorEvents:
 
     def test_duplicate_enter_rejected(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
         with pytest.raises(ValueError, match="^vehicle 0 already present under poa 0$"):
             est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
@@ -142,7 +143,7 @@ class TestEstimatorEvents:
 
     def test_unknown_poa_is_a_key_error(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         v = VehicleProfile(5, np.array([0.5]))
         # the PoA is looked up first, even for a vehicle never seen
         with pytest.raises(KeyError):
@@ -161,7 +162,7 @@ class TestEstimatorEvents:
 
     def test_enter_at_second_poa_rejected(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.6)
-        est = RevenueEstimator(params(), {3: [ad], 4: [ad]})
+        est = estimator(params(), {3: [ad], 4: [ad]})
         v = VehicleProfile(0, np.array([0.5]))
         est.on_vehicle_enter(3, v, detected=True)
         with pytest.raises(ValueError, match="vehicle 0 entered poa 4 while present under poa 3"):
@@ -175,7 +176,7 @@ class TestEstimatorEvents:
 class TestBroadcast:
     def test_broadcast_clears_contributors(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         for vid in range(3):
             est.on_vehicle_enter(0, VehicleProfile(vid, np.array([0.5])), detected=True)
         est.on_broadcast(0, [1])
@@ -183,7 +184,7 @@ class TestBroadcast:
 
     def test_broadcast_with_undetected_vehicle(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
         est.on_vehicle_enter(0, VehicleProfile(1, np.array([0.5])), detected=True)
         est.on_vehicle_enter(0, VehicleProfile(2, np.array([0.5])), detected=False)
@@ -198,7 +199,7 @@ class TestBroadcast:
 
     def test_empty_broadcast_noop(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.5])), detected=True)
         est.on_broadcast(0, [])
         assert est.revenue(0, 1) == pytest.approx(0.4)
@@ -215,7 +216,7 @@ class TestSelectVolfied:
             Ad(ad_id=2, features=np.array([0.2]), base_value=4.0),
             Ad(ad_id=3, features=np.array([0.6]), base_value=3.0),
         ]
-        est = RevenueEstimator(params(k=3, m=1), {0: ads})
+        est = estimator(params(k=3, m=1), {0: ads})
         # one contributor per ad so that R equals the base values
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.0])), detected=True)
         est.on_vehicle_enter(0, VehicleProfile(1, np.array([0.2])), detected=True)
@@ -226,7 +227,7 @@ class TestSelectVolfied:
     def test_zero_estimate_ads_skipped(self):
         est, _, _ = example1()
         far = Ad(ad_id=9, features=np.array([0.9]), base_value=50.0)
-        est2 = RevenueEstimator(params(), {0: [far]})
+        est2 = estimator(params(), {0: [far]})
         assert select_volfied(est2, 0, params()) == []
 
     def test_k_equals_m_matches_topk(self):
@@ -236,7 +237,7 @@ class TestSelectVolfied:
                 Ad(ad_id=i, features=rng.uniform(0, 1, 2), base_value=float(rng.uniform(0.1, 1)))
                 for i in range(12)
             ]
-            est = RevenueEstimator(params(d_max=0.35), {0: ads})
+            est = estimator(params(d_max=0.35), {0: ads})
             for vid in range(15):
                 prof = VehicleProfile(vid, np.clip(rng.normal(0.5, 0.2, 2), 0, 1))
                 est.on_vehicle_enter(0, prof, detected=True)
@@ -254,7 +255,7 @@ class TestSelectVolfied:
             ]
             k = int(rng.integers(1, 8))
             p = SelectionParams(k=k, m=int(rng.integers(1, 3)), d_max=0.3, metric=EUCL)
-            est = RevenueEstimator(p, {0: ads})
+            est = estimator(p, {0: ads})
             for vid in range(10):
                 prof = VehicleProfile(vid, rng.uniform(0, 1, 2))
                 est.on_vehicle_enter(0, prof, detected=True)
@@ -308,7 +309,7 @@ class TestConflictMemo:
             Ad(i, draw(grid_points(n_dims)), draw(st.sampled_from([1.0, 2.0])))
             for i in range(draw(st.integers(1, 30), label="n_ads"))
         ]
-        est = RevenueEstimator(p, {0: ads, 1: ads[: len(ads) // 2]})
+        est = estimator(p, {0: ads, 1: ads[: len(ads) // 2]})
         vehicles = [VehicleProfile(v, draw(grid_points(n_dims))) for v in range(8)]
         under = {}  # vehicle id -> PoA
         for _ in range(draw(st.integers(1, 6), label="steps")):
@@ -368,7 +369,7 @@ class TestTopkRandom:
 
     def test_no_positive_revenue(self):
         ad = Ad(ad_id=1, features=np.array([0.5]), base_value=0.4)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         assert select_topk(est, 0, params()) == []
         assert select_random(est, 0, params(), np.random.default_rng(0)) == []
 
@@ -383,7 +384,7 @@ class TestTopkRandom:
             Ad(ad_id=i, features=rng.uniform(0, 1, 2), base_value=0.5) for i in range(30)
         ]
         p = SelectionParams(k=4, m=1, d_max=0.9, metric=EUCL)
-        est = RevenueEstimator(p, {0: ads})
+        est = estimator(p, {0: ads})
         for vid in range(5):
             est.on_vehicle_enter(0, VehicleProfile(vid, rng.uniform(0, 1, 2)), detected=True)
         a = select_random(est, 0, p, np.random.default_rng(42))
@@ -401,7 +402,7 @@ class TestTopkRandom:
             for i in rng.permutation(40) + 1  # positions do not follow ids
         ]
         p = SelectionParams(k=len(ads), m=1, d_max=0.6, metric=EUCL)
-        est = RevenueEstimator(p, {0: ads})
+        est = estimator(p, {0: ads})
         for vid in range(6):
             est.on_vehicle_enter(0, VehicleProfile(vid, rng.uniform(0, 1, 2)), detected=True)
         positive = [a.ad_id for a in ads if est.revenue(0, a.ad_id) > 0]
@@ -439,7 +440,7 @@ class TestConflictFree:
                 for i in range(40)
             ]
             p = SelectionParams(k=5, m=int(rng.integers(1, 3)), d_max=0.25, metric=EUCL)
-            est = RevenueEstimator(p, {0: ads})
+            est = estimator(p, {0: ads})
             profiles = [VehicleProfile(vid, rng.uniform(0, 1, 2)) for vid in range(20)]
             for v in profiles:
                 est.on_vehicle_enter(0, v, detected=True)
@@ -481,7 +482,7 @@ class TestEstimatorConsistency:
                 for i in range(25)
             ]
             p = SelectionParams(k=3, m=1, d_max=0.3, metric=EUCL)
-            est = RevenueEstimator(p, {0: ads})
+            est = estimator(p, {0: ads})
             present = {}
             for _ in range(60):
                 action = rng.integers(0, 3)
@@ -619,7 +620,7 @@ class TestRelevanceMemo:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_poa_scan(self, world, data):
         p, candidates, profiles = world
-        est = RevenueEstimator(p, candidates)
+        est = estimator(p, candidates)
         ref = ScanningEstimator(p, candidates)
         at = {}  # vehicle id -> PoA it is under
         for _ in range(data.draw(st.integers(1, 25))):
@@ -667,7 +668,7 @@ class TestRelevanceMemo:
         # Then some PoAs broadcast, by one on_broadcasts call and one
         # reference call each.
         p, candidates, profiles = world
-        est = RevenueEstimator(p, candidates)
+        est = estimator(p, candidates)
         ref = ScanningEstimator(p, candidates)
         pids = sorted(candidates)
         at = {}  # vehicle id -> (PoA it is under, detected, profile)
@@ -752,7 +753,7 @@ class TestRelevanceMemo:
     def test_boundary_ad_is_credited(self):
         on_edge = Ad(ad_id=1, features=np.array([0.25]), base_value=1.0)
         beyond = Ad(ad_id=2, features=np.array([np.nextafter(0.25, 1.0)]), base_value=1.0)
-        est = RevenueEstimator(params(d_max=0.25), {0: [on_edge, beyond]})
+        est = estimator(params(d_max=0.25), {0: [on_edge, beyond]})
         est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.0])), detected=True)
         assert (est.revenue(0, 1), est.revenue(0, 2)) == (1.0, 0.0)
 
@@ -766,7 +767,7 @@ class TestRelevanceMemo:
         monkeypatch.setattr(volfied.broker, "distances_to", counting)
         shared = Ad(ad_id=1, features=np.array([0.1]), base_value=1.0)
         local = Ad(ad_id=2, features=np.array([0.05]), base_value=1.0, target_poa=1)
-        est = RevenueEstimator(params(), {0: [shared], 1: [shared, local]})
+        est = estimator(params(), {0: [shared], 1: [shared, local]})
         v = VehicleProfile(0, np.array([0.0]))
         est.on_vehicle_enter(0, v, detected=False)
         assert scans == []
@@ -781,7 +782,7 @@ class TestRelevanceMemo:
     def test_new_profile_under_seen_id_is_rescanned(self):
         near = Ad(ad_id=1, features=np.array([0.0]), base_value=1.0)
         far = Ad(ad_id=2, features=np.array([1.0]), base_value=1.0)
-        est = RevenueEstimator(params(), {0: [near, far]})
+        est = estimator(params(), {0: [near, far]})
         est.on_vehicle_enter(0, VehicleProfile(5, np.array([0.0])), detected=True)
         assert (est.revenue(0, 1), est.revenue(0, 2)) == (1.0, 0.0)
         est.on_vehicle_exit(0, 5)
@@ -790,7 +791,7 @@ class TestRelevanceMemo:
 
     def test_new_profile_while_present_rejected(self):
         ad = Ad(ad_id=1, features=np.array([0.0]), base_value=1.0)
-        est = RevenueEstimator(params(), {0: [ad]})
+        est = estimator(params(), {0: [ad]})
         v = VehicleProfile(5, np.array([0.0]))
         est.on_vehicle_enter(0, v, detected=True)
         memo, used = est.relevance(v), est._used
@@ -803,32 +804,48 @@ class TestRelevanceMemo:
         assert est.revenue(0, 1) == 0.0
 
     def test_one_id_two_ads_rejected(self):
+        # a catalog that repeats an id
         a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
         b = Ad(ad_id=3, features=np.array([0.2]), base_value=1.0)
-        with pytest.raises(ValueError, match="ad id 3"):
-            RevenueEstimator(params(), {0: [a], 1: [b]})
+        masks = {0: np.array([True, False]), 1: np.array([False, True])}
+        with pytest.raises(ValueError, match="^ad_id 3 repeats row 0$"):
+            RevenueEstimator(params(), [a, b], masks)
 
     def test_equal_ads_under_one_id_accepted(self):
         a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
         b = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
-        est = RevenueEstimator(params(), {0: [a], 1: [b]})
+        est = estimator(params(), {0: [a], 1: [b]})
         est.on_vehicle_enter(1, VehicleProfile(0, np.array([0.0])), detected=True)
         assert est.revenue(1, 3) == 1.0
 
-    def test_duplicate_ids_at_one_poa_rejected(self):
-        a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
-        with pytest.raises(ValueError, match="duplicate ad ids in candidates for poa 1"):
-            RevenueEstimator(params(), {0: [a], 1: [a, a]})
+    def test_union_ascends_by_id_in_any_catalog_order(self):
+        ads = [Ad(ad_id=i, features=np.array([0.0]), base_value=1.0) for i in (5, 2, 9, 4)]
+        est = RevenueEstimator(params(k=3), ads, {0: np.array([True, True, True, False])})
+        est.on_vehicle_enter(0, VehicleProfile(0, np.array([0.0])), detected=True)
+        assert est._union_ids.tolist() == [2, 5, 9]
+        # equal estimates: the ranking breaks ties by ad id
+        assert select_topk(est, 0, params(k=3)) == [2, 5, 9]
 
-    def test_first_different_ad_is_named(self):
-        ads = [Ad(ad_id=i, features=np.array([0.1 * i]), base_value=1.0) for i in range(3)]
-        clash = [Ad(ad_id=i, features=np.array([0.5]), base_value=1.0) for i in (2, 1)]
-        with pytest.raises(ValueError, match="ad id 2 names different ads at poa 7"):
-            RevenueEstimator(params(), {4: ads, 7: [ads[0], clash[0]], 5: [clash[1]]})
+    @pytest.mark.parametrize(
+        "mask, got",
+        [
+            ([True, False], "bool of shape (2,)"),
+            (np.ones((1, 3), dtype=bool), "bool of shape (1, 3)"),
+            ([2, 3], "int64 of shape (2,)"),
+            (np.ones(3), "float64 of shape (3,)"),
+        ],
+    )
+    def test_mask_not_over_the_catalog_rejected(self, mask, got):
+        ads = [Ad(ad_id=i, features=np.array([0.1 * i]), base_value=1.0) for i in range(1, 4)]
+        message = (
+            "candidates for poa 7 must be a boolean mask over the catalog's 3 rows, got " + got
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RevenueEstimator(params(), ads, {4: np.ones(3, dtype=bool), 7: mask})
 
     def test_unknown_ad_id_is_a_key_error(self):
         a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
-        est = RevenueEstimator(params(), {0: [a], 1: []})
+        est = estimator(params(), {0: [a], 1: []})
         with pytest.raises(KeyError):
             est.revenue(0, 4)
         with pytest.raises(KeyError):
@@ -904,7 +921,7 @@ class TestRelevanceWindow:
     def test_matches_full_scan(self, world):
         p, ads, profiles = world
         with np.errstate(over="ignore", invalid="ignore"):
-            est = RevenueEstimator(p, {0: ads, 1: ads[::2]})
+            est = estimator(p, {0: ads, 1: ads[::2]})
             for v in profiles:
                 memo_rows, memo_ids, memo_dists = est.relevance(v)
                 rows, ids, dists = full_scan(p, ads, v)
@@ -920,7 +937,7 @@ class TestRelevanceWindow:
             Ad(ad_id=i, features=np.eye(n_dims)[i // 4] * offset, base_value=1.0)
             for i, offset in enumerate([edge, -edge, past, -past] * n_dims)
         ]
-        est = RevenueEstimator(params(d_max=edge), {0: ads})
+        est = estimator(params(d_max=edge), {0: ads})
         _, ids, dists = est.relevance(VehicleProfile(0, np.zeros(n_dims)))
         assert ids.tolist() == [i for i in range(4 * n_dims) if i % 4 < 2]
         assert dists.tolist() == [edge] * (2 * n_dims)
@@ -934,7 +951,7 @@ class TestRelevanceWindow:
 
         monkeypatch.setattr(volfied.broker, "distances_to", counting)
         ads = [Ad(ad_id=i, features=np.array([i / 64, 0.0]), base_value=1.0) for i in range(100)]
-        est = RevenueEstimator(params(d_max=5 / 64), {0: ads})
+        est = estimator(params(d_max=5 / 64), {0: ads})
         _, ids, _ = est.relevance(VehicleProfile(0, np.array([50 / 64, 0.0])))
         assert ids.tolist() == list(range(45, 56))
         # only the eleven rows within reach on the first coordinate
@@ -943,7 +960,7 @@ class TestRelevanceWindow:
     def test_offsets_whose_squares_underflow(self):
         # 1e-170 squared underflows to 0, so the kernel puts the ad at 0
         ad = Ad(ad_id=1, features=np.array([1e-170, 0.0]), base_value=1.0)
-        est = RevenueEstimator(params(d_max=1e-200), {0: [ad]})
+        est = estimator(params(d_max=1e-200), {0: [ad]})
         _, ids, dists = est.relevance(VehicleProfile(0, np.zeros(2)))
         assert (ids.tolist(), dists.tolist()) == ([1], [0.0])
 
@@ -951,7 +968,7 @@ class TestRelevanceWindow:
         # 1e-8 rad apart, ten chords of d_max, but the cosine rounds to 1
         ad = Ad(ad_id=1, features=np.array([1.0, 1e-8]), base_value=1.0)
         p = SelectionParams(k=1, m=1, d_max=1e-9, metric=ANG)
-        est = RevenueEstimator(p, {0: [ad]})
+        est = estimator(p, {0: [ad]})
         _, ids, dists = est.relevance(VehicleProfile(0, np.array([1.0, 0.0])))
         assert (ids.tolist(), dists.tolist()) == ([1], [0.0])
 
@@ -964,22 +981,22 @@ class TestRelevanceWindow:
         ad = Ad(ad_id=1, features=feats, base_value=1.0)
         on = float(distances_to(ANG, v.interests, ad.features[None, :])[0])
         p = SelectionParams(k=1, m=1, d_max=on, metric=ANG)
-        _, ids, dists = RevenueEstimator(p, {0: [ad]}).relevance(v)
+        _, ids, dists = estimator(p, {0: [ad]}).relevance(v)
         assert (ids.tolist(), dists.tolist()) == ([1], [on])
 
     def test_empty_union(self):
-        est = RevenueEstimator(params(), {0: []})
+        est = estimator(params(), {0: []})
         rows, ids, dists = est.relevance(VehicleProfile(0, np.array([0.5])))
         assert (rows.size, ids.size, dists.size) == (0, 0, 0)
 
     def test_angular_zero_profile_raises(self):
         a = Ad(ad_id=1, features=np.array([1.0, 0.0]), base_value=1.0)
-        est = RevenueEstimator(SelectionParams(k=1, m=1, d_max=0.5, metric=ANG), {0: [a]})
+        est = estimator(SelectionParams(k=1, m=1, d_max=0.5, metric=ANG), {0: [a]})
         with pytest.raises(ValueError, match="zero vectors"):
             est.relevance(VehicleProfile(0, np.zeros(2)))
 
     def test_profile_of_other_dimension_raises(self):
         a = Ad(ad_id=1, features=np.array([1.0, 0.0]), base_value=1.0)
-        est = RevenueEstimator(params(), {0: [a]})
+        est = estimator(params(), {0: [a]})
         with pytest.raises(ValueError, match="3 features"):
             est.relevance(VehicleProfile(0, np.zeros(3)))

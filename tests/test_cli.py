@@ -180,6 +180,26 @@ class TestRun:
         cfg = write_config(tmp_path, area_w_m=800)
         assert volfied.cli.load_config(str(cfg)).area_w_m == 800
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("speed_mps", -14.0, "speed_mps must be finite and >= 0, got -14.0"),
+            ("speed_mps", math.nan, "speed_mps must be finite and >= 0, got nan"),
+            ("area_w_m", -5000.0, "area_w_m must be finite and > 0, got -5000.0"),
+            ("area_h_m", math.inf, "area_h_m must be finite and > 0, got inf"),
+            ("poa_range_m", 0.0, "poa_range_m must be finite and > 0, got 0.0"),
+            ("step_duration_s", -60.0, "step_duration_s must be finite and > 0, got -60.0"),
+        ],
+    )
+    def test_geometry_checked_before_output(self, tmp_path, capsys, field, value, message):
+        # JSON configs may spell NaN and Infinity
+        cfg = write_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_multiple_seeds(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

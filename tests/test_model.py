@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volfied.broker import RevenueEstimator, SelectionParams
+from conftest import estimator
+from volfied.broker import SelectionParams
 import volfied.model
 from volfied.model import (
     Ad,
@@ -292,7 +293,7 @@ class TestValidation:
             assert isinstance(f, np.ndarray) and f.dtype == np.float64
             assert f.tolist() == [1.0, 2.0]
         # a list of interests goes through the estimator's enter and revenue
-        est = RevenueEstimator(SelectionParams(k=1, m=1, d_max=0.5, metric=EUCL), {0: [ad]})
+        est = estimator(SelectionParams(k=1, m=1, d_max=0.5, metric=EUCL), {0: [ad]})
         est.on_vehicle_enter(0, VehicleProfile(vehicle_id=1, interests=[1.0, 2.25]), True)
         assert est.revenue(0, 1) == 0.5
 

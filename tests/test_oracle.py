@@ -634,3 +634,44 @@ class TestInstanceJson:
         message = f"instance field {field} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             instance_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("params", "d_max"), True, "instance field d_max must be a number, got True"),
+            (("ads", 0, "base_value"), "2", "instance field base_value must be a number, got '2'"),
+            (
+                ("ads", 0, "features"),
+                ["0.5", True],
+                "instance field features must be a number, got '0.5'",
+            ),
+            (("ads", 1, "features"), [True], "instance field features must be a number, got True"),
+            (
+                ("vehicles", 0, "interests"),
+                0.0,
+                "instance field interests must be a list of numbers, got 0.0",
+            ),
+            (("params",), [], "instance params must be a JSON object, got list"),
+        ],
+    )
+    def test_value_not_spelt_out_rejected(self, path, value, message):
+        doc = instance_to_json(example1())
+        *parents, key = path
+        functools.reduce(lambda node, step: node[step], parents, doc)[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            instance_from_json(doc)
+
+    def test_top_level_array_rejected(self):
+        with pytest.raises(ValueError, match="^instance document must be a JSON object, got list$"):
+            instance_from_json([instance_to_json(example1())])
+
+    @pytest.mark.parametrize(
+        "field, key", [("coverage", " 0"), ("coverage", "1.0"), ("displayed", "00")]
+    )
+    def test_vehicle_key_not_an_integer_rejected(self, field, key):
+        doc = instance_to_json(example1())
+        doc["displayed"] = {"0": [2]}
+        doc[field] = {key: doc[field]["0"]}
+        message = f"instance field {field} has a key that is not an integer: {key!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            instance_from_json(doc)

@@ -1,6 +1,7 @@
 """Trace ingestion, scenario generators, coverage, and the step pipeline."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -8,13 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import volfied.sim
-from conftest import estimator_for, random_instance, realized_revenue, reference_run
+from conftest import estimator, estimator_for, random_instance, realized_revenue, reference_run
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.files import load_trace, render_metrics_csv, write_trace_csv
-from volfied.model import Ad, DistanceMetric, PoA, VehicleProfile
+from volfied.model import Ad, AdTable, DistanceMetric, PoA, VehicleProfile
 from volfied.oracle import OracleInstance
 from volfied.scenario import gen_ads, gen_poas, gen_profiles, gen_synthetic
-from volfied.sim import MobilityTrace, SimConfig, _CoverageIndex, run, run_cache_sizes
+from volfied.sim import (
+    MobilityTrace,
+    SimConfig,
+    _candidates_by_poa,
+    _CoverageIndex,
+    run,
+    run_cache_sizes,
+)
+from volfied.sparse import m_sparse_set
 from volfied.vehicle import VehicleState, step_display
 
 EUCL = DistanceMetric.EUCLIDEAN
@@ -307,7 +316,7 @@ class TestRun:
         params = cfg.selection_params
         trace0 = trace.positions_at(0)
         expected = 0.0
-        est = RevenueEstimator(params, {p.poa_id: list(ads) for p in poas})
+        est = estimator(params, {p.poa_id: list(ads) for p in poas})
         entered = {}
         for prof in sorted(profiles, key=lambda p: p.vehicle_id):
             pos = trace0.get(prof.vehicle_id)
@@ -378,6 +387,28 @@ class TestIdleSkip:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             SimConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("speed_mps", -14.0, "speed_mps must be finite and >= 0, got -14.0"),
+            ("speed_mps", math.nan, "speed_mps must be finite and >= 0, got nan"),
+            ("speed_mps", math.inf, "speed_mps must be finite and >= 0, got inf"),
+            ("area_w_m", -5000.0, "area_w_m must be finite and > 0, got -5000.0"),
+            ("area_h_m", 0.0, "area_h_m must be finite and > 0, got 0.0"),
+            ("poa_range_m", 0.0, "poa_range_m must be finite and > 0, got 0.0"),
+            ("poa_range_m", math.nan, "poa_range_m must be finite and > 0, got nan"),
+            ("step_duration_s", math.inf, "step_duration_s must be finite and > 0, got inf"),
+        ],
+    )
+    def test_geometry_it_cannot_run_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimConfig(**{field: value})
+
+    def test_standing_vehicles_accepted(self):
+        cfg = SimConfig(speed_mps=0.0, n_ads=20, n_vehicles=5, steps=2)
+        trace = gen_synthetic((cfg.area_w_m, cfg.area_h_m), 5, 2, cfg.speed_mps, 0)
+        assert np.array_equal(trace.positions[0], trace.positions[1])
 
 
 def random_run_scenario(seed, strategy="volfied", steps=8):
@@ -635,6 +666,26 @@ class TestReferenceLoop:
         assert (metrics, summary) == reference_run(cfg, trace, ads, profiles, poas)
         assert [m.impressions_cum for m in metrics] == [1, 2, 3]
         assert summary["revenue"] == 0.9 + 0.5 + 0.3
+
+
+class TestCandidateMasks:
+    @given(small_worlds(), st.integers(1, 3), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_masks_hold_the_eligible_rows(self, world, m, use_sparse):
+        # each mask holds the rows in scope at its PoA, or under use_sparse
+        # the ads that m_sparse_set keeps of them
+        cfg, _, ads, _ = world
+        cfg = dataclasses.replace(cfg, m=m, k=max(cfg.k, m), use_sparse=use_sparse)
+        catalog = AdTable.from_ads(ads)
+        masks = _candidates_by_poa(cfg, catalog, _ROW_POAS)
+        assert list(masks) == [p.poa_id for p in _ROW_POAS]
+        for pid, mask in masks.items():
+            in_scope = [a for a in ads if a.target_poa in (None, pid)]
+            if use_sparse:
+                kept = m_sparse_set(in_scope, cfg.epsilon, cfg.m, cfg.metric).member_ids()
+                assert sorted(catalog.ids[mask].tolist()) == sorted(kept)
+            else:
+                assert [a for a, held in zip(ads, mask.tolist()) if held] == in_scope
 
 
 class TestCacheSizePass:
