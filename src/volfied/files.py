@@ -1,11 +1,14 @@
 """CSV file formats: catalogs, populations, traces, and plot-ready run outputs.
 
 Every CSV file is read by `_read_csv` and written by `_write_csv`; a format
-is a header plus a row parser and a row renderer. `_write_csv` goes through
-`atomic_write_text` (temp file + rename) so a partially written file never
-appears under its final name. Feature vectors, values and positions are
-stored with full float precision (repr round trip); metrics and summary
-files print reals to 6 decimal places.
+is a header plus a row parser and a row renderer. The ads loader parses
+column by column first, over chunks of whole lines, with the `int`,
+`float` and scope rules of its row parser; on any error it reads the file
+again through `_read_csv`, which names the first bad line. `_write_csv`
+goes through `atomic_write_text` (temp file + rename) so a partially
+written file never appears under its final name. Feature vectors, values
+and positions are stored with full float precision (repr round trip);
+metrics and summary files print reals to 6 decimal places.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ _ADS_HEADER = f"ad_id,{_FEATURES},base_value,scope,target_poa"
 _POAS_HEADER = "poa_id,x_m,y_m,range_m"
 _PROFILES_HEADER = f"vehicle_id,{_FEATURES}"
 _MAPPING_HEADER = "removed_ad_id,representative_ad_id,distance"
+# The ads loader reads whole lines in chunks of about this many characters.
+_CHUNK_BYTES = 1 << 18
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -120,14 +125,21 @@ def _read_csv(path, header: str, parse_row: Callable, collect: Callable = _liste
 
     with open(path) as fh:
         try:
-            line = fh.readline().rstrip("\n")
-            width = line.count(",") + 1
-            n_dims = width - header.count(",") + _FEATURES.count(",")
-            if n_dims < 1 or line != _with_features(header, n_dims):
-                raise ValueError(f"unexpected header {line!r}: want {header!r}")
+            width, n_dims = _read_header(fh, header)
             return collect(records(fh, width), n_dims)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
+def _read_header(fh, header: str) -> tuple[int, int]:
+    """Read the first line of `fh`, which must be `header`, its `f1,...,fn`
+    standing for n >= 1 feature columns: (fields per line, n)."""
+    line = fh.readline().rstrip("\n")
+    width = line.count(",") + 1
+    n_dims = width - header.count(",") + _FEATURES.count(",")
+    if n_dims < 1 or line != _with_features(header, n_dims):
+        raise ValueError(f"unexpected header {line!r}: want {header!r}")
+    return width, n_dims
 
 
 def write_ads_csv(path, ads: Sequence[Ad]) -> None:
@@ -157,20 +169,24 @@ def _target_poa(scope: str, target: str) -> int:
     return poa
 
 
-def _ads_table(rows: Iterable[list[str]], n_dims: int) -> AdTable:
-    """The ads of every row, converted column by column; no rows give a
-    table of n_dims features."""
-    columns = list(zip(*rows))
-    if not columns:
-        return AdTable([], np.zeros((0, n_dims)), [], [])
-    ids, *feats, values, scopes, targets = columns
-    flat = np.array(list(map(float, itertools.chain.from_iterable(feats))))
-    return AdTable(
-        list(map(int, ids)),
-        flat.reshape(len(feats), len(ids)).T,
-        list(map(float, values)),
-        list(map(_target_poa, scopes, targets)),
-    )
+def _ads_table(fh, width: int, n_dims: int) -> AdTable:
+    """The ads of the lines after the header, parsed column by column in
+    chunks of whole lines (about _CHUNK_BYTES each), so no more than a
+    chunk's fields exist as strings at once. Raises ValueError without
+    naming a line: `load_ads_csv` then names it."""
+    ids, feats, values, targets = [], [], [], []
+    while lines := fh.readlines(_CHUNK_BYTES):
+        rows = list(filter(None, "".join(lines).split("\n")))  # no blank lines
+        if set(map(str.count, rows, itertools.repeat(","))) - {width - 1}:
+            raise ValueError(f"a line does not have {width} fields")
+        fields = ",".join(rows).split(",")
+        ids += map(int, fields[0::width])
+        columns = [list(map(float, fields[k::width])) for k in range(1, n_dims + 1)]
+        feats.append(np.array(columns).T)
+        values += map(float, fields[width - 3 :: width])
+        targets += map(_target_poa, fields[width - 2 :: width], fields[width - 1 :: width])
+    features = np.concatenate(feats) if feats else np.zeros((0, n_dims))
+    return AdTable(ids, features, values, targets)
 
 
 def _ad_row(fields: list[str]) -> Ad:
@@ -182,7 +198,8 @@ def _ad_row(fields: list[str]) -> Ad:
 
 def load_ads_csv(path) -> AdTable:
     try:
-        return _read_csv(path, _ADS_HEADER, lambda fields: fields, collect=_ads_table)
+        with open(path) as fh:
+            return _ads_table(fh, *_read_header(fh, _ADS_HEADER))
     except ValueError:
         # Name the first bad row in file order, as the header, field count
         # and repeated-id checks do: check the rows again one at a time.

@@ -268,6 +268,21 @@ def _reals(values, name: str) -> list[float]:
     return [_real(x, name) for x in values]
 
 
+def _ints(values, name: str) -> list[int]:
+    if type(values) is not list:
+        raise ValueError(f"instance field {name} must be a list of integers, got {values!r}")
+    return [_int(x, name) for x in values]
+
+
+def _objects(values, name: str) -> list[dict]:
+    """A JSON array of objects; ValueError naming the field for anything else."""
+    if type(values) is not list:
+        raise ValueError(f"instance field {name} must be a JSON array, got {type(values).__name__}")
+    for i, value in enumerate(values):
+        _object(value, f"field {name} entry {i}")
+    return values
+
+
 def _object(value, name: str) -> dict:
     if type(value) is not dict:
         raise ValueError(f"instance {name} must be a JSON object, got {type(value).__name__}")
@@ -298,18 +313,18 @@ def instance_from_json(doc: dict) -> OracleInstance:
                 base_value=_real(a["base_value"], "base_value"),
                 target_poa=_int(a.get("target_poa"), "target_poa", null=True),
             )
-            for a in doc["ads"]
+            for a in _objects(doc["ads"], "ads")
         )
         vehicles = tuple(
             VehicleProfile(_int(v["vehicle_id"], "vehicle_id"), _reals(v["interests"], "interests"))
-            for v in doc["vehicles"]
+            for v in _objects(doc["vehicles"], "vehicles")
         )
         coverage = {
             _vehicle_key(vid, "coverage"): _int(poa, "coverage", null=True)
             for vid, poa in _object(doc["coverage"], "coverage").items()
         }
         displayed = {
-            _vehicle_key(vid, "displayed"): frozenset(_int(a, "displayed") for a in ads_)
+            _vehicle_key(vid, "displayed"): frozenset(_ints(ads_, "displayed"))
             for vid, ads_ in _object(doc.get("displayed", {}), "displayed").items()
         }
     except KeyError as exc:

@@ -10,18 +10,25 @@ trigger downstream. The revenue guarantee (`verify_analogue_bound`) is
 stated at the same 2*epsilon radius: a covering radius of epsilon cannot
 coexist with the epsilon-ball bound.
 
-Conflicts are found on a grid of cells a little wider than 2*epsilon over
-the (at most 5) coordinates with the most occupied cells. The greedy walks
-the ads in value order in blocks cut to a candidate budget (memory O(N));
-only the later ads still present in an ad's 3^g neighbouring cells reach
-`paired_distances` (ties conflict). `check_ball_bound` counts on the same
-grid, built over the probes and the members together.
+Conflicts are found on a grid of cells a little wider than 2*epsilon. Its
+axes are the coordinates with the most occupied cells, busiest first, less
+any of one cell (it prunes nothing): the longest run of at most 5 of them
+whose cells number at most _CELLS_PER_AD per ad plus _CELLS_MIN, and at
+least one. The cells are numbered densely, so a table of each cell's
+first row in key order finds the rows of a run of three cells on the last
+axis with two gathers, 3^(g-1) runs per ad. The greedy walks the ads in
+value order in blocks cut to a candidate budget (memory O(N)); only the
+later ads still present in an ad's neighbouring cells reach
+`paired_distances` (ties conflict), so the grid prunes and the kernel
+decides. `check_ball_bound` counts on the same grid, built over the
+probes and the members together.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,8 +46,12 @@ __all__ = [
     "verify_analogue_bound",
 ]
 
-# Coordinates the grid bins at most (a projection never brings points closer).
+# Coordinates the grid bins at most (a projection never brings points closer),
+# and its cells at most: this many per ad plus a floor. One axis of N values
+# has at most 2N + 1 cells, so the busiest axis always fits.
 _GRID_DIMS = 5
+_CELLS_PER_AD = 32
+_CELLS_MIN = 4096
 # Cells are this much wider than the reach, relative to it, which absorbs
 # the rounding of two cell indices below 2^28 (2 * 2^-52 * 2^28 = 2^-23).
 _SLACK = 2.0**-20
@@ -91,11 +102,12 @@ class SparseAdSet:
         return [a.ad_id for a in self.ads]
 
 
-def _axis_cells(x: np.ndarray, width: float) -> np.ndarray:
-    """Cell index, from 1, of each value of `x` on cells `width` wide: values
-    within `width` share or neighbour a cell. Runs of values at most `width`
-    apart are binned from their own minimum, exact for any finite values,
-    and sit two indices apart, so an outlier does not stretch the axis."""
+def _axis_cells(x: np.ndarray, width: float) -> tuple[np.ndarray, int]:
+    """Cell index, from 1, of each value of `x` on cells `width` wide, and
+    the number of cells the values occupy: values within `width` share or
+    neighbour a cell. Runs of values at most `width` apart are binned from
+    their own minimum, exact for any finite values, and sit two indices
+    apart, so an outlier does not stretch the axis."""
     order = np.argsort(x, kind="stable")
     xs = x[order]
     with np.errstate(over="ignore"):
@@ -103,37 +115,40 @@ def _axis_cells(x: np.ndarray, width: float) -> np.ndarray:
     run = np.cumsum(starts) - 1
     cells = np.floor((xs - xs[starts][run]) / width).astype(np.int64)
     first = np.cumsum(np.concatenate(([1], cells[np.flatnonzero(starts)[1:] - 1] + 2)))
+    ascending = first[run] + cells
     index = np.empty_like(cells)
-    index[order] = first[run] + cells
-    return index
+    index[order] = ascending
+    return index, 1 + int(np.count_nonzero(np.diff(ascending)))
 
 
 def _grid(feats: np.ndarray, threshold: float, metric: DistanceMetric):
     """Grid on which rows of `feats` within `threshold` are neighbours: each
-    row's cell key, and the shifts whose runs of three keys (the last axis
-    has step 1) cover the neighbouring cells. The grid bins the (at most 5)
-    axes with the most occupied cells, in coordinate order."""
+    row's cell key, the shifts whose runs of three keys (the last axis has
+    step 1) cover the neighbouring cells, and the number of cells. The axes
+    are the busiest ones with more than one cell, as many as fit
+    `_CELLS_PER_AD * len(feats) + _CELLS_MIN` cells (module docstring)."""
     points, reach = window_points(metric, feats, threshold)
-    columns = [_axis_cells(x, reach * (1.0 + _SLACK)) for x in points.T]
-    if len(columns) > _GRID_DIMS:
-        occupied = [len(np.unique(col)) for col in columns]
-        busiest = sorted(range(len(columns)), key=lambda k: -occupied[k])[:_GRID_DIMS]
-        columns = [columns[k] for k in sorted(busiest)]
-    radix = [int(col.max()) + 2 for col in columns]  # neighbours fall in 0 .. max + 1
-    # Only the leading axes whose keys fit int64, still a valid prune.
-    g = max(k for k in range(1, len(radix) + 1) if math.prod(radix[:k]) < 1 << 62)
+    binned = [_axis_cells(x, reach * (1.0 + _SLACK)) for x in points.T]
+    busiest = sorted(binned, key=lambda axis: -axis[1])  # coordinate order on ties
+    columns = [col for col, occupied in busiest if occupied > 1] or [busiest[0][0]]
+    radix = [int(col.max()) + 2 for col in columns[:_GRID_DIMS]]  # neighbours: 0 .. max + 1
+    limit = _CELLS_PER_AD * len(feats) + _CELLS_MIN
+    g = max(1, sum(size <= limit for size in itertools.accumulate(radix, operator.mul)))
     steps = [math.prod(radix[k + 1 : g]) for k in range(g)]
     keys = sum(col * step for col, step in zip(columns, steps))
     offsets = itertools.product((-1, 0, 1), repeat=g - 1)
     shifts = np.array([sum(d * t for d, t in zip(o, steps)) for o in offsets], dtype=np.int64)
-    return keys, shifts
+    return keys, shifts, math.prod(radix[:g])
 
 
-def _index(keys: np.ndarray, rows: np.ndarray):
-    """`rows` in key order (stable) and their sorted keys: what
-    `_neighbours` looks the rows up in."""
+def _index(keys: np.ndarray, rows: np.ndarray, cells: int):
+    """`rows` in key order (stable), and where each of the `cells` cells
+    starts in that order (`cells + 1` entries): what `_neighbours` looks
+    the rows up in."""
     order = rows[np.argsort(keys[rows], kind="stable")]
-    return order, keys[order]
+    first = np.zeros(cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys[rows], minlength=cells), out=first[1:])
+    return order, first
 
 
 def _neighbours(keys, shifts, index, queries, budget):
@@ -141,10 +156,10 @@ def _neighbours(keys, shifts, index, queries, budget):
     neighbouring cells, for the leading queries whose pairs stay within
     `budget` (at least one query): (query rows, indexed rows, queries taken).
     The pairs come query by query, in the order of `queries`."""
-    order, sorted_keys = index
+    order, first = index
     centre = keys[queries][:, None] + shifts
-    start = np.searchsorted(sorted_keys, centre - 1, side="left")
-    counts = np.searchsorted(sorted_keys, centre + 1, side="right") - start
+    start = first[centre - 1]
+    counts = first[centre + 2] - start
     per_query = counts.sum(axis=1)
     take = max(1, int(np.searchsorted(np.cumsum(per_query), budget, side="right")))
     start, counts = start[:take].ravel(), counts[:take].ravel()
@@ -158,12 +173,11 @@ def _budget(feats: np.ndarray) -> int:
     return max(1, _BLOCK_BYTES // (8 * (feats.shape[1] + 8)))
 
 
-def _greedy_layer(feats, keys, shifts, threshold, metric, removed, rep) -> None:
-    """One greedy layer over the rows not `removed`, in index order: each
+def _greedy_layer(feats, keys, shifts, index, threshold, metric, removed, rep) -> None:
+    """One greedy layer over the rows not `removed`, in row order: each
     row still present is kept and removes the later rows within
     `threshold`, which it marks in `removed` and records in `rep`."""
     everyone = np.arange(len(feats))
-    index = _index(keys, everyone)
     for first in range(0, len(feats), _BLOCK_ADS):
         rows = everyone[first : first + _BLOCK_ADS]
         while (queries := rows[~removed[rows]]).size:
@@ -197,12 +211,13 @@ def m_sparse_set(
         return SparseAdSet(ads=table, params=params)
     ranked = np.lexsort((table.ids, -table.base_values))
     feats = table.features[ranked]
-    keys, shifts = _grid(feats, 2.0 * epsilon, metric)
+    keys, shifts, cells = _grid(feats, 2.0 * epsilon, metric)
+    index = _index(keys, np.arange(len(feats)), cells)
     layer_of = np.zeros(len(ranked), dtype=np.int64)
     rep = np.full(len(ranked), -1, dtype=np.int64)
     for layer in range(1, m + 1):
         removed = layer_of > 0
-        _greedy_layer(feats, keys, shifts, 2.0 * epsilon, metric, removed, rep)
+        _greedy_layer(feats, keys, shifts, index, 2.0 * epsilon, metric, removed, rep)
         layer_of[~removed] = layer
     kept = np.flatnonzero(layer_of)
     kept = kept[np.argsort(layer_of[kept], kind="stable")]
@@ -231,8 +246,8 @@ def _ball_counts(members: np.ndarray, probes: np.ndarray, radius: float, metric)
     `model.count_within` counts them. Probes and members share one grid;
     each member meets only the probes in its neighbouring cells."""
     feats = np.concatenate([members, probes])
-    keys, shifts = _grid(feats, radius, metric)
-    index = _index(keys, np.arange(len(members), len(feats)))
+    keys, shifts, cells = _grid(feats, radius, metric)
+    index = _index(keys, np.arange(len(members), len(feats)), cells)
     inside = np.zeros(len(feats), dtype=np.int64)
     queries = np.arange(len(members))
     while queries.size:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from volfied import files
 from volfied.files import (
     ADS_HEADER_PREFIX,
     METRICS_HEADER,
@@ -244,6 +245,105 @@ class TestAdTableCsv:
     def test_first_bad_row_in_file_order_named(self, tmp_path, rows, lineno, message):
         path = tmp_path / "ads.csv"
         path.write_text("\n".join(["ad_id,f1,base_value,scope,target_poa", *rows]) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_ads_csv(path)
+        assert str(info.value) == f"{path}: line {lineno}: {message}"
+
+
+# Spellings that int() and float() accept besides repr: signs, spaces,
+# underscores, exponents, bare points.
+ODD_REALS = ["1_0", " 0.5", "+1e-3", "0.5 ", "\t2.5E+0", ".5", "1.", "00.25", "2_5.0_1"]
+ODD_IDS = ["{}", " {}", "+{} ", "{:_}"]
+SCOPES = [("G", ""), ("L", "3"), ("L", " 3"), ("L", "+0"), ("L", "0_1")]
+
+
+def chunked_catalog(templates, id_spelling, blanks_every, rows_wanted, final_newline):
+    """The text of an ads CSV of `rows_wanted` rows cycling through
+    `templates` (feature, value and scope fields after the id), ids 0, 1,
+    ... spelt by `id_spelling`, a blank line after every `blanks_every`
+    rows and a final newline or not."""
+    n_dims = templates[0].count(",") - 2
+    lines = [f"ad_id,{','.join(f'f{k + 1}' for k in range(n_dims))},base_value,scope,target_poa"]
+    for i in range(rows_wanted):
+        lines.append(f"{id_spelling.format(i)},{templates[i % len(templates)]}")
+        if i % blanks_every == 0:
+            lines.append("")
+    return "\n".join(lines) + ("\n" if final_newline else "")
+
+
+@st.composite
+def spelled_catalogs(draw):
+    """Catalog texts over 1-4 loader chunks whose fields mix repr with odd
+    spellings, with blank lines and maybe no final newline."""
+    n_dims = draw(st.integers(1, 8))
+    positive = st.floats(min_value=5e-324, allow_infinity=False).map(repr)
+    real = st.one_of(
+        st.sampled_from(ODD_REALS + ["-0.0", "5e-324", "-1E308"]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+    value = st.one_of(st.sampled_from(ODD_REALS), positive)
+    template = st.builds(
+        lambda feats, v, scope: ",".join([*feats, v, *scope]),
+        st.lists(real, min_size=n_dims, max_size=n_dims),
+        value,
+        st.sampled_from(SCOPES),
+    )
+    templates = draw(st.lists(template, min_size=1, max_size=20))
+    chunks = draw(st.floats(0.5, 4.0))
+    line_bytes = sum(map(len, templates)) / len(templates) + 8
+    return chunked_catalog(
+        templates,
+        draw(st.sampled_from(ODD_IDS)),
+        draw(st.integers(1, 500)),
+        max(1, int(chunks * files._CHUNK_BYTES / line_bytes)),
+        draw(st.booleans()),
+    )
+
+
+def row_by_row(path):
+    """The columns of the ads `_ad_row` makes line by line."""
+    ads = files._read_csv(path, files._ADS_HEADER, files._ad_row, key="ad_id")
+    return (
+        np.array([a.ad_id for a in ads], dtype=np.int64),
+        np.stack([a.features for a in ads]),
+        np.array([a.base_value for a in ads]),
+        np.array([-1 if a.target_poa is None else a.target_poa for a in ads], dtype=np.int64),
+    )
+
+
+class TestChunkedAdsLoader:
+    @settings(max_examples=25, deadline=None)
+    @given(spelled_catalogs())
+    def test_columns_equal_the_row_path(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ads.csv"
+            path.write_text(text)
+            got = load_ads_csv(path)
+            want = row_by_row(path)
+        columns = (got.ids, got.features, got.base_values, got.target_poa)
+        for name, g, w in zip(("ids", "features", "base_values", "target_poa"), columns, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("where", ["first chunk", "last chunk"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("{},0.5,0.25,1.0,G", "expected 6 fields, got 5"),
+            ("{},0.5,0.25,1.0,G,,", "expected 6 fields, got 7"),
+            ("{},inf,0.25,1.0,G,", "feature vector contains non-finite values"),
+            ("{},0.5,0.25,1.0,X,", "scope must be G or L, got 'X'"),
+            ("0,0.5,0.25,1.0,G,", "ad_id 0 repeats line 2"),
+        ],
+    )
+    def test_bad_row_named_in_any_chunk(self, tmp_path, where, bad, message):
+        text = chunked_catalog(["0.5,0.25,1.0,L,3", " 1_0,+1e-3,.5,G,"], "{}", 7, 30_000, True)
+        lines = text.splitlines()
+        assert len(text) > 2 * files._CHUNK_BYTES
+        lineno = 5 if where == "first chunk" else len(lines) - 3
+        lines[lineno - 1] = bad.format(10**6)
+        path = tmp_path / "ads.csv"
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:
             load_ads_csv(path)
         assert str(info.value) == f"{path}: line {lineno}: {message}"

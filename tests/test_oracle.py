@@ -666,6 +666,23 @@ class TestInstanceJson:
             instance_from_json([instance_to_json(example1())])
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ads", [1], "instance field ads entry 0 must be a JSON object, got int"),
+            ("ads", {"a": 1}, "instance field ads must be a JSON array, got dict"),
+            ("ads", 3, "instance field ads must be a JSON array, got int"),
+            ("vehicles", [None], "instance field vehicles entry 0 must be a JSON object, got NoneType"),
+            ("vehicles", "xy", "instance field vehicles must be a JSON array, got str"),
+            ("displayed", {"0": 5}, "instance field displayed must be a list of integers, got 5"),
+        ],
+    )
+    def test_malformed_shape_names_its_field(self, field, value, message):
+        doc = instance_to_json(example1())
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            instance_from_json(doc)
+
+    @pytest.mark.parametrize(
         "field, key", [("coverage", " 0"), ("coverage", "1.0"), ("displayed", "00")]
     )
     def test_vehicle_key_not_an_integer_rejected(self, field, key):

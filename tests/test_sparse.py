@@ -325,6 +325,67 @@ class TestEpsilonSet:
         assert got.mapping == want.mapping
 
 
+def binary_with_noise(rng):
+    return rng.integers(0, 2, (300, 6)) + rng.normal(0.0, 1e-3, (300, 6))
+
+
+def outlier_on_every_axis(rng):
+    return np.vstack([rng.uniform(0.0, 1.0, (300, 5)), np.full(5, 1e6)])
+
+
+def runs_on_a_line(rng):
+    # 2,000 values a unit apart, a run and a gap cell each, and 100 more
+    # within 2*eps of some of them
+    x = np.arange(2000.0)
+    near = rng.choice(x, 100) + rng.uniform(-0.04, 0.04, 100)
+    return rng.permutation(np.concatenate([x, near]))[:, None]
+
+
+def one_cell(rng):
+    return rng.uniform(0.0, 0.01, (300, 4))
+
+
+def below_norm_floor(rng):
+    # norms below the angular kernel's floor give an infinite reach
+    return rng.uniform(0.01, 1.0, (200, 3)) * 2.0**-460
+
+
+class TestCellTable:
+    @pytest.mark.parametrize(
+        "catalog, metric",
+        [
+            (binary_with_noise, EUCL),
+            (outlier_on_every_axis, EUCL),
+            (runs_on_a_line, EUCL),
+            (one_cell, EUCL),
+            (one_cell, ANG),
+            (below_norm_floor, ANG),
+        ],
+    )
+    def test_table_is_bounded_and_result_exact(self, catalog, metric):
+        rng = np.random.default_rng(43)
+        feats = catalog(rng)
+        eps = 0.025
+        keys, shifts, cells = sparse._grid(feats, 2.0 * eps, metric)
+        # at least one axis binned, within the bound, every run in the table
+        assert 3 <= cells <= sparse._CELLS_PER_AD * len(feats) + sparse._CELLS_MIN
+        centres = keys[:, None] + shifts
+        assert centres.min() >= 1 and centres.max() + 2 <= cells
+        ads = [
+            Ad(ad_id=i, features=f, base_value=float(v))
+            for i, (f, v) in enumerate(zip(feats, rng.uniform(0.01, 1.0, len(feats))))
+        ]
+        for m in (1, 2):
+            assert_matches_brute_force(ads, eps, m, metric)
+
+    def test_single_cell_axes_are_skipped(self):
+        # Three constant coordinates and two that vary: only the two are binned.
+        rng = np.random.default_rng(47)
+        feats = np.hstack([np.full((400, 3), 0.5), rng.uniform(0.0, 1.0, (400, 2))])
+        _, shifts, cells = sparse._grid(feats, 0.05, EUCL)
+        assert len(shifts) == 3 and cells <= 25**2
+
+
 class TestMSparseSet:
     def test_line_instance_two_layers(self):
         out = m_sparse_set(line_ads(), epsilon=0.025, m=2, metric=EUCL)
