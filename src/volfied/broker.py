@@ -158,8 +158,8 @@ class RevenueEstimator:
     credit again anywhere.
 
     Profiles and candidate sets are fixed, so a vehicle's relevant ads are
-    found once, on its first detected enter (or first `memo_entries` or
-    `relevance` call), and kept as its memo: a run of entries in the flat
+    found once per profile, when `vehicle_slots` makes its slot or gives it
+    another profile, and kept as its memo: a run of entries in the flat
     arrays below, which the display reads through `memo_entries` and
     `present` and `relevance` read too. The scan covers the union of all
     candidate sets through a window: the union rows are sorted once on
@@ -167,26 +167,29 @@ class RevenueEstimator:
     the profile on it, a second coordinate drops more, and `distances_to`
     decides which of the rest lie within d_max.
 
-    Values and contributor counts are (PoA x union row) tables, and the
-    memos' entries lie end to end in flat arrays (row, distance, unserved,
-    credited on entering). Each vehicle has a slot, made on first sight,
-    and slot arrays hold the PoA row it is present under, detected (-1:
-    none), and where its memo's entries start and stop. So a step's events
-    are a few array operations over the slots they move and the entries
-    of their memos. `on_slot_events`, the one event path, takes a step's
-    exits and enters by slot: an enter credits the memo's rows worth
-    something at the PoA that the memo marks unserved, and an exit takes
-    back the entries credited on entering that its memo still marks
-    unserved. `on_broadcasts` takes a step's broadcasts: it zeroes the
-    selected ads' counts, since every vehicle credited for them is
-    present, and registers them for those vehicles, in the registry and in
-    their memos' flags. The flags and the registry are thus the one record
-    of who was served. That holds because a vehicle is present under at
-    most one PoA and its memo does not change while it is present;
-    breaking either raises ValueError. The per-vehicle `on_vehicle_enter`,
-    `on_vehicle_exit` and `on_broadcast` are the one-event cases, by PoA
-    id and vehicle id or profile; the first two check their event before
-    they hand it to `on_slot_events`.
+    Whether a cell is worth anything (a candidate in scope at its PoA) and
+    the contributor counts are (PoA x union row) tables, and R(a, u) is the
+    row's base value times the count. The memos' entries lie end to end in
+    flat arrays (row, distance, unserved). Each vehicle has a slot, made on
+    first sight, and slot arrays hold the PoA row it is present under,
+    detected (-1: none), and where its memo's entries start and stop. So a
+    step's events are a few array operations over the slots they move and
+    the entries of their memos. `on_slot_events`, the one event path,
+    takes a step's exits and enters by slot: an enter credits the memo's
+    rows worth something at the PoA that the memo marks unserved, and an
+    exit takes back those the memo still marks unserved. `on_broadcasts`
+    takes a step's broadcasts: it zeroes the selected ads' counts, since
+    every vehicle credited for them is present, and registers them for
+    those vehicles, in the registry and in their memos' flags; a memo is
+    scanned unserved except where the registry holds its vehicle. The flags
+    and the registry are thus the one record of who was served. That holds
+    because a vehicle is present under at most one PoA and its memo does
+    not change while it is present; breaking either raises ValueError. It
+    also makes an exit take back exactly what its enter credited, since in
+    between the memo's flags only go from unserved to served. The
+    per-vehicle `on_vehicle_enter`, `on_vehicle_exit` and `on_broadcast`
+    are the one-event cases, by PoA id and vehicle id or profile; the first
+    two check their event before they hand it to `on_slot_events`.
 
     `conflict_memo` keeps, for `select_volfied`, which union rows lie
     within 2*d_max of each other, each pair decided once.
@@ -221,9 +224,9 @@ class RevenueEstimator:
         self._pids = pids
         self._poa_row = {pid: row for row, pid in enumerate(pids)}
         # ad_value over the table at once: a candidate in scope is worth its
-        # base value, any other cell 0
+        # base value, any other cell nothing
         in_scope = (target < 0) | (target == np.array(pids, dtype=np.int64)[:, None])
-        self._values = np.where(self._candidate & in_scope, base, 0.0)
+        self._worth = self._candidate & in_scope
         self._counts = np.zeros(self._candidate.shape, dtype=np.int64)
         # the cells the last on_broadcasts call selected, and a last row,
         # never set, for PoA row -1
@@ -243,23 +246,20 @@ class RevenueEstimator:
             self._second = points[self._by_first, self._axes[1]]
             self._scale = float(np.abs(points[:, self._axes]).max())
         # the memos' entries end to end, the first `_used` in use: union
-        # row, distance, not yet served, credited on entering
+        # row, distance, not yet served
         self._used = 0
         self._rows = np.zeros(0, dtype=np.int64)
         self._dists = np.zeros(0)
         self._unserved = np.zeros(0, dtype=bool)
-        self._credited = np.zeros(0, dtype=bool)
         # per slot, the first `_n_slots` in use: vehicle id, the PoA row it
         # is present under, detected (-1: none), where its memo's entries
-        # start and stop (-1: no memo), whether a broadcast reached it, and
-        # the profile its memo is (or the next one will be) scanned for
+        # start and stop, and the profile its memo was scanned for
         self._slot_of: dict[int, int] = {}
         self._n_slots = 0
         self._vids = np.zeros(0, dtype=np.int64)
         self._at = np.zeros(0, dtype=np.int64)
         self._start = np.zeros(0, dtype=np.int64)
         self._stop = np.zeros(0, dtype=np.int64)
-        self._served = np.zeros(0, dtype=bool)
         self._profile: list[VehicleProfile] = []
         # per-event instrumentation: ads touched by the last / any event
         self.last_event_examined = 0
@@ -279,7 +279,7 @@ class RevenueEstimator:
     def revenue(self, poa: int, ad_id: int) -> float:
         at = self._poa_row[poa]
         row = self._check_candidates(at, [ad_id])[0]
-        return float(self._values[at, row] * self._counts[at, row])
+        return float(self.union_base[row] * self._counts[at, row])
 
     def _check_candidates(self, at: int, ad_ids: Sequence[int]) -> np.ndarray:
         """Union rows of ad ids that are candidates at the PoA row `at`
@@ -313,10 +313,10 @@ class RevenueEstimator:
         return np.array([self._poa_row[pid] for pid in poa_ids], dtype=np.int64)
 
     def vehicle_slots(self, profiles: Iterable[VehicleProfile]) -> np.ndarray:
-        """The slot of each profile's vehicle, made on first sight. A memo is
-        scanned for the profile on the vehicle's first detected enter or
-        `memo_entries` call. A vehicle present under a PoA keeps its
-        profile: another one raises ValueError."""
+        """The slot of each profile's vehicle, made on first sight. Its memo
+        is scanned for the profile when the slot is made or takes another
+        profile. A vehicle present under a PoA keeps its profile: another
+        one raises ValueError."""
         slots = []
         for v in profiles:
             s = self._slot(v.vehicle_id)
@@ -326,13 +326,14 @@ class RevenueEstimator:
                         f"vehicle {v.vehicle_id} is present under poa "
                         f"{self._pids[self._at[s]]} with another profile"
                     )
+                self._start[s], self._stop[s] = self._scan(v)
                 self._profile[s] = v
-                self._start[s] = self._stop[s] = -1
             slots.append(s)
         return np.array(slots, dtype=np.int64)
 
     def _slot(self, vid: int) -> int:
-        """The slot of vehicle `vid`, made absent and memo-less if new."""
+        """The slot of vehicle `vid`, made absent and with no profile if
+        new."""
         s = self._slot_of.get(vid)
         if s is not None:
             return s
@@ -340,11 +341,10 @@ class RevenueEstimator:
         self._n_slots += 1
         if s == self._at.size:
             size = max(8, 2 * s)
-            self._vids = _grown(self._vids, s, size)
-            self._served = _grown(self._served, s, size)
-            self._at, self._start, self._stop = (
-                _grown(a, s, size, -1) for a in (self._at, self._start, self._stop)
+            self._vids, self._start, self._stop = (
+                _grown(a, s, size) for a in (self._vids, self._start, self._stop)
             )
+            self._at = _grown(self._at, s, size, -1)
         self._vids[s] = vid
         self._profile.append(None)
         return s
@@ -384,12 +384,10 @@ class RevenueEstimator:
         their memos' entries: the vehicles at `exits` leave the PoA they
         are present under (a vehicle present under none is skipped), then
         those at `enters`, detected and none of them present, enter the PoA
-        rows `at`. An exit takes back its entries credited on entering and
-        still unserved; an enter credits its entries worth something at the
-        PoA and still unserved, scanning a memo for the slot's profile if
-        it has none. The examined counts are per event, exits first, and
-        `last_event_examined` is the last applied event's (0 if none)."""
-        self._scan_missing(enters)
+        rows `at`. An exit takes back, and an enter credits, the entries
+        worth something at the PoA and still unserved. The examined counts
+        are per event, exits first, and `last_event_examined` is the last
+        applied event's (0 if none)."""
         exits = exits[self._at[exits] >= 0]
         if not exits.size and not enters.size:
             self.last_event_examined = 0
@@ -400,13 +398,13 @@ class RevenueEstimator:
         self._at[enters] = at
         into, into_owner = self._entries(enters)
         width = self._counts.shape[1]
-        taken = self._credited[out] & self._unserved[out]
+        gone = left[out_owner] * width + self._rows[out]
+        taken = self._worth.reshape(-1)[gone] & self._unserved[out]
         cells = at[into_owner] * width + self._rows[into]
-        worth = self._values.reshape(-1)[cells] > 0
+        worth = self._worth.reshape(-1)[cells]
         credit = worth & self._unserved[into]
-        self._credited[into] = credit
         counts = self._counts.reshape(-1)
-        np.add.at(counts, (left[out_owner] * width + self._rows[out])[taken], -1)
+        np.add.at(counts, gone[taken], -1)
         np.add.at(counts, cells[credit], 1)
         self._ranked = None
         hits = np.concatenate([out_owner[taken], into_owner[worth] + exits.size])
@@ -423,19 +421,11 @@ class RevenueEstimator:
         shift = starts + sizes - sizes.cumsum()
         return np.arange(owner.size) + shift[owner], owner
 
-    def _scan_missing(self, slots: np.ndarray) -> None:
-        """Scan a memo for the profile of each slot at `slots` that has
-        none."""
-        for s in slots[self._start[slots] < 0].tolist():
-            self._start[s], self._stop[s] = self._scan(self._profile[s])
-
     def memo_entries(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The memo entries of the vehicles at `slots`, slot after slot and
         ascending by union row within a memo: their flat indices, the index
         into `slots` of the vehicle each belongs to, their union rows and
-        their distances. A vehicle's memo is scanned for its slot's profile
-        the first time."""
-        self._scan_missing(slots)
+        their distances."""
         idx, owner = self._entries(slots)
         return idx, owner, self._rows[idx], self._dists[idx]
 
@@ -469,12 +459,10 @@ class RevenueEstimator:
             self._rows = _grown(self._rows, start, size)
             self._dists = _grown(self._dists, start, size)
             self._unserved = _grown(self._unserved, start, size)
-            self._credited = _grown(self._credited, start, size)
         self._used = stop
         self._rows[start:stop] = rows
         self._dists[start:stop] = dists
-        s = self._slot_of.get(v.vehicle_id)
-        served = self.registry.get(v.vehicle_id) if s is not None and self._served[s] else None
+        served = self.registry.get(v.vehicle_id)
         self._unserved[start:stop] = ~np.isin(ids, list(served)) if served else True
         return start, stop
 
@@ -542,7 +530,6 @@ class RevenueEstimator:
             if a < b:
                 self._unfiled.append((self._vids[slots[a:b]].tolist(), tuple(ad_ids)))
         if slots.size:
-            self._served[slots] = True
             idx, owner = self._entries(slots)
             self._unserved[idx] &= ~self._sent[under[owner], self._rows[idx]]
 
@@ -565,10 +552,10 @@ class RevenueEstimator:
         count table."""
         width = max(self._counts.shape[1], 1)
         cells = np.flatnonzero(self._counts > 0)  # by PoA row, then union row
-        r = self._values.reshape(-1)[cells] * self._counts.reshape(-1)[cells]
-        at = cells // width
+        at, rows = np.divmod(cells, width)
+        r = self.union_base[rows] * self._counts.reshape(-1)[cells]
         # rows ascend with ad id within a PoA, so a stable order breaks ties by id
-        rows = (cells - at * width)[np.lexsort((-r, at))]
+        rows = rows[np.lexsort((-r, at))]
         ids = self._union_ids[rows]
         bounds = np.searchsorted(at, np.arange(self._counts.shape[0] + 1)).tolist()
         return [(rows[a:b], ids[a:b]) for a, b in zip(bounds, bounds[1:])]

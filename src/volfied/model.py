@@ -60,7 +60,8 @@ def as_features(coords, n: int | None = None) -> FeatureVector:
 
 @dataclass(frozen=True, eq=False)
 class Ad:
-    """An ad in feature space. target_poa None means Global scope."""
+    """An ad in feature space. target_poa None means Global scope, and a
+    target PoA id is >= 0."""
 
     ad_id: int
     features: FeatureVector  # shape (n,)
@@ -70,6 +71,8 @@ class Ad:
     def __post_init__(self):
         object.__setattr__(self, "features", as_features(self.features))
         _check_base_value(self.ad_id, self.base_value)
+        if self.target_poa is not None and self.target_poa < 0:
+            raise ValueError(f"ad {self.ad_id}: target_poa must be >= 0, got {self.target_poa}")
 
     @property
     def is_global(self) -> bool:
@@ -145,9 +148,6 @@ class AdTable(Sequence):
         if isinstance(ads, AdTable):
             return ads
         ads = list(ads)
-        for a in ads:
-            if a.target_poa is not None and a.target_poa < 0:
-                raise ValueError(f"ad {a.ad_id}: target_poa must be >= 0, got {a.target_poa}")
         table = cls(
             [a.ad_id for a in ads],
             [a.features for a in ads] if ads else np.zeros((0, 0)),
@@ -209,7 +209,8 @@ class AdTable(Sequence):
 
 @dataclass(frozen=True)
 class PoA:
-    """Point of access (roadside broadcast unit) with a circular range."""
+    """Point of access (roadside broadcast unit) with a circular range; its
+    id is >= 0."""
 
     poa_id: int
     x_m: float
@@ -217,6 +218,8 @@ class PoA:
     range_m: float
 
     def __post_init__(self):
+        if self.poa_id < 0:
+            raise ValueError(f"poa {self.poa_id}: poa_id must be >= 0")
         if not self.range_m > 0:
             raise ValueError(f"poa {self.poa_id}: range_m must be > 0, got {self.range_m}")
         if not all(map(math.isfinite, (self.x_m, self.y_m, self.range_m))):

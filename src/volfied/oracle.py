@@ -60,8 +60,9 @@ MAX_K = 5
 class OracleInstance:
     """A single time step: catalog, covered vehicles, and display history.
 
-    `coverage` maps vehicle_id to the PoA it currently associates with
-    (None = out of coverage); one PoA per vehicle by construction.
+    `coverage` maps vehicle_id to the id (>= 0) of the PoA it currently
+    associates with (None = out of coverage); one PoA per vehicle by
+    construction.
     `displayed` carries the ads each vehicle has already shown.
     """
 
@@ -84,6 +85,9 @@ class OracleInstance:
             unknown = set(mapping) - vids
             if unknown:
                 raise ValueError(f"{label} references unknown vehicles: {sorted(unknown)}")
+        for vid, poa in self.coverage.items():
+            if poa is not None and poa < 0:
+                raise ValueError(f"coverage maps vehicle {vid} to poa {poa}; PoA ids must be >= 0")
 
 
 @dataclass(frozen=True)

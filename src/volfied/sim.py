@@ -36,7 +36,7 @@ from .broker import (
 )
 from .model import Ad, AdTable, DistanceMetric, PoA, VehicleProfile
 from .sparse import SparseApproxParams, m_sparse_set
-from .vehicle import DisplayFlags, step_displays
+from .vehicle import step_displays
 # perfbench/tracer.py wraps `step_display` under this module's name.
 from .vehicle import step_display  # noqa: F401
 
@@ -265,15 +265,17 @@ def run(
 
 
 class _Display:
-    """The vehicle side of a run at one cache size: its display flags,
-    which vehicles hold a cache, and its running totals and metrics."""
+    """The vehicle side of a run at one cache size: per memo entry, whether
+    its ad was displayed to its vehicle and whether its vehicle caches it;
+    which vehicles hold a cache; and its running totals and metrics."""
 
-    def __init__(self, cache_size: int, n_vehicles: int):
+    def __init__(self, cache_size: int, n_vehicles: int, n_entries: int):
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self.cache_size = cache_size
-        self.flags = DisplayFlags()
-        self.cached = np.zeros(n_vehicles, dtype=bool)
+        self.displayed = np.zeros(n_entries, dtype=bool)
+        self.cached = np.zeros(n_entries, dtype=bool)
+        self.holds_cache = np.zeros(n_vehicles, dtype=bool)
         self.metrics: list[StepMetrics] = []
         self.revenue = 0.0
         self.impressions = 0
@@ -300,7 +302,6 @@ def run_cache_sizes(
     if missing:
         raise ValueError(f"trace references vehicles without profiles: {missing}")
     vids = sorted(by_vid)
-    displays = [_Display(c, len(vids)) for c in cache_sizes]
 
     params = config.selection_params
     select = STRATEGIES[config.strategy]
@@ -312,9 +313,12 @@ def run_cache_sizes(
     # in the estimator's tables and its id (-1 is no Local ad's target)
     poa_row = np.append(est.poa_rows(poa_ids), -1)
     poa_id = np.append(index.ids, -1)
-    # vehicle index -> estimator slot, and trace column -> vehicle index
+    # vehicle index -> estimator slot, and trace column -> vehicle index;
+    # making the slots scans every memo, so the entries stay fixed from here
     slot = est.vehicle_slots([by_vid[vid] for vid in vids])
     column = np.searchsorted(np.array(vids, dtype=np.int64), trace.ids)
+    n_entries = est.memo_entries(slot)[0].size
+    displays = [_Display(c, len(vids), n_entries) for c in cache_sizes]
 
     det_rng = rng_stream(config.seed, STREAM_DETECTION)
     strat_rng = rng_stream(config.seed, STREAM_RANDOM_STRATEGY)
@@ -354,17 +358,16 @@ def run_cache_sizes(
         est.on_broadcasts(chosen_by_poa)
 
         # a present vehicle displays when it receives ads or holds a cache;
-        # an absent one keeps its cache for when it is back. Every vehicle
-        # that receives ads displays at every cache size, so the memos the
-        # first display scans are the same whichever size comes first.
+        # an absent one keeps its cache for when it is back
         for d in displays:
-            show = np.flatnonzero(present & (sending[current] | d.cached))
+            show = np.flatnonzero(present & (sending[current] | d.holds_cache))
             if show.size:
                 idx, owner, rows, dists = est.memo_entries(slot[show])
                 under = current[show][owner]
                 target = est.union_target[rows]
                 shown, kept = step_displays(
-                    d.flags,
+                    d.displayed,
+                    d.cached,
                     idx,
                     owner,
                     dists,
@@ -373,8 +376,8 @@ def run_cache_sizes(
                     params.m,
                     d.cache_size,
                 )
-                d.cached[show] = False
-                d.cached[show[owner[kept]]] = True
+                d.holds_cache[show] = False
+                d.holds_cache[show[owner[kept]]] = True
                 # a left fold from the running totals, as one `+=` per impression
                 d.revenue = float(
                     np.add.accumulate(np.append(d.revenue, est.union_base[rows[shown]]))[-1]

@@ -260,10 +260,14 @@ def _ball_counts(members: np.ndarray, probes: np.ndarray, radius: float, metric)
 
 def update_cost_bound(params: SparseApproxParams, d_max: float, n: int, set_size: int) -> int:
     """Worst-case number of sparse-set ads a single vehicle enter/exit can
-    touch: min(ceil((m*d_max/epsilon)^n), set size)."""
+    touch: min(ceil((m*d_max/epsilon)^n), set size). A packing too large
+    for a float is past any set size."""
     if d_max <= 0 or n < 1 or set_size < 0:
         raise ValueError("d_max, n, set_size must be positive")
-    packing = math.ceil((params.m * d_max / params.epsilon) ** n)
+    try:
+        packing = math.ceil((params.m * d_max / params.epsilon) ** n)
+    except OverflowError:
+        return set_size
     return min(packing, set_size)
 
 

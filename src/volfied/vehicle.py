@@ -9,9 +9,10 @@ coverage.
 `step_display` is that rule for one vehicle, on a `VehicleState`; it
 evaluates its own distances with `model.distances_to`. `step_displays` is
 the same rule for many vehicles in one array pass: their state is a pair of
-flags (displayed, cached) per entry of the estimator's relevance memos, in
-`DisplayFlags`, the distances are the memos', and one `lexsort` ranks every
-vehicle's pool.
+flags (displayed, cached) per entry of the estimator's relevance memos, two
+boolean arrays sized once, since every memo is scanned before the first
+step; the distances are the memos', and one `lexsort` ranks every vehicle's
+pool.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .model import Ad, VehicleProfile, rank_for_profile
 # perfbench/tracer.py wraps `distance` under this module's name.
 from .model import distance  # noqa: F401
 
-__all__ = ["VehicleState", "step_display", "DisplayFlags", "step_displays"]
+__all__ = ["VehicleState", "step_display", "step_displays"]
 
 
 @dataclass
@@ -78,19 +79,9 @@ def step_display(
     return impressions
 
 
-class DisplayFlags:
-    """The display state of many vehicles, per entry of their relevance
-    memos, indexed as the estimator's flat entry arrays: whether the
-    entry's ad was displayed to its vehicle, and whether its vehicle
-    caches it. An entry never seen is neither."""
-
-    def __init__(self):
-        self.displayed = np.zeros(0, dtype=bool)
-        self.cached = np.zeros(0, dtype=bool)
-
-
 def step_displays(
-    flags: DisplayFlags,
+    displayed: np.ndarray,
+    cached: np.ndarray,
     idx: np.ndarray,
     owner: np.ndarray,
     dists: np.ndarray,
@@ -103,7 +94,10 @@ def step_displays(
     entries: flat indices `idx`, gathered vehicle after vehicle and
     ascending by ad id within one, with `owner` the vehicle of each, its
     distance, whether its ad was sent at the vehicle's PoA this step, and
-    whether it is in scope at the vehicle's current PoA.
+    whether it is in scope at the vehicle's current PoA. `displayed` and
+    `cached`, indexed as the estimator's flat entry arrays, say whether an
+    entry's ad was displayed to its vehicle and whether its vehicle caches
+    it; they are updated in place.
 
     The pool is the entries sent or cached, not yet displayed and in scope.
     Each vehicle displays its m closest (ties by lower ad id) and caches
@@ -111,19 +105,14 @@ def step_displays(
     impressions, vehicle after vehicle in display order, and of the
     entries now cached.
     """
-    end = int(idx.max()) + 1 if idx.size else 0
-    if end > flags.displayed.size:
-        pad = np.zeros(max(end, 2 * flags.displayed.size) - flags.displayed.size, dtype=bool)
-        flags.displayed = np.concatenate([flags.displayed, pad])
-        flags.cached = np.concatenate([flags.cached, pad])
-    pool = np.flatnonzero((sent | flags.cached[idx]) & ~flags.displayed[idx] & in_scope)
-    flags.cached[idx] = False
+    pool = np.flatnonzero((sent | cached[idx]) & ~displayed[idx] & in_scope)
+    cached[idx] = False
     # a stable sort: within a vehicle, equal distances keep ad id order
     order = pool[np.lexsort((dists[pool], owner[pool]))]
     who = owner[order]
     rank = np.arange(order.size) - np.searchsorted(who, who)
     shown = order[rank < m]
     kept = order[(rank >= m) & (rank < m + cache_capacity)]
-    flags.displayed[idx[shown]] = True
-    flags.cached[idx[kept]] = True
+    displayed[idx[shown]] = True
+    cached[idx[kept]] = True
     return shown, kept

@@ -126,10 +126,11 @@ def estimator_for(instance):
 
 def credited_ids(est, poa):
     """Ad ids the estimator credits to each detected vehicle under `poa`:
-    the entries of its memo credited on entering and still unserved."""
+    the entries of its memo worth something at `poa` and still unserved."""
     credited = {}
     for vid, at in est.present(poa).items():
-        rows = est._rows[at][est._credited[at] & est._unserved[at]]
+        rows = est._rows[at]
+        rows = rows[est._worth[est._poa_row[poa], rows] & est._unserved[at]]
         credited[vid] = set(est._union_ids[rows].tolist())
     return credited
 

@@ -297,6 +297,16 @@ class TestValidation:
         est.on_vehicle_enter(0, VehicleProfile(vehicle_id=1, interests=[1.0, 2.25]), True)
         assert est.revenue(0, 1) == 0.5
 
+    @pytest.mark.parametrize("target", [-1, -3])
+    def test_negative_target_poa_rejected(self, target):
+        # -1 would read as Global in an AdTable
+        with pytest.raises(ValueError, match=f"^ad 1: target_poa must be >= 0, got {target}$"):
+            Ad(ad_id=1, features=np.array([0.5]), base_value=1.0, target_poa=target)
+
+    def test_negative_poa_id_rejected(self):
+        with pytest.raises(ValueError, match="^poa -3: poa_id must be >= 0$"):
+            PoA(poa_id=-3, x_m=0.0, y_m=0.0, range_m=150.0)
+
     def test_poa_range_positive(self):
         with pytest.raises(ValueError):
             PoA(poa_id=0, x_m=0.0, y_m=0.0, range_m=0.0)

@@ -591,6 +591,16 @@ class TestInstanceValidation:
             )
 
 
+    def test_negative_coverage_rejected(self):
+        with pytest.raises(ValueError, match="^coverage maps vehicle 0 to poa -3; PoA ids must be >= 0$"):
+            OracleInstance(
+                ads=(),
+                vehicles=(VehicleProfile(vehicle_id=0, interests=np.array([0.0])),),
+                coverage={0: -3},
+                params=SelectionParams(k=1, m=1, d_max=0.15, metric=EUCL),
+            )
+
+
 class TestInstanceJson:
     def test_round_trip(self):
         inst = example1()
@@ -679,6 +689,21 @@ class TestInstanceJson:
     def test_malformed_shape_names_its_field(self, field, value, message):
         doc = instance_to_json(example1())
         doc[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            instance_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("ads", 1, "target_poa"), -3, "ad 2: target_poa must be >= 0, got -3"),
+            (("ads", 1, "target_poa"), -1, "ad 2: target_poa must be >= 0, got -1"),
+            (("coverage", "0"), -3, "coverage maps vehicle 0 to poa -3; PoA ids must be >= 0"),
+        ],
+    )
+    def test_negative_poa_id_rejected(self, path, value, message):
+        doc = instance_to_json(example1())
+        *parents, key = path
+        functools.reduce(lambda node, step: node[step], parents, doc)[key] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             instance_from_json(doc)
 

@@ -644,6 +644,46 @@ class TestReferenceLoop:
         monkeypatch.setattr(volfied.sim, "step_display", refuse)
         assert run(cfg, trace, ads, profiles, poas) == expected
 
+    def test_every_memo_scanned_before_the_first_step(self, monkeypatch):
+        # making the slots scans one memo per profile, vehicles never in
+        # coverage too, so no step scans or adds memo entries
+        cfg, trace, ads, profiles, poas = random_run_scenario(seed=11)
+        cfg = dataclasses.replace(cfg, cache_size=3, detection_accuracy=0.7)
+        expected = reference_run(cfg, trace, ads, profiles, poas)
+        calls = []
+        scan, events = RevenueEstimator._scan, RevenueEstimator.on_slot_events
+
+        def scanning(est, v):
+            calls.append(("scan", v.vehicle_id))
+            return scan(est, v)
+
+        def stepping(est, *args):
+            calls.append(("events", est._used))
+            return events(est, *args)
+
+        monkeypatch.setattr(RevenueEstimator, "_scan", scanning)
+        monkeypatch.setattr(RevenueEstimator, "on_slot_events", stepping)
+        assert run(cfg, trace, ads, profiles, poas) == expected
+        n = len(profiles)
+        assert sorted(calls[:n]) == sorted(("scan", p.vehicle_id) for p in profiles)
+        assert [kind for kind, _ in calls[n:]] == ["events"] * cfg.steps
+        assert len({used for _, used in calls[n:]}) == 1
+
+    def test_malformed_profile_out_of_coverage_fails_before_step_0(self, monkeypatch):
+        # vehicle 1 stays 1 km from the only PoA, with a 2-D profile
+        cfg, _, ads, profiles, poas = tiny_scenario(steps=3)
+        trace = MobilityTrace.from_records(
+            [(s, vid, x, 0.0) for s in range(3) for vid, x in ((0, 10.0), (1, 1000.0))]
+        )
+        odd = VehicleProfile(vehicle_id=1, interests=np.array([0.0, 0.0]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(RevenueEstimator, "on_slot_events", refuse)
+        with pytest.raises(ValueError, match="^vehicle 1 has 2 features, ads have 1$"):
+            run(cfg, trace, ads, [*profiles, odd], poas)
+
     def test_local_ad_evicted_from_cache(self):
         # Under PoA 0 the vehicle gets a Global ad, two Locals of PoA 0 and
         # a Local of PoA 1 that it never receives there. It shows the

@@ -9,6 +9,7 @@ exactly 2*eps apart, on cell edges, on top of each other, at negative and
 huge coordinates, and in more dimensions than the grid uses.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -531,6 +532,14 @@ class TestUpdateCostBound:
     def test_small_set_caps_bound(self):
         params = SparseApproxParams(epsilon=0.0375, m=1, metric=EUCL)
         assert update_cost_bound(params, d_max=0.15, n=5, set_size=7) == 7
+
+    @pytest.mark.parametrize(
+        "epsilon, d_max, n",
+        [(0.025, 0.15, 400), (1e-300, 0.15, 5), (0.025, math.inf, 5)],
+    )
+    def test_packing_past_float_range_caps_at_set_size(self, epsilon, d_max, n):
+        params = SparseApproxParams(epsilon=epsilon, m=1, metric=EUCL)
+        assert update_cost_bound(params, d_max=d_max, n=n, set_size=123) == 123
 
 
 class TestVerifyAnalogueBound:
