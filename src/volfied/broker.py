@@ -443,8 +443,11 @@ class RevenueEstimator:
         return rows, self._union_ids[rows], dists
 
     def _scan(self, v: VehicleProfile) -> tuple[int, int]:
-        """Append a new memo of v's relevant union rows to the flat arrays,
-        unserved unless the registry holds them; its (start, stop)."""
+        """Write a new memo of v's relevant union rows to the flat arrays,
+        unserved unless the registry holds them; its (start, stop). It goes
+        after the entries in use, or, if the memo of v's slot ends them, in
+        that memo's place. The arrays change only once the rows are known,
+        so a profile that raises leaves the old memo as it was."""
         if self._union_ids.size:
             rows = self._window(v)
             dists = distances_to(self.params.metric, v.interests, self._union_feats[rows])
@@ -453,7 +456,10 @@ class RevenueEstimator:
         relevant = dists <= self.params.d_max
         rows, dists = rows[relevant], dists[relevant]
         ids = self._union_ids[rows]
-        start, stop = self._used, self._used + rows.size
+        s = self._slot_of[v.vehicle_id]
+        last = self._profile[s] is not None and self._stop[s] == self._used
+        start = int(self._start[s]) if last else self._used
+        stop = start + rows.size
         if stop > self._rows.size:
             size = max(stop, 2 * self._rows.size)
             self._rows = _grown(self._rows, start, size)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .files import (
     atomic_write_text,
+    copy_ads_rows,
     load_ads_csv,
     render_summary_row,
     write_ads_csv,
@@ -173,13 +174,26 @@ def _cmd_gen(args, what: str) -> int:
 
 def _cmd_sparsify(args) -> int:
     config = load_config(args.config)
+    st = os.stat(args.ads_csv)
     ads = load_ads_csv(args.ads_csv)
     sparse = m_sparse_set(ads, config.epsilon, config.m, config.metric)
     os.makedirs(args.out, exist_ok=True)
-    write_ads_csv(os.path.join(args.out, "ads_sparse.csv"), sparse.ads)
-    pairs = np.array(sorted(sparse.mapping.items()), dtype=np.int64).reshape(-1, 2)
     by_id = np.argsort(ads.ids)
-    at = by_id[np.searchsorted(ads.ids, pairs, sorter=by_id)]  # the table row of each id
+
+    def table_rows(ids: np.ndarray) -> np.ndarray:
+        return by_id[np.searchsorted(ads.ids, ids, sorter=by_id)]
+
+    # the kept ads' input lines, as they were read
+    kept = sparse.ads.ids
+    copy_ads_rows(
+        args.ads_csv,
+        os.path.join(args.out, "ads_sparse.csv"),
+        table_rows(kept),
+        kept,
+        (st.st_size, st.st_mtime_ns),
+    )
+    pairs = np.array(sorted(sparse.mapping.items()), dtype=np.int64).reshape(-1, 2)
+    at = table_rows(pairs)
     dists = paired_distances(config.metric, ads.features[at[:, 0]], ads.features[at[:, 1]])
     rows = list(zip(*pairs.T.tolist(), dists.tolist()))
     write_mapping_csv(os.path.join(args.out, "mapping.csv"), rows)

@@ -1,14 +1,16 @@
 """CSV file formats: catalogs, populations, traces, and plot-ready run outputs.
 
-Every CSV file is read by `_read_csv` and written by `_write_csv`; a format
-is a header plus a row parser and a row renderer. The ads loader parses
-column by column first, over chunks of whole lines, with the `int`,
-`float` and scope rules of its row parser; on any error it reads the file
-again through `_read_csv`, which names the first bad line. `_write_csv`
-goes through `atomic_write_text` (temp file + rename) so a partially
-written file never appears under its final name. Feature vectors, values
-and positions are stored with full float precision (repr round trip);
-metrics and summary files print reals to 6 decimal places.
+Every CSV file is read by `_read_csv` and written by `_write_csv`, with one
+exception: `copy_ads_rows` writes a sparse catalog by copying the kept
+rows' lines from its input file. A format is a header plus a row parser
+and a row renderer. The ads loader parses column by column first, over
+chunks of whole lines, with the `int`, `float` and scope rules of its row
+parser; on any error it reads the file again through `_read_csv`, which
+names the first bad line. `_write_csv` and `copy_ads_rows` go through
+`atomic_write_text` (temp file + rename) so a partially written file never
+appears under its final name. Feature vectors, values and positions are
+stored with full float precision (repr round trip); metrics and summary
+files print reals to 6 decimal places.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "SUMMARY_HEADER",
     "TRACE_HEADER",
     "atomic_write_text",
+    "copy_ads_rows",
     "load_ads_csv",
     "load_poas_csv",
     "load_profiles_csv",
@@ -175,6 +178,7 @@ def _ads_table(fh, width: int, n_dims: int) -> AdTable:
     chunk's fields exist as strings at once. Raises ValueError without
     naming a line: `load_ads_csv` then names it."""
     ids, feats, values, targets = [], [], [], []
+    poa_of: dict[tuple[str, str], int] = {}  # (scope, target) -> _target_poa of it
     while lines := fh.readlines(_CHUNK_BYTES):
         rows = list(filter(None, "".join(lines).split("\n")))  # no blank lines
         if set(map(str.count, rows, itertools.repeat(","))) - {width - 1}:
@@ -184,7 +188,10 @@ def _ads_table(fh, width: int, n_dims: int) -> AdTable:
         columns = [list(map(float, fields[k::width])) for k in range(1, n_dims + 1)]
         feats.append(np.array(columns).T)
         values += map(float, fields[width - 3 :: width])
-        targets += map(_target_poa, fields[width - 2 :: width], fields[width - 1 :: width])
+        pairs = list(zip(fields[width - 2 :: width], fields[width - 1 :: width]))
+        for pair in set(pairs) - poa_of.keys():  # at most n_poas + 1 in a catalog
+            poa_of[pair] = _target_poa(*pair)
+        targets += map(poa_of.__getitem__, pairs)
     features = np.concatenate(feats) if feats else np.zeros((0, n_dims))
     return AdTable(ids, features, values, targets)
 
@@ -205,6 +212,41 @@ def load_ads_csv(path) -> AdTable:
         # and repeated-id checks do: check the rows again one at a time.
         _read_csv(path, _ADS_HEADER, _ad_row, key="ad_id")
         raise
+
+
+def copy_ads_rows(source, path, rows, ids, stamp: tuple[int, int]) -> None:
+    """Write to `path` the header line of the ads CSV `source`, then its
+    data lines at `rows`, in the order given. A row is a position among the
+    non-blank lines after the header, 0-based: the row number
+    `load_ads_csv` gives the table. The lines are copied as read, so a row
+    keeps its spelling.
+
+    `source` is read line by line. It must still have `stamp`, the
+    (st_size, st_mtime_ns) it had when it was loaded, and the leading field
+    of each copied line must be the ad id `ids` gives at its place;
+    otherwise ValueError, naming `source`, and nothing is written."""
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    wanted = np.zeros(rows.max() + 1 if rows.size else 0, dtype=bool)
+    wanted[rows] = True
+    with open(source) as fh:
+        st = os.fstat(fh.fileno())
+        header = fh.readline().rstrip("\n") + "\n"
+        # in file order; compress stops reading after the last wanted line
+        lines = list(itertools.compress(filter("\n".__ne__, fh), wanted.tolist()))
+    try:
+        leading = np.fromiter((int(line.split(",", 1)[0]) for line in lines), np.int64, len(lines))
+    except (ValueError, OverflowError):  # not a line that was loaded
+        leading = None
+    if (st.st_size, st.st_mtime_ns) != tuple(stamp) or not np.array_equal(
+        leading, np.asarray(ids)[order]
+    ):
+        raise ValueError(f"{source} changed while sparsify read it")
+    if lines and not lines[-1].endswith("\n"):  # the file's last line
+        lines[-1] += "\n"
+    text = "".join([header, *map(lines.__getitem__, np.argsort(order).tolist())])
+    del lines  # one copy of the rows, not two, while the file is written
+    atomic_write_text(path, text)
 
 
 def write_poas_csv(path, poas: Sequence[PoA]) -> None:

@@ -803,6 +803,39 @@ class TestRelevanceMemo:
         est.on_vehicle_exit(0, 5)
         assert est.revenue(0, 1) == 0.0
 
+    def swap_world(self):
+        ads = [Ad(ad_id=i, features=np.array([i / 10]), base_value=1.0) for i in range(10)]
+        return ads, estimator(params(d_max=0.25), {0: ads})
+
+    def test_profile_swaps_reuse_the_last_memo(self):
+        ads, est = self.swap_world()
+        for x in (0.1, 0.5, 0.9, 0.3, 0.7, 0.0):  # a first profile, then five swaps
+            rows, ids, dists = est.relevance(VehicleProfile(5, np.array([x])))
+            want = [a.ad_id for a in ads if abs(a.features[0] - x) <= 0.25]
+            assert ids.tolist() == want
+            assert dists.tolist() == pytest.approx([abs(ads[i].features[0] - x) for i in want])
+            assert est._used == len(want)
+
+    def test_interleaved_swaps_append_and_keep_every_memo(self):
+        _, est = self.swap_world()
+        a, b = VehicleProfile(1, np.array([0.1])), VehicleProfile(2, np.array([0.8]))
+        est.vehicle_slots([a, b])
+        used = est._used
+        a = VehicleProfile(1, np.array([0.5]))  # not the last memo: appended
+        assert est.relevance(a)[1].tolist() == [3, 4, 5, 6, 7]
+        assert est._used == used + 5
+        assert est.relevance(b)[1].tolist() == [6, 7, 8, 9]
+
+    def test_swap_that_raises_keeps_the_old_memo(self):
+        _, est = self.swap_world()
+        v = VehicleProfile(5, np.array([0.1]))
+        memo, used = est.relevance(v), est._used
+        with pytest.raises(ValueError, match="^vehicle 5 has 2 features, ads have 1$"):
+            est.relevance(VehicleProfile(5, np.array([0.1, 0.2])))
+        assert est._used == used
+        assert [a.tobytes() for a in est.relevance(v)] == [a.tobytes() for a in memo]
+        assert est._used == used
+
     def test_one_id_two_ads_rejected(self):
         # a catalog that repeats an id
         a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)

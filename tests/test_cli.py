@@ -18,11 +18,13 @@ from volfied.files import (
     load_ads_csv,
     render_metrics_csv,
     render_summary_row,
+    write_ads_csv,
     write_mapping_csv,
 )
 from volfied.model import DistanceMetric, distance
 from volfied.scenario import build_scenario
 from volfied.sim import SimConfig, run
+from volfied.sparse import m_sparse_set
 
 
 def write_config(tmp_path, **overrides):
@@ -571,6 +573,68 @@ class TestSparsify:
             for removed, rep, _ in rows
         ]
         assert [(r, k, d.hex()) for r, k, d in rows] == [(r, k, d.hex()) for r, k, d in want]
+
+    # ad 2 lies on ad 1 and is removed; blank line, no trailing newline
+    SPELT = (
+        "ad_id,f1,base_value,scope,target_poa\n"
+        "1,0.50,0.9,G,\n2,5e-1,0.8,G,\n\n1_0,+0.25,1_0,L,0\n4,0.9,0.60,G,"
+    )
+
+    def sparsify_spelt(self, tmp_path):
+        ads_csv = tmp_path / "ads.csv"
+        ads_csv.write_text(self.SPELT)
+        cfg = write_config(tmp_path, epsilon=0.02, m=1, n_dims=1)
+        out = tmp_path / "out"
+        rc = main(["sparsify", str(ads_csv), "--config", str(cfg), "--out", str(out)])
+        return ads_csv, out, rc
+
+    def test_kept_rows_are_input_lines_verbatim(self, tmp_path):
+        ads_csv, out, rc = self.sparsify_spelt(tmp_path)
+        assert rc == 0
+        header, *lines = self.SPELT.split("\n")
+        by_id = {int(line.split(",")[0]): line for line in filter(None, lines)}
+        sparse = m_sparse_set(load_ads_csv(ads_csv), 0.02, 1, DistanceMetric.EUCLIDEAN)
+        assert [a.ad_id for a in sparse.ads] == [10, 1, 4]
+        want = [header, *(by_id[i] for i in sparse.ads.ids.tolist())]
+        assert (out / "ads_sparse.csv").read_text() == "".join(f"{line}\n" for line in want)
+        kept = load_ads_csv(out / "ads_sparse.csv")
+        assert kept.ids.tolist() == sparse.ads.ids.tolist()
+        assert kept.features.tobytes() == sparse.ads.features.tobytes()
+        assert (out / "mapping.csv").read_text().splitlines()[1:] == ["2,1,0.000000"]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("metric", ["euclidean", "angular"])
+    def test_canonical_input_gives_the_rendered_bytes(self, tmp_path, metric, m):
+        kind = DistanceMetric(metric)
+        cfg = write_config(tmp_path, n_ads=300, n_dims=3, epsilon=0.05, m=m, metric=kind)
+        assert main(["gen-ads", "--config", str(cfg), "--out", str(tmp_path), "--seed", "4"]) == 0
+        ads_csv = tmp_path / "ads.csv"
+        out = tmp_path / "out"
+        assert main(["sparsify", str(ads_csv), "--config", str(cfg), "--out", str(out)]) == 0
+        sparse = m_sparse_set(load_ads_csv(ads_csv), 0.05, m, kind)
+        assert 20 < len(sparse.mapping) and len(set(sparse.layers.values())) == m
+        write_ads_csv(tmp_path / "rendered.csv", sparse.ads)
+        assert (out / "ads_sparse.csv").read_bytes() == (tmp_path / "rendered.csv").read_bytes()
+
+    @pytest.mark.parametrize("same_stat", [False, True], ids=["grown", "rows-swapped"])
+    def test_input_changed_after_loading_fails(self, tmp_path, monkeypatch, capsys, same_stat):
+        def rewriting(ads, *args):
+            sparse = m_sparse_set(ads, *args)
+            path = tmp_path / "ads.csv"
+            st = path.stat()
+            header, first, second, *rest = self.SPELT.split("\n")
+            if same_stat:  # the same bytes in another order, the same mtime
+                path.write_text("\n".join([header, second, first, *rest]))
+                os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+            else:
+                path.write_text(self.SPELT + "\n5,0.1,0.5,G,\n")
+            return sparse
+
+        monkeypatch.setattr(volfied.cli, "m_sparse_set", rewriting)
+        ads_csv, out, rc = self.sparsify_spelt(tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {ads_csv} changed while sparsify read it\n"
+        assert list(out.iterdir()) == []
 
 
 class TestOracleCmd:

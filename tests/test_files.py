@@ -14,6 +14,7 @@ from volfied.files import (
     SUMMARY_HEADER,
     TRACE_HEADER,
     atomic_write_text,
+    copy_ads_rows,
     load_ads_csv,
     load_poas_csv,
     load_profiles_csv,
@@ -347,6 +348,30 @@ class TestChunkedAdsLoader:
         with pytest.raises(ValueError) as info:
             load_ads_csv(path)
         assert str(info.value) == f"{path}: line {lineno}: {message}"
+
+
+class TestCopyAdsRows:
+    @settings(max_examples=10, deadline=None)
+    @given(spelled_catalogs(), st.randoms(use_true_random=False))
+    def test_copies_the_lines_at_the_rows_given(self, text, rnd):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "ads.csv", Path(tmp) / "kept.csv"
+            path.write_text(text)
+            stat = path.stat()
+            table = load_ads_csv(path)
+            rows = rnd.sample(range(len(table)), rnd.randint(0, len(table)))
+            copy_ads_rows(path, out, rows, table.ids[rows], (stat.st_size, stat.st_mtime_ns))
+            header, *lines = filter(None, text.split("\n"))
+            kept = [header, *map(lines.__getitem__, rows)]
+            assert out.read_text() == "".join(f"{line}\n" for line in kept)
+
+    def test_leading_field_not_an_id_rejected(self, tmp_path):
+        path, out = tmp_path / "ads.csv", tmp_path / "kept.csv"
+        path.write_text("ad_id,f1,base_value,scope,target_poa\n1,0.5,0.9,G,\nx,0.5,0.9,G,\n")
+        stat = path.stat()
+        with pytest.raises(ValueError, match=f"^{path} changed while sparsify read it$"):
+            copy_ads_rows(path, out, [1, 0], [2, 1], (stat.st_size, stat.st_mtime_ns))
+        assert not out.exists()
 
 
 class TestTraceCsvBytes:
