@@ -3,8 +3,9 @@
 Library layout:
 
 - model: feature space, ads, PoAs, vehicle profiles, distance metrics
-- sparse: greedy sparse ad-set approximation and its guarantees
+- sparse: greedy sparse ad-set approximation and its grid
 - broker: incremental revenue estimation and the selection strategies
+- guarantees: the paper's conflict-freeness and sparse-set checks
 - oracle: exact small-instance enumeration of the optimal broadcast sets
 - vehicle: on-board display and cache behaviour
 - sim: discrete-time simulation engine and metrics

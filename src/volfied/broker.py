@@ -23,7 +23,6 @@ from .model import (
     AdTable,
     DistanceMetric,
     VehicleProfile,
-    count_within,
     distances_to,
     paired_distances,
     window_points,
@@ -36,8 +35,6 @@ __all__ = [
     "select_volfied",
     "select_topk",
     "select_random",
-    "is_conflict_free",
-    "structurally_conflict_free",
 ]
 
 
@@ -637,31 +634,3 @@ def select_random(
     size = min(params.k, positive.size)
     picked = rng_stream.choice(positive, size=size, replace=False)
     return picked.tolist()
-
-
-def is_conflict_free(selected: list[Ad], interests: np.ndarray, params: SelectionParams) -> bool:
-    """True iff no vehicle has more than m relevant ads among `selected`.
-
-    `interests` holds one vehicle's interest vector per row, shape
-    (count, n). Relevance here is the feature-space test alone; pair it
-    with structurally_conflict_free to certify against every possible
-    vehicle rather than a sampled population.
-    """
-    if not selected or len(interests) == 0:
-        return True
-    feats = np.stack([a.features for a in selected])
-    return int(count_within(params.metric, interests, feats, params.d_max).max()) <= params.m
-
-
-def structurally_conflict_free(selected: list[Ad], params: SelectionParams) -> bool:
-    """Certify the greedy invariant on an ordered set: each ad saw fewer
-    than m predecessors within 2*d_max. By the triangle inequality this
-    rules out conflicts for arbitrary vehicles, not just sampled ones."""
-    for i, a in enumerate(selected):
-        if i == 0:
-            continue
-        prior = np.stack([b.features for b in selected[:i]])
-        d = distances_to(params.metric, a.features, prior)
-        if int(np.count_nonzero(d <= 2.0 * params.d_max)) >= params.m:
-            return False
-    return True

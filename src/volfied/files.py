@@ -59,18 +59,20 @@ _ADS_HEADER = f"ad_id,{_FEATURES},base_value,scope,target_poa"
 _POAS_HEADER = "poa_id,x_m,y_m,range_m"
 _PROFILES_HEADER = f"vehicle_id,{_FEATURES}"
 _MAPPING_HEADER = "removed_ad_id,representative_ad_id,distance"
-# The ads loader reads whole lines in chunks of about this many characters.
+# The ads loader reads whole lines, and `atomic_write_text` encodes and
+# writes slices of its text, in chunks of about this many characters.
 _CHUNK_BYTES = 1 << 18
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write `text` to `path` via a temp file in the same directory."""
+    """Write `text` to `path`, UTF-8, via a temp file in the same directory."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for start in range(0, len(text), _CHUNK_BYTES):
+                fh.write(text[start : start + _CHUNK_BYTES].encode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

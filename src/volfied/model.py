@@ -26,7 +26,6 @@ __all__ = [
     "distance",
     "distances_to",
     "paired_distances",
-    "count_within",
     "window_points",
     "ad_value",
     "rank_relevant",
@@ -288,24 +287,6 @@ def paired_distances(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> np
     # amplifies that to ~1e-8; equal vectors must come out at exactly 0.
     dists[(b == a).all(axis=-1)] = 0.0
     return dists
-
-
-# count_within keeps each kernel temporary below this many, cache-sized, bytes.
-_BLOCK_BYTES = 1 << 20
-
-
-def count_within(
-    metric: DistanceMetric, points: np.ndarray, targets: np.ndarray, radius: float
-) -> np.ndarray:
-    """For each row of `points`, how many rows of `targets` lie within
-    `radius` of it (ties inside), evaluated in blocks of points."""
-    step = max(1, _BLOCK_BYTES // max(targets.nbytes, 1))
-    counts = np.zeros(points.shape[0], dtype=np.int64)
-    for start in range(0, points.shape[0], step):
-        block = points[start : start + step, None, :]
-        dists = paired_distances(metric, block, targets[None, :, :])
-        counts[start : start + step] = np.count_nonzero(dists <= radius, axis=1)
-    return counts
 
 
 # Angular windows give up (infinite reach) on a norm below this: the

@@ -1,14 +1,10 @@
-"""Sparse approximations of an ad set and their structural guarantees.
+"""Sparse approximations of an ad set.
 
 A sparse set keeps only ads that are pairwise farther than 2*epsilon apart,
 greedily preferring high-value ads; each dropped ad records the surviving
 representative that covers it, a member within 2*epsilon of at least its
 value. Stacking m such layers (each built on the residual of the previous
-ones) yields the m-sparse set, which keeps at most m ads inside any
-epsilon-ball and therefore caps the work any single vehicle event can
-trigger downstream. The revenue guarantee (`verify_analogue_bound`) is
-stated at the same 2*epsilon radius: a covering radius of epsilon cannot
-coexist with the epsilon-ball bound.
+ones) yields the m-sparse set. Its guarantees are checked in `guarantees`.
 
 Conflicts are found on a grid of cells a little wider than 2*epsilon. Its
 axes are the coordinates with the most occupied cells, busiest first, less
@@ -20,8 +16,8 @@ axis with two gathers, 3^(g-1) runs per ad. The greedy walks the ads in
 value order in blocks cut to a candidate budget (memory O(N)); only the
 later ads still present in an ad's neighbouring cells reach
 `paired_distances` (ties conflict), so the grid prunes and the kernel
-decides. `check_ball_bound` counts on the same grid, built over the
-probes and the members together.
+decides. `ball_counts` counts on the same grid, built over the probes
+and the members together.
 """
 
 from __future__ import annotations
@@ -29,21 +25,18 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .model import Ad, AdTable, DistanceMetric, distance, paired_distances, window_points
+from .model import Ad, AdTable, DistanceMetric, paired_distances, window_points
 
 __all__ = [
     "SparseApproxParams",
     "SparseAdSet",
     "m_sparse_set",
-    "check_ball_bound",
-    "update_cost_bound",
-    "verify_analogue_bound",
+    "ball_counts",
 ]
 
 # Coordinates the grid bins at most (a projection never brings points closer),
@@ -55,6 +48,10 @@ _CELLS_MIN = 4096
 # Cells are this much wider than the reach, relative to it, which absorbs
 # the rounding of two cell indices below 2^28 (2 * 2^-52 * 2^28 = 2^-23).
 _SLACK = 2.0**-20
+# Before that, the reach gains this much: a coordinate difference whose
+# square underflows (below 2^-537.5) adds at most 2^-1075 to a Euclidean
+# kernel sum, so a pair can differ by it even within a reach of 0.
+_UNDERFLOW = 2.0**-537
 # A greedy block has at most this many ads and about this many bytes of
 # candidate temporaries, (n + 8) words each (one ad may exceed it alone).
 _BLOCK_ADS = 1024
@@ -128,7 +125,7 @@ def _grid(feats: np.ndarray, threshold: float, metric: DistanceMetric):
     are the busiest ones with more than one cell, as many as fit
     `_CELLS_PER_AD * len(feats) + _CELLS_MIN` cells (module docstring)."""
     points, reach = window_points(metric, feats, threshold)
-    binned = [_axis_cells(x, reach * (1.0 + _SLACK)) for x in points.T]
+    binned = [_axis_cells(x, (reach + _UNDERFLOW) * (1.0 + _SLACK)) for x in points.T]
     busiest = sorted(binned, key=lambda axis: -axis[1])  # coordinate order on ties
     columns = [col for col, occupied in busiest if occupied > 1] or [busiest[0][0]]
     radix = [int(col.max()) + 2 for col in columns[:_GRID_DIMS]]  # neighbours: 0 .. max + 1
@@ -171,6 +168,28 @@ def _budget(feats: np.ndarray) -> int:
     """Candidate pairs per block: about _BLOCK_BYTES of temporaries, (n + 8)
     words per pair."""
     return max(1, _BLOCK_BYTES // (8 * (feats.shape[1] + 8)))
+
+
+def ball_counts(members: np.ndarray, probes: np.ndarray, radius: float, metric) -> np.ndarray:
+    """For each probe, the members within `radius` of it (ties inside), a
+    NaN radius raising ValueError. Probes and members share one grid; each
+    member meets only the probes in its neighbouring cells, and
+    `paired_distances`, with the probe first, decides."""
+    if math.isnan(radius):
+        raise ValueError(f"ball radius must be a number, got {radius}")
+    if not (len(members) and len(probes)):
+        return np.zeros(len(probes), dtype=np.int64)
+    feats = np.concatenate([members, probes])
+    keys, shifts, cells = _grid(feats, radius, metric)
+    index = _index(keys, np.arange(len(members), len(feats)), cells)
+    inside = np.zeros(len(feats), dtype=np.int64)
+    queries = np.arange(len(members))
+    while queries.size:
+        member, probe, take = _neighbours(keys, shifts, index, queries, _budget(feats))
+        queries = queries[take:]
+        near = paired_distances(metric, feats[probe], feats[member]) <= radius
+        inside += np.bincount(probe[near], minlength=len(feats))
+    return inside[len(members) :]
 
 
 def _greedy_layer(feats, keys, shifts, index, threshold, metric, removed, rep) -> None:
@@ -229,132 +248,3 @@ def m_sparse_set(
         mapping=dict(zip(ids[gone].tolist(), ids[rep[gone]].tolist())),
         layers=dict(zip(ids[kept].tolist(), layer_of[kept].tolist())),
     )
-
-
-def check_ball_bound(sparse: SparseAdSet, probes, radius: float) -> int:
-    """Maximum number of set members within the closed `radius`-ball
-    around any probe point."""
-    probes = np.asarray(probes, dtype=float)
-    if not sparse.ads or probes.size == 0:
-        return 0
-    members = AdTable.from_ads(sparse.ads).features
-    return int(_ball_counts(members, probes, radius, sparse.params.metric).max())
-
-
-def _ball_counts(members: np.ndarray, probes: np.ndarray, radius: float, metric) -> np.ndarray:
-    """For each probe, the members within `radius` of it (ties inside), as
-    `model.count_within` counts them. Probes and members share one grid;
-    each member meets only the probes in its neighbouring cells."""
-    feats = np.concatenate([members, probes])
-    keys, shifts, cells = _grid(feats, radius, metric)
-    index = _index(keys, np.arange(len(members), len(feats)), cells)
-    inside = np.zeros(len(feats), dtype=np.int64)
-    queries = np.arange(len(members))
-    while queries.size:
-        member, probe, take = _neighbours(keys, shifts, index, queries, _budget(feats))
-        queries = queries[take:]
-        near = paired_distances(metric, feats[probe], feats[member]) <= radius
-        inside += np.bincount(probe[near], minlength=len(feats))
-    return inside[len(members) :]
-
-
-def update_cost_bound(params: SparseApproxParams, d_max: float, n: int, set_size: int) -> int:
-    """Worst-case number of sparse-set ads a single vehicle enter/exit can
-    touch: min(ceil((m*d_max/epsilon)^n), set size). A packing too large
-    for a float is past any set size."""
-    if d_max <= 0 or n < 1 or set_size < 0:
-        raise ValueError("d_max, n, set_size must be positive")
-    try:
-        packing = math.ceil((params.m * d_max / params.epsilon) ** n)
-    except OverflowError:
-        return set_size
-    return min(packing, set_size)
-
-
-def _warn_if_epsilon_large(epsilon: float, d_max: float) -> None:
-    if not d_max > 2.0 * epsilon:
-        warnings.warn(
-            f"analysis assumes d_max > 2*epsilon, got d_max={d_max} epsilon={epsilon}",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
-def _clique_free(members: list[Ad], threshold: float, m: int, metric: DistanceMetric) -> bool:
-    """No m+1 members pairwise within `threshold`. This is the invariant
-    the greedy selector maintains; it implies no vehicle can have more
-    than m of these ads relevant at once (triangle inequality)."""
-    if len(members) <= m:
-        return True
-    for combo in itertools.combinations(members, m + 1):
-        if all(
-            distance(metric, a.features, b.features) <= threshold
-            for a, b in itertools.combinations(combo, 2)
-        ):
-            return False
-    return True
-
-
-def verify_analogue_bound(
-    original: list[Ad],
-    sparse: SparseAdSet,
-    s: list[int],
-    d_max: float,
-    vehicles,
-) -> bool:
-    """Executable form of the sparse-set revenue guarantee.
-
-    The sparsifier gives every dropped ad a value-dominating member within
-    r = 2*epsilon, so the guarantee is stated at that radius. Given a
-    subset `s` of the original catalog that is conflict-free at the
-    enlarged threshold d_max + 2*epsilon (no m+1 of its ads pairwise
-    within 2*(d_max + 2*epsilon)), searches the sparse set for an
-    analogue: a same-size subset, conflict-free at d_max, admitting a
-    bijection g with D(a, g(a)) <= 2*epsilon and value(g(a)) >= value(a),
-    whose plain revenue (relevance within d_max) is at least the
-    conservative revenue of `s` (relevance within d_max - 2*epsilon).
-    The thresholds follow from the radius: a vehicle within
-    d_max - 2*epsilon of a is within d_max of g(a), and images within
-    2*d_max of each other have sources within 2*(d_max + 2*epsilon).
-    Revenue is counted over `vehicles` (interest vectors) with each ad's
-    base value. d_max > 2*epsilon keeps the conservative threshold
-    positive; a smaller d_max warns.
-    """
-    if len(sparse.ads) > 15:
-        raise ValueError(
-            f"exhaustive analogue search supports at most 15 sparse ads, got {len(sparse.ads)}"
-        )
-    eps = sparse.params.epsilon
-    radius = 2.0 * eps
-    metric = sparse.params.metric
-    _warn_if_epsilon_large(eps, d_max)
-    by_id = {a.ad_id: a for a in original}
-    try:
-        s_ads = [by_id[i] for i in s]
-    except KeyError as exc:
-        raise ValueError(f"ad {exc.args[0]} not in original set") from None
-    profiles = [np.asarray(v, dtype=float) for v in vehicles]
-
-    def revenue(ads_subset: list[Ad], threshold: float) -> float:
-        total = 0.0
-        for v in profiles:
-            for a in ads_subset:
-                if distance(metric, a.features, v) <= threshold:
-                    total += a.base_value
-        return total
-
-    r_conservative = revenue(s_ads, d_max - radius)
-    want = len(s_ads)
-    for subset in itertools.combinations(sparse.ads, want):
-        if not _clique_free(list(subset), 2.0 * d_max, sparse.params.m, metric):
-            continue
-        if revenue(list(subset), d_max) < r_conservative - 1e-9:
-            continue
-        for perm in itertools.permutations(subset):
-            if all(
-                perm[i].base_value >= s_ads[i].base_value
-                and distance(metric, perm[i].features, s_ads[i].features) <= radius
-                for i in range(want)
-            ):
-                return True
-    return False

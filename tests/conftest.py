@@ -19,6 +19,24 @@ from volfied.sim import (
 )
 from volfied.vehicle import VehicleState, step_display
 
+# count_within keeps each kernel temporary below this many, cache-sized, bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def count_within(
+    metric: DistanceMetric, points: np.ndarray, targets: np.ndarray, radius: float
+) -> np.ndarray:
+    """For each row of `points`, how many rows of `targets` lie within
+    `radius` of it (ties inside), evaluated in blocks of points: the
+    all-pairs reference for `sparse.ball_counts`."""
+    step = max(1, _BLOCK_BYTES // max(targets.nbytes, 1))
+    counts = np.zeros(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step, None, :]
+        dists = paired_distances(metric, block, targets[None, :, :])
+        counts[start : start + step] = np.count_nonzero(dists <= radius, axis=1)
+    return counts
+
 
 def random_instance(
     seed,

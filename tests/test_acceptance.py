@@ -16,24 +16,19 @@ import numpy as np
 import pytest
 
 from conftest import clustered_instance, estimator, estimator_for, random_instance, realized_revenue
-from volfied.broker import (
-    SelectionParams,
-    SelectionStats,
-    is_conflict_free,
-    select_volfied,
-)
+from volfied.broker import SelectionParams, SelectionStats, select_volfied
 from volfied.files import render_metrics_csv
+from volfied.guarantees import (
+    check_ball_bound,
+    is_conflict_free,
+    update_cost_bound,
+    verify_analogue_bound,
+)
 from volfied.model import Ad, DistanceMetric, VehicleProfile, distance
 from volfied.oracle import OracleInstance, simulate_display, solve_exact
 from volfied.scenario import build_scenario
 from volfied.sim import SimConfig, run
-from volfied.sparse import (
-    SparseApproxParams,
-    check_ball_bound,
-    m_sparse_set,
-    update_cost_bound,
-    verify_analogue_bound,
-)
+from volfied.sparse import SparseApproxParams, m_sparse_set
 
 EUCL = DistanceMetric.EUCLIDEAN
 ANG = DistanceMetric.ANGULAR

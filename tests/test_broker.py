@@ -18,12 +18,11 @@ from volfied.broker import (
     RevenueEstimator,
     SelectionParams,
     SelectionStats,
-    is_conflict_free,
     select_random,
     select_topk,
     select_volfied,
-    structurally_conflict_free,
 )
+from volfied.guarantees import is_conflict_free, structurally_conflict_free
 from volfied.model import (
     Ad,
     DistanceMetric,

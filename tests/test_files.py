@@ -1,6 +1,8 @@
 """Catalog/population/trace CSV round trips and the plot-ready output formats."""
 
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +354,10 @@ class TestChunkedAdsLoader:
 
 class TestCopyAdsRows:
     @settings(max_examples=10, deadline=None)
-    @given(spelled_catalogs(), st.randoms(use_true_random=False))
+    # A seeded Random: st.randoms() makes one hypothesis choice per row
+    # sampled, and with thousands of rows hypothesis failed some runs as a
+    # flaky strategy definition.
+    @given(spelled_catalogs(), st.integers(0, 2**32 - 1).map(random.Random))
     def test_copies_the_lines_at_the_rows_given(self, text, rnd):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "ads.csv", Path(tmp) / "kept.csv"
@@ -480,3 +485,16 @@ class TestAtomicWrite:
         target.write_text("old")
         atomic_write_text(target, "new")
         assert target.read_text() == "new"
+
+    def test_encodes_in_bounded_slices(self, tmp_path):
+        # 8 MiB of ASCII, 32 whole slices, then a short slice that is not ASCII
+        text = "0123456789abcdef" * (1 << 19) + "\u00e9\u20ac\n"
+        target = tmp_path / "big.txt"
+        tracemalloc.start()
+        try:
+            atomic_write_text(target, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 8
+        assert target.read_bytes() == text.encode("utf-8")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import estimator
+from conftest import count_within, estimator
 from volfied.broker import SelectionParams
 import volfied.model
 from volfied.model import (
@@ -22,7 +22,6 @@ from volfied.model import (
     VehicleProfile,
     ad_value,
     as_features,
-    count_within,
     distance,
     distances_to,
     paired_distances,
@@ -192,13 +191,13 @@ class TestBatchConsistency:
     def test_count_within_matches_scalar(self, metric, monkeypatch):
         # A block of 3 points at a time exercises the chunking, and radii
         # copied from the kernel put targets exactly on the boundary.
-        import volfied.model as model
+        import conftest
 
         rng = np.random.default_rng(37)
         for n in (2, 3, 5, 9):
             points = rng.uniform(-1.0, 1.0, size=(20, n))
             targets = rng.uniform(-1.0, 1.0, size=(7, n))
-            monkeypatch.setattr(model, "_BLOCK_BYTES", 3 * targets.nbytes)
+            monkeypatch.setattr(conftest, "_BLOCK_BYTES", 3 * targets.nbytes)
             for radius in distances_to(metric, points[0], targets)[:4]:
                 want = [
                     sum(distances_to(metric, p, t[None])[0] <= radius for t in targets)

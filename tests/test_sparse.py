@@ -16,16 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import count_within
 from volfied import sparse
-from volfied.model import Ad, AdTable, DistanceMetric, count_within, distances_to, paired_distances
-from volfied.sparse import (
-    SparseAdSet,
-    SparseApproxParams,
-    check_ball_bound,
-    m_sparse_set,
-    update_cost_bound,
-    verify_analogue_bound,
-)
+from volfied.guarantees import check_ball_bound, update_cost_bound, verify_analogue_bound
+from volfied.model import Ad, AdTable, DistanceMetric, distances_to, paired_distances
+from volfied.sparse import SparseAdSet, SparseApproxParams, m_sparse_set
 
 EUCL = DistanceMetric.EUCLIDEAN
 ANG = DistanceMetric.ANGULAR
@@ -501,7 +496,7 @@ class TestBallBound:
         feats = np.stack([a.features for a in ads])
         extra = data.draw(st.lists(st.sampled_from(range(len(ads))), max_size=10))
         probes = np.concatenate([feats[::-1], feats[extra] * data.draw(st.sampled_from([1.0, 0.5, -1.0]))])
-        radius = data.draw(st.sampled_from([eps, 2.0 * eps, 0.5]))
+        radius = data.draw(st.sampled_from([eps, 2.0 * eps, 0.5, 0.0]))
         try:
             if data.draw(st.booleans()):
                 on = float(distances_to(metric, probes[0], feats[-1][None, :])[0])
@@ -512,8 +507,19 @@ class TestBallBound:
                 check_ball_bound(members, probes, radius)
             return
         assert check_ball_bound(members, probes, radius) == want
-        counts = sparse._ball_counts(feats, probes, radius, metric)
+        counts = sparse.ball_counts(feats, probes, radius, metric)
         assert counts.tolist() == count_within(metric, probes, feats, radius).tolist()
+
+
+    def test_radius_zero_counts_equal_members_and_nan_is_named(self):
+        members = np.array([[0.1, 0.2], [0.5, 0.5]])
+        probes = np.array([[0.1, 0.2], [0.9, 0.9]])
+        assert sparse.ball_counts(members, probes, 0.0, EUCL).tolist() == [1, 0]
+        # [0.9, 0.9] points the way [0.5, 0.5] does
+        assert sparse.ball_counts(members, probes, 0.0, ANG).tolist() == [1, 1]
+        for metric in (EUCL, ANG):
+            with pytest.raises(ValueError, match="radius must be a number, got nan"):
+                sparse.ball_counts(members, probes, math.nan, metric)
 
 
 class TestUpdateCostBound:
@@ -540,6 +546,16 @@ class TestUpdateCostBound:
     def test_packing_past_float_range_caps_at_set_size(self, epsilon, d_max, n):
         params = SparseApproxParams(epsilon=epsilon, m=1, metric=EUCL)
         assert update_cost_bound(params, d_max=d_max, n=n, set_size=123) == 123
+
+    @pytest.mark.parametrize(
+        "d_max, n, set_size", [(math.nan, 5, 10), (0.0, 5, 10), (0.15, 0, 10), (0.15, 5, -1)]
+    )
+    def test_out_of_range_named(self, d_max, n, set_size):
+        params = SparseApproxParams(epsilon=0.0375, m=1, metric=EUCL)
+        want = f"d_max > 0, n >= 1, set_size >= 0, got {d_max}, {n}, {set_size}"
+        with pytest.raises(ValueError, match=want):
+            update_cost_bound(params, d_max=d_max, n=n, set_size=set_size)
+        assert update_cost_bound(params, d_max=0.15, n=5, set_size=0) == 0
 
 
 class TestVerifyAnalogueBound:
