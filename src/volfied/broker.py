@@ -10,7 +10,6 @@ exact and enter/exit round trips restore state bit for bit.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from .model import (
     AdTable,
     DistanceMetric,
     VehicleProfile,
-    distances_to,
+    distances_to,  # not called here: perfbench's tracer wraps it under this name
     paired_distances,
     window_points,
 )
@@ -158,11 +157,14 @@ class RevenueEstimator:
     found once per profile, when `vehicle_slots` makes its slot or gives it
     another profile, and kept as its memo: a run of entries in the flat
     arrays below, which the display reads through `memo_entries` and
-    `present` and `relevance` read too. The scan covers the union of all
-    candidate sets through a window: the union rows are sorted once on
-    one coordinate, two `searchsorted` calls take those within reach of
-    the profile on it, a second coordinate drops more, and `distances_to`
-    decides which of the rest lie within d_max.
+    `present` and `relevance` read too. The memos one `vehicle_slots` call
+    needs are scanned together, over the union of all candidate sets
+    through a window: the union rows are sorted once on the first
+    coordinate of their window points, and the profiles, in the order of
+    theirs, go in chunks. A chunk takes the one slice of those rows within
+    reach of any of its profiles on that coordinate, a (chunk x slice) mask
+    keeps the pairs within reach on every coordinate, and one
+    `paired_distances` call decides which of them lie within d_max.
 
     Whether a cell is worth anything (a candidate in scope at its PoA) and
     the contributor counts are (PoA x union row) tables, and R(a, u) is the
@@ -187,6 +189,12 @@ class RevenueEstimator:
     per-vehicle `on_vehicle_enter`, `on_vehicle_exit` and `on_broadcast`
     are the one-event cases, by PoA id and vehicle id or profile; the first
     two check their event before they hand it to `on_slot_events`.
+
+    The selectors read each PoA's positive estimates ranked by R
+    descending, then ad id, ranked for every PoA at once when a count has
+    changed since the last rank. Only a credit makes a count positive, so a
+    rank reads the counts of the cells positive at the last rank and of
+    those credited since, never the whole table.
 
     `conflict_memo` keeps, for `select_volfied`, which union rows lie
     within 2*d_max of each other, each pair decided once.
@@ -232,16 +240,19 @@ class RevenueEstimator:
         # per PoA row: (union rows, ad ids) of the positive estimates in
         # selection order, None once a count has changed
         self._ranked: list[tuple[np.ndarray, np.ndarray]] | None = None
+        # the flat cells of the count table positive at the last rank,
+        # ascending, and the cells credited since (`_n_credited` of them)
+        self._positive = _NO_ROWS
+        self._credited: list[np.ndarray] = []
+        self._n_credited = 0
         # The relevance window: union rows sorted on the first coordinate of
-        # their window points, and the second coordinate (the first again
-        # in 1-D) in the same order.
+        # their window points, and those points' coordinates in that order,
+        # one coordinate per row.
         if len(union):
             points, self._reach = window_points(params.metric, self._union_feats, params.d_max)
-            self._axes = (0, min(1, points.shape[1] - 1))
             self._by_first = np.argsort(points[:, 0], kind="stable")
-            self._first = points[self._by_first, 0]
-            self._second = points[self._by_first, self._axes[1]]
-            self._scale = float(np.abs(points[:, self._axes]).max())
+            self._window = np.ascontiguousarray(points[self._by_first].T)
+            self._scale = float(np.abs(points).max())
         # the memos' entries end to end, the first `_used` in use: union
         # row, distance, not yet served
         self._used = 0
@@ -310,22 +321,29 @@ class RevenueEstimator:
         return np.array([self._poa_row[pid] for pid in poa_ids], dtype=np.int64)
 
     def vehicle_slots(self, profiles: Iterable[VehicleProfile]) -> np.ndarray:
-        """The slot of each profile's vehicle, made on first sight. Its memo
-        is scanned for the profile when the slot is made or takes another
-        profile. A vehicle present under a PoA keeps its profile: another
-        one raises ValueError."""
-        slots = []
-        for v in profiles:
-            s = self._slot(v.vehicle_id)
+        """The slot of each profile's vehicle, made on first sight. A slot's
+        memo is scanned for its last profile in the call when the slot is
+        made or takes another profile, every such memo in one `_scan`. A
+        vehicle present under a PoA keeps its profile: another one raises
+        ValueError, as a profile whose dimension is not the ads' does,
+        before any memo changes."""
+        profiles = list(profiles)
+        slots = [self._slot(v.vehicle_id) for v in profiles]
+        for s, v in zip(slots, profiles):
             if self._profile[s] is not v:
                 if self._at[s] >= 0:
                     raise ValueError(
                         f"vehicle {v.vehicle_id} is present under poa "
                         f"{self._pids[self._at[s]]} with another profile"
                     )
-                self._start[s], self._stop[s] = self._scan(v)
-                self._profile[s] = v
-            slots.append(s)
+                if self._union_ids.size and v.interests.shape != self._union_feats.shape[1:]:
+                    raise ValueError(
+                        f"vehicle {v.vehicle_id} has {v.interests.size} features, "
+                        f"ads have {self._union_feats.shape[1]}"
+                    )
+        fresh = {s: v for s, v in dict(zip(slots, profiles)).items() if self._profile[s] is not v}
+        if fresh:
+            self._scan(list(fresh), list(fresh.values()))
         return np.array(slots, dtype=np.int64)
 
     def _slot(self, vid: int) -> int:
@@ -402,8 +420,13 @@ class RevenueEstimator:
         credit = worth & self._unserved[into]
         counts = self._counts.reshape(-1)
         np.add.at(counts, gone[taken], -1)
-        np.add.at(counts, cells[credit], 1)
+        credited = cells[credit]
+        np.add.at(counts, credited, 1)
         self._ranked = None
+        self._credited.append(credited)
+        self._n_credited += credited.size
+        if self._n_credited > counts.size:  # no rank for a while: fold them in
+            self._positive_cells()
         hits = np.concatenate([out_owner[taken], into_owner[worth] + exits.size])
         examined = np.bincount(hits, minlength=exits.size + enters.size)
         self.last_event_examined = int(examined[-1])
@@ -439,23 +462,20 @@ class RevenueEstimator:
         _, _, rows, dists = self.memo_entries(self.vehicle_slots([v]))
         return rows, self._union_ids[rows], dists
 
-    def _scan(self, v: VehicleProfile) -> tuple[int, int]:
-        """Write a new memo of v's relevant union rows to the flat arrays,
-        unserved unless the registry holds them; its (start, stop). It goes
-        after the entries in use, or, if the memo of v's slot ends them, in
-        that memo's place. The arrays change only once the rows are known,
-        so a profile that raises leaves the old memo as it was."""
+    def _scan(self, slots: list[int], profiles: list[VehicleProfile]) -> None:
+        """Write a new memo of each profile's relevant union rows, for the
+        slot at its place, to the flat arrays: memo after memo, each
+        ascending by union row and unserved unless the registry holds it.
+        They go after the entries in use, or, if the memo of one of the
+        slots ends them, from that memo's start. The arrays change only once
+        every memo's rows are known, so profiles that raise leave the old
+        memos as they were."""
         if self._union_ids.size:
-            rows = self._window(v)
-            dists = distances_to(self.params.metric, v.interests, self._union_feats[rows])
+            owner, rows, dists = self._relevant(np.stack([v.interests for v in profiles]))
         else:
-            rows, dists = _NO_ROWS, np.zeros(0)
-        relevant = dists <= self.params.d_max
-        rows, dists = rows[relevant], dists[relevant]
-        ids = self._union_ids[rows]
-        s = self._slot_of[v.vehicle_id]
-        last = self._profile[s] is not None and self._stop[s] == self._used
-        start = int(self._start[s]) if last else self._used
+            owner, rows, dists = _NO_ROWS, _NO_ROWS, np.zeros(0)
+        ends = [s for s in slots if self._profile[s] is not None and self._stop[s] == self._used]
+        start = min((int(self._start[s]) for s in ends), default=self._used)
         stop = start + rows.size
         if stop > self._rows.size:
             size = max(stop, 2 * self._rows.size)
@@ -465,30 +485,63 @@ class RevenueEstimator:
         self._used = stop
         self._rows[start:stop] = rows
         self._dists[start:stop] = dists
-        served = self.registry.get(v.vehicle_id)
-        self._unserved[start:stop] = ~np.isin(ids, list(served)) if served else True
-        return start, stop
+        self._unserved[start:stop] = True
+        sizes = np.bincount(owner, minlength=len(slots))
+        self._stop[slots] = start + sizes.cumsum()
+        self._start[slots] = self._stop[slots] - sizes
+        registry = self.registry
+        for s, v in zip(slots, profiles):
+            self._profile[s] = v
+            served = registry.get(v.vehicle_id)
+            if served:
+                memo = slice(self._start[s], self._stop[s])
+                self._unserved[memo] = ~np.isin(self._union_ids[self._rows[memo]], list(served))
 
-    def _window(self, v: VehicleProfile) -> np.ndarray:
-        """Union rows, ascending, whose window points lie within the reach
-        of v's on both window coordinates: a superset of the rows within
-        d_max of v, which only `distances_to` decides."""
-        if v.interests.shape != self._union_feats.shape[1:]:
-            raise ValueError(
-                f"vehicle {v.vehicle_id} has {v.interests.size} features, "
-                f"ads have {self._union_feats.shape[1]}"
-            )
-        point, reach = window_points(self.params.metric, v.interests, self.params.d_max)
-        first, second = float(point[self._axes[0]]), float(point[self._axes[1]])
-        # a relative slack for the kernel's rounding, and a few ulps of the
-        # largest coordinate, which also covers differences whose squares
-        # underflow
-        scale = max(self._scale, abs(first), abs(second), _TINY_SCALE)
-        reach = max(reach, self._reach) * (1.0 + _REACH_SLACK) + 4.0 * math.ulp(scale)
-        lo = np.searchsorted(self._first, first - reach, side="left")
-        hi = np.searchsorted(self._first, first + reach, side="right")
-        near = np.abs(self._second[lo:hi] - second) <= reach
-        return np.sort(self._by_first[lo:hi][near])
+    def _relevant(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(index into `feats`, union row, distance) of each pair of a row of
+        `feats` and a union row within d_max of it, ascending by index and
+        then union row.
+
+        The rows of `feats` are taken in chunks, in the order of their first
+        window coordinate. A chunk takes one slice of the window: the union
+        rows whose first coordinate lies within reach of any of the chunk's.
+        It keeps the pairs that lie within reach of each other on every
+        window coordinate, a superset of those within d_max, and one
+        `paired_distances` call, with the profile as its first operand,
+        decides which of those lie within d_max."""
+        metric, d_max = self.params.metric, self.params.d_max
+        points = window_points(metric, feats, d_max)[0]
+        by_first = np.argsort(points[:, 0], kind="stable")
+        found = []
+        for at in range(0, by_first.size, _SCAN_CHUNK):
+            chunk = by_first[at : at + _SCAN_CHUNK]
+            point = points[chunk]
+            # the reach of the chunk's own profiles, with a relative slack for
+            # the kernel's rounding and a few ulps of the largest coordinate,
+            # which also covers differences whose squares underflow
+            reach = max(window_points(metric, feats[chunk], d_max)[1], self._reach)
+            scale = np.maximum(np.abs(point).max(axis=1), max(self._scale, _TINY_SCALE))
+            within = (reach * (1.0 + _REACH_SLACK) + 4.0 * np.spacing(scale))[:, None]
+            lo = self._window[0].searchsorted((point[:, 0] - within[:, 0]).min(), side="left")
+            hi = self._window[0].searchsorted((point[:, 0] + within[:, 0]).max(), side="right")
+            window = self._window[:, lo:hi]
+            # the (chunk x slice) mask, one coordinate at a time in reused
+            # buffers
+            gap = np.abs(window[0] - point[:, :1])
+            near = gap <= within
+            ok = np.empty_like(near)
+            for axis in range(1, len(window)):
+                np.abs(np.subtract(window[axis], point[:, axis, None], out=gap), out=gap)
+                near &= np.less_equal(gap, within, out=ok)
+            pair, col = np.divmod(np.flatnonzero(near), window.shape[1])
+            pair, rows = chunk[pair], self._by_first[lo + col]
+            dists = paired_distances(metric, feats[pair], self._union_feats[rows])
+            relevant = dists <= d_max
+            found.append((pair[relevant], rows[relevant], dists[relevant]))
+        owner, rows, dists = (np.concatenate(column) for column in zip(*found))
+        # one sort on a single key, several times faster than a lexsort
+        order = np.argsort(owner * self._union_ids.size + rows)
+        return owner[order], rows[order], dists[order]
 
     def on_broadcast(self, poa: int, selected: list[int]) -> None:
         """Register the broadcast for every detected vehicle present and
@@ -551,17 +604,29 @@ class RevenueEstimator:
         return self._ranked[self._poa_row[poa]]
 
     def _rank(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """`_positive_by_revenue` of every PoA row, from one pass over the
-        count table."""
-        width = max(self._counts.shape[1], 1)
-        cells = np.flatnonzero(self._counts > 0)  # by PoA row, then union row
-        at, rows = np.divmod(cells, width)
+        """`_positive_by_revenue` of every PoA row, from the positive cells
+        of the count table."""
+        cells = self._positive_cells()  # by PoA row, then union row
+        at, rows = np.divmod(cells, max(self._counts.shape[1], 1))
         r = self.union_base[rows] * self._counts.reshape(-1)[cells]
         # rows ascend with ad id within a PoA, so a stable order breaks ties by id
         rows = rows[np.lexsort((-r, at))]
         ids = self._union_ids[rows]
         bounds = np.searchsorted(at, np.arange(self._counts.shape[0] + 1)).tolist()
         return [(rows[a:b], ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def _positive_cells(self) -> np.ndarray:
+        """The flat cells of the count table with a positive count,
+        ascending, kept as `_positive` for the next call. Only a credit
+        makes a count positive, so they are among the cells positive at the
+        last call and those credited since, and no other cell is read."""
+        cells = np.concatenate([self._positive, *self._credited])
+        cells.sort()
+        keep = self._counts.reshape(-1)[cells] > 0
+        keep[1:] &= cells[1:] != cells[:-1]
+        self._positive = cells[keep]
+        self._credited, self._n_credited = [], 0
+        return self._positive
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -570,6 +635,9 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 # it, and at least a few ulps of this scale wider.
 _REACH_SLACK = 2.0**-20
 _TINY_SCALE = 2.0**-460
+# Profiles scanned together: a chunk's (profiles x window slice) temporaries
+# stay cache-sized.
+_SCAN_CHUNK = 16
 
 
 def select_volfied(

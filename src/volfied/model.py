@@ -44,12 +44,14 @@ class DistanceMetric(Enum):
 def as_features(coords, n: int | None = None) -> FeatureVector:
     """Validate and convert coordinates to a feature vector.
 
-    Raises ValueError on non-finite entries or (when n is given) a
-    dimension mismatch.
+    Raises ValueError on a vector with no coordinates, non-finite entries
+    or (when n is given) a dimension mismatch.
     """
     f = np.asarray(coords, dtype=float)
     if f.ndim != 1:
         raise ValueError(f"feature vector must be 1-D, got shape {f.shape}")
+    if not f.size:
+        raise ValueError("feature vector has no coordinates")
     if n is not None and f.shape[0] != n:
         raise ValueError(f"expected {n} features, got {f.shape[0]}")
     if not np.isfinite(f).all():
@@ -102,8 +104,9 @@ class AdTable(Sequence):
 
     def __init__(self, ids, features, base_values, target_poa):
         """Raises ValueError, naming the first bad row, unless the features
-        are a finite 2-D array, every base value is finite and > 0, every
-        target PoA is >= 0 or -1, and no id repeats."""
+        are a finite 2-D array with at least one column (a table of no rows
+        may have none), every base value is finite and > 0, every target
+        PoA is >= 0 or -1, and no id repeats."""
         try:
             ids = np.array(ids, dtype=np.int64)
             target_poa = np.array(target_poa, dtype=np.int64)
@@ -117,6 +120,8 @@ class AdTable(Sequence):
                 f"want (N, n) features and N ids, base values and target PoAs, got shapes "
                 f"{features.shape}, {ids.shape}, {base_values.shape}, {target_poa.shape}"
             )
+        if n and not features.shape[1]:
+            raise ValueError(f"ads need at least one feature column, got shape {features.shape}")
         repeats = np.ones(n, dtype=bool)
         repeats[np.unique(ids, return_index=True)[1]] = False
         finite = np.isfinite(features).all(axis=1)

@@ -153,6 +153,21 @@ def credited_ids(est, poa):
     return credited
 
 
+def full_table_rank(est):
+    """`RevenueEstimator._rank` from one pass over the whole count table:
+    the reference for its ranking of the cells positive at the last rank
+    and those credited since."""
+    width = max(est._counts.shape[1], 1)
+    cells = np.flatnonzero(est._counts > 0)  # by PoA row, then union row
+    at, rows = np.divmod(cells, width)
+    r = est.union_base[rows] * est._counts.reshape(-1)[cells]
+    # rows ascend with ad id within a PoA, so a stable order breaks ties by id
+    rows = rows[np.lexsort((-r, at))]
+    ids = est._union_ids[rows]
+    bounds = np.searchsorted(at, np.arange(est._counts.shape[0] + 1)).tolist()
+    return [(rows[a:b], ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def realized_revenue(instance, strategy, rng=None):
     """Select per PoA with the given strategy, then price the displays.
 

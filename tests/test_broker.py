@@ -7,12 +7,13 @@ selection expectations are hand-traces of the greedy scan.
 
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import block_greedy, credited_ids, estimator
+from conftest import block_greedy, credited_ids, estimator, full_table_rank
 import volfied.broker
 from volfied.broker import (
     RevenueEstimator,
@@ -41,6 +42,26 @@ ANG = DistanceMetric.ANGULAR
 
 def params(k=2, m=1, d_max=0.15):
     return SelectionParams(k=k, m=m, d_max=d_max, metric=EUCL)
+
+
+def hook_scans(monkeypatch) -> list[tuple[list[int], int]]:
+    """Record each batch scan (`RevenueEstimator._scan`) as the vehicle ids
+    it scans and the number of pairs its `paired_distances` calls take."""
+    scans = []
+    scan, kernel = RevenueEstimator._scan, volfied.broker.paired_distances
+
+    def scanning(est, slots, profiles):
+        scans.append(([v.vehicle_id for v in profiles], 0))
+        return scan(est, slots, profiles)
+
+    def counting(metric, a, b):
+        vids, pairs = scans[-1]
+        scans[-1] = (vids, pairs + len(b))
+        return kernel(metric, a, b)
+
+    monkeypatch.setattr(RevenueEstimator, "_scan", scanning)
+    monkeypatch.setattr(volfied.broker, "paired_distances", counting)
+    return scans
 
 
 def example1():
@@ -757,13 +778,7 @@ class TestRelevanceMemo:
         assert (est.revenue(0, 1), est.revenue(0, 2)) == (1.0, 0.0)
 
     def test_one_scan_per_vehicle(self, monkeypatch):
-        scans = []
-
-        def counting(metric, f, others):
-            scans.append(len(others))
-            return distances_to(metric, f, others)
-
-        monkeypatch.setattr(volfied.broker, "distances_to", counting)
+        scans = hook_scans(monkeypatch)
         shared = Ad(ad_id=1, features=np.array([0.1]), base_value=1.0)
         local = Ad(ad_id=2, features=np.array([0.05]), base_value=1.0, target_poa=1)
         est = estimator(params(), {0: [shared], 1: [shared, local]})
@@ -774,7 +789,7 @@ class TestRelevanceMemo:
             est.on_vehicle_enter(poa, v, detected=True)
             est.on_vehicle_exit(poa, 0)
         # one scan over both ads, the union of the two candidate sets
-        assert scans == [2]
+        assert scans == [([0], 2)]
         est.on_vehicle_enter(1, v, detected=True)
         assert (est.revenue(1, 1), est.revenue(1, 2), est.last_event_examined) == (1.0, 1.0, 2)
 
@@ -835,6 +850,24 @@ class TestRelevanceMemo:
         assert [a.tobytes() for a in est.relevance(v)] == [a.tobytes() for a in memo]
         assert est._used == used
 
+    def test_batch_that_raises_scans_nothing(self):
+        _, est = self.swap_world()
+        a = VehicleProfile(1, np.array([0.1]))
+        memo, used = est.relevance(a), est._used
+        batch = [VehicleProfile(1, np.array([0.5])), VehicleProfile(2, np.array([0.1, 0.2]))]
+        with pytest.raises(ValueError, match="^vehicle 2 has 2 features, ads have 1$"):
+            est.vehicle_slots(batch)
+        assert est._used == used
+        assert [x.tobytes() for x in est.relevance(a)] == [x.tobytes() for x in memo]
+
+    def test_last_profile_of_a_vehicle_in_a_call_is_scanned(self, monkeypatch):
+        _, est = self.swap_world()
+        scans = hook_scans(monkeypatch)
+        a, b = VehicleProfile(1, np.array([0.5])), VehicleProfile(1, np.array([0.9]))
+        assert est.vehicle_slots([a, b]).tolist() == [0, 0]
+        assert [vids for vids, _ in scans] == [[1]]
+        assert est.relevance(b)[1].tolist() == [7, 8, 9] and est._used == 3
+
     def test_one_id_two_ads_rejected(self):
         # a catalog that repeats an id
         a = Ad(ad_id=3, features=np.array([0.1]), base_value=1.0)
@@ -893,6 +926,51 @@ class TestRelevanceMemo:
         assert (est.revenue(0, 3), est.registry) == (1.0, {})
 
 
+class TestRank:
+    @given(world=estimator_world(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_table_pass(self, world, data):
+        # Enters, exits and broadcasts between ranks, on the estimator and
+        # on one that ranks by a pass over its whole count table: the same
+        # rows, ids and order, and the same selections.
+        p, candidates, profiles = world
+        est, ref = estimator(p, candidates), estimator(p, candidates)
+        ref._rank = lambda: full_table_rank(ref)
+        pids = sorted(candidates)
+        at = {}  # vehicle id -> PoA it is under
+        for _ in range(data.draw(st.integers(1, 8))):
+            for _ in range(data.draw(st.integers(0, 6))):
+                kind = data.draw(st.sampled_from(["enter", "exit", "broadcast"]))
+                if kind == "enter":
+                    vid = data.draw(st.sampled_from(sorted(profiles)))
+                    if vid not in at:
+                        at[vid] = data.draw(st.sampled_from(pids))
+                        v = profiles[vid][data.draw(st.integers(0, 1))]
+                        for e in (est, ref):
+                            e.on_vehicle_enter(at[vid], v, detected=True)
+                elif kind == "exit" and at:
+                    vid = data.draw(st.sampled_from(sorted(at)))
+                    poa = at.pop(vid)
+                    for e in (est, ref):
+                        e.on_vehicle_exit(poa, vid)
+                elif kind == "broadcast":
+                    selected = {
+                        pid: data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
+                        for pid in pids
+                        if (ids := sorted(counts_by_id(ref, pid))) and data.draw(st.booleans())
+                    }
+                    for e in (est, ref):
+                        e.on_broadcasts(selected)
+            for pid in pids:
+                rows, ids = est._positive_by_revenue(pid)
+                want_rows, want_ids = ref._positive_by_revenue(pid)
+                assert (rows.tolist(), ids.tolist()) == (want_rows.tolist(), want_ids.tolist())
+                assert select_topk(est, pid, p) == select_topk(ref, pid, p)
+                stats, want_stats = SelectionStats(), SelectionStats()
+                assert select_volfied(est, pid, p, stats) == select_volfied(ref, pid, p, want_stats)
+                assert stats == want_stats
+
+
 def full_scan(p, ads, v):
     """Rows, ids and distances of the union rows within d_max of v, from
     one `distances_to` call over every row, as the estimator once did."""
@@ -930,6 +1008,8 @@ def window_worlds(draw):
     if ads and draw(st.booleans()):  # one ad far from the rest
         ads.append(Ad(ad_id=1000, features=np.full(n_dims, 1e12), base_value=1.0))
     profiles = [VehicleProfile(vid, vector()) for vid in range(draw(st.integers(1, 3)))]
+    # another profile under one of the ids
+    swap = VehicleProfile(draw(st.integers(0, len(profiles) - 1)), vector())
     choices = [0.125, 0.25, 1.0, 2.0] + ([np.pi, 4.0] if metric is ANG else [])
     d_max = draw(st.sampled_from(choices))
     if ads and draw(st.booleans()):
@@ -941,25 +1021,33 @@ def window_worlds(draw):
         edge = draw(st.sampled_from([on, float(np.nextafter(on, 0.0))]))
         if 0.0 < edge < np.inf:
             d_max = edge
-    return SelectionParams(k=3, m=1, d_max=d_max, metric=metric), ads, profiles
+    return SelectionParams(k=3, m=1, d_max=d_max, metric=metric), ads, profiles, swap
 
 
 class TestRelevanceWindow:
     """The windowed scan finds the rows a full `distances_to` scan of the
     union finds, with the same ids and distance bits."""
 
-    @given(world=window_worlds())
+    @given(world=window_worlds(), chunk=st.sampled_from([1, 2, volfied.broker._SCAN_CHUNK]))
     @settings(max_examples=400, deadline=None)
-    def test_matches_full_scan(self, world):
-        p, ads, profiles = world
-        with np.errstate(over="ignore", invalid="ignore"):
+    def test_matches_full_scan(self, world, chunk):
+        # every profile in one batch scan, `chunk` profiles at a time, then
+        # one profile swapped for another under its id
+        p, ads, profiles, swap = world
+        swapped = [swap if v.vehicle_id == swap.vehicle_id else v for v in profiles]
+        with (
+            np.errstate(over="ignore", invalid="ignore"),
+            mock.patch.object(volfied.broker, "_SCAN_CHUNK", chunk),
+        ):
             est = estimator(p, {0: ads, 1: ads[::2]})
-            for v in profiles:
-                memo_rows, memo_ids, memo_dists = est.relevance(v)
-                rows, ids, dists = full_scan(p, ads, v)
-                assert memo_rows.tolist() == rows.tolist()
-                assert memo_ids.tolist() == ids.tolist()
-                assert memo_dists.tobytes() == dists.tobytes()
+            est.vehicle_slots(profiles)
+            for batch in (profiles, swapped):
+                for v in batch:
+                    memo_rows, memo_ids, memo_dists = est.relevance(v)
+                    rows, ids, dists = full_scan(p, ads, v)
+                    assert memo_rows.tolist() == rows.tolist()
+                    assert memo_ids.tolist() == ids.tolist()
+                    assert memo_dists.tobytes() == dists.tobytes()
 
     @pytest.mark.parametrize("n_dims", [1, 5])
     def test_boundary_ads_on_every_axis(self, n_dims):
@@ -975,19 +1063,13 @@ class TestRelevanceWindow:
         assert dists.tolist() == [edge] * (2 * n_dims)
 
     def test_scans_only_the_window(self, monkeypatch):
-        scans = []
-
-        def counting(metric, f, others):
-            scans.append(len(others))
-            return distances_to(metric, f, others)
-
-        monkeypatch.setattr(volfied.broker, "distances_to", counting)
+        scans = hook_scans(monkeypatch)
         ads = [Ad(ad_id=i, features=np.array([i / 64, 0.0]), base_value=1.0) for i in range(100)]
         est = estimator(params(d_max=5 / 64), {0: ads})
         _, ids, _ = est.relevance(VehicleProfile(0, np.array([50 / 64, 0.0])))
         assert ids.tolist() == list(range(45, 56))
         # only the eleven rows within reach on the first coordinate
-        assert scans == [11]
+        assert scans == [([0], 11)]
 
     def test_offsets_whose_squares_underflow(self):
         # 1e-170 squared underflows to 0, so the kernel puts the ad at 0

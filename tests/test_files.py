@@ -50,6 +50,13 @@ class TestAdsCsv:
         assert back[0].base_value == 0.75
         assert np.array_equal(back[1].features, np.array([0.1, 0.2]))
 
+    def test_no_ads_round_trip(self, tmp_path):
+        # a catalog of no ads has no feature columns; its file has one
+        path = tmp_path / "ads.csv"
+        write_ads_csv(path, [])
+        assert path.read_text() == "ad_id,f1,base_value,scope,target_poa\n"
+        assert len(load_ads_csv(path)) == 0
+
     def test_header_and_scope_layout(self, tmp_path):
         path = tmp_path / "ads.csv"
         write_ads_csv(path, sample_ads())

@@ -285,6 +285,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="expected 3 features"):
             as_features([0.1, 0.2], n=3)
 
+    def test_no_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="^feature vector has no coordinates$"):
+            Ad(ad_id=1, features=np.array([]), base_value=1.0)
+        with pytest.raises(ValueError, match="^feature vector has no coordinates$"):
+            VehicleProfile(vehicle_id=0, interests=[])
+        with pytest.raises(ValueError, match="^feature vector has no coordinates$"):
+            as_features([], n=0)
+
     def test_validated_float_array_is_kept(self):
         ad = Ad(ad_id=1, features=np.array([1, 2]), base_value=0.5)
         profile = VehicleProfile(vehicle_id=0, interests=[1, 2])
@@ -388,6 +396,14 @@ class TestAdTable:
         with pytest.raises(ValueError) as info:
             AdTable(*map(list, zip(*rows)))
         assert str(info.value) == message
+
+    def test_rows_need_a_feature_column(self):
+        message = r"^ads need at least one feature column, got shape \(2, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            AdTable([1, 2], np.zeros((2, 0)), [1.0, 1.0], [-1, -1])
+        # a table of no rows has no columns to hold
+        for empty in (AdTable([], np.zeros((0, 0)), [], []), AdTable.from_ads([])):
+            assert len(empty) == 0 and empty.features.shape == (0, 0)
 
     def test_from_ads_rejects_what_a_table_cannot_hold(self):
         with pytest.raises(ValueError, match="ad 1: target_poa must be >= 0, got -1"):

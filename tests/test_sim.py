@@ -653,9 +653,9 @@ class TestReferenceLoop:
         calls = []
         scan, events = RevenueEstimator._scan, RevenueEstimator.on_slot_events
 
-        def scanning(est, v):
-            calls.append(("scan", v.vehicle_id))
-            return scan(est, v)
+        def scanning(est, slots, profiles):
+            calls.extend(("scan", v.vehicle_id) for v in profiles)
+            return scan(est, slots, profiles)
 
         def stepping(est, *args):
             calls.append(("events", est._used))
