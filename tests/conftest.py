@@ -1,6 +1,6 @@
 """Shared helpers: random single-step instances, realized-revenue runs, the
-simulator's step loop as a loop over events and vehicles, and the block
-greedy that `select_volfied` must equal."""
+simulator's step loop as a loop over events and vehicles with a dense
+coverage lookup, and the block greedy that `select_volfied` must equal."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from volfied.sim import (
     STREAM_RANDOM_STRATEGY,
     StepMetrics,
     _candidates_by_poa,
-    _CoverageIndex,
     rng_stream,
 )
 from volfied.vehicle import VehicleState, step_display
@@ -183,26 +182,45 @@ def realized_revenue(instance, strategy, rng=None):
     return broadcasts, revenue
 
 
+def dense_lookup(poas, positions):
+    """Index into the ascending PoA ids of the PoA each row of a (n, 2)
+    array of positions associates with, -1 where none covers it: one
+    (positions x PoAs) matrix of squared distances, those out of range set
+    to inf, and its row-wise first minimum. The reference for
+    `_CoverageIndex.lookup`."""
+    ordered = sorted(poas, key=lambda p: p.poa_id)
+    if not ordered:
+        return np.full(len(positions), -1, dtype=np.int64)
+    xy = np.array([[p.x_m, p.y_m] for p in ordered], dtype=float)
+    r2 = np.array([p.range_m * p.range_m for p in ordered], dtype=float)
+    dx = positions[:, 0, None] - xy[:, 0]
+    dy = positions[:, 1, None] - xy[:, 1]
+    d2 = dx * dx + dy * dy
+    d2[d2 > r2[None, :]] = np.inf
+    best = np.argmin(d2, axis=1)
+    covered = np.isfinite(d2[np.arange(len(positions)), best])
+    return np.where(covered, best, -1)
+
+
 def reference_run(config, trace, ads, profiles, poas, display=step_display, new_state=VehicleState):
     """`sim.run` as a loop over events and vehicles, the reference that the
     array passes of `run` must equal.
 
-    In each step, every vehicle whose PoA changed, in ascending id, leaves
-    its old PoA by `on_vehicle_exit` and enters its new one by
-    `on_vehicle_enter`, with the same detection draws as `run`. Each PoA
-    then selects and broadcasts by `on_broadcast`. Every present vehicle
-    that received ads or holds a cache calls `display` (`step_display`'s
-    signature) on its state, made by `new_state(profile=...)`, which
-    evaluates the distances to the ads in its pool. Returns `run`'s
-    (metrics, summary).
+    In each step, `dense_lookup` places the present vehicles, and every
+    vehicle whose PoA changed, in ascending id, leaves its old PoA by
+    `on_vehicle_exit` and enters its new one by `on_vehicle_enter`, with
+    the same detection draws as `run`. Each PoA then selects and
+    broadcasts by `on_broadcast`. Every present vehicle that received ads
+    or holds a cache calls `display` (`step_display`'s signature) on its
+    state, made by `new_state(profile=...)`, which evaluates the distances
+    to the ads in its pool. Returns `run`'s (metrics, summary).
     """
     by_vid = {p.vehicle_id: p for p in profiles}
     params = config.selection_params
     select = STRATEGIES[config.strategy]
     catalog = AdTable.from_ads(ads)
     est = RevenueEstimator(params, catalog, _candidates_by_poa(config, catalog, poas))
-    index = _CoverageIndex(poas)
-    poa_ids = index.ids.tolist()
+    poa_ids = sorted(p.poa_id for p in poas)
     by_ad_id = {a.ad_id: a for a in ads}
     vids = sorted(by_vid)
     states = [new_state(profile=by_vid[vid]) for vid in vids]
@@ -222,7 +240,7 @@ def reference_run(config, trace, ads, profiles, poas, display=step_display, new_
             xy = trace.positions[step]
             here = ~np.isnan(xy[:, 0])
             present[column[here]] = True
-            new[column[here]] = index.lookup(xy[here])
+            new[column[here]] = dense_lookup(poas, xy[here])
 
         changed = np.flatnonzero(new != current)
         draws = det_rng.uniform(size=np.count_nonzero(new[changed] >= 0))

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import volfied.sim
-from conftest import estimator, estimator_for, random_instance, realized_revenue, reference_run
+from conftest import (
+    dense_lookup,
+    estimator,
+    estimator_for,
+    random_instance,
+    realized_revenue,
+    reference_run,
+)
 from volfied.broker import RevenueEstimator, SelectionParams, select_volfied
 from volfied.files import load_trace, render_metrics_csv, write_trace_csv
 from volfied.model import Ad, AdTable, DistanceMetric, PoA, VehicleProfile
@@ -90,6 +97,36 @@ class TestLoadTrace:
         assert back == trace
 
 
+class TestTraceInvariants:
+    def test_positions_shape_named(self):
+        message = "positions must be a float64 array of shape (steps, 3, 2), got float64 (4, 2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MobilityTrace(positions=np.zeros((4, 2, 2)), ids=np.arange(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("positions", [np.zeros((4, 3, 2), dtype=np.float32),
+                                           np.zeros((4, 3), dtype=float), [[[0.0, 0.0]] * 3]])
+    def test_positions_not_float64_steps_rejected(self, positions):
+        with pytest.raises(ValueError, match=r"^positions must be a float64 array of shape \(steps, 3, 2\)"):
+            MobilityTrace(positions=positions, ids=np.arange(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("ids", [np.array([1.0, 2.0]), np.array([[1, 2]]), [1, 2]])
+    def test_ids_not_int64_vector_rejected(self, ids):
+        with pytest.raises(ValueError, match="^ids must be a 1-D int64 array, got "):
+            MobilityTrace(positions=np.zeros((1, 2, 2)), ids=ids)
+
+    def test_repeated_id_named(self):
+        with pytest.raises(ValueError, match="^vehicle id 7 repeats in ids$"):
+            MobilityTrace(positions=np.zeros((1, 3, 2)), ids=np.array([3, 7, 7], dtype=np.int64))
+
+    def test_descending_ids_rejected(self):
+        with pytest.raises(ValueError, match="^ids must ascend: 3 follows 7$"):
+            MobilityTrace(positions=np.zeros((1, 3, 2)), ids=np.array([1, 7, 3], dtype=np.int64))
+
+    def test_empty_trace_accepted(self):
+        trace = MobilityTrace(positions=np.zeros((0, 0, 2)), ids=np.zeros(0, dtype=np.int64))
+        assert trace.n_steps == 0 and trace == MobilityTrace.from_records([])
+
+
 class TestGenSynthetic:
     def test_deterministic(self):
         t1 = gen_synthetic((1000.0, 800.0), 5, 10, 14.0, seed=3)
@@ -166,13 +203,48 @@ class TestGenPoas:
 
 def lookup_ids(poas, points):
     """The PoA id each position associates with (None: uncovered), by the
-    simulator's lookup."""
-    index = _CoverageIndex(poas)
-    return [int(index.ids[i]) if i >= 0 else None for i in index.lookup(np.array(points))]
+    simulator's lookup, which must agree with the dense reference."""
+    points = np.array(points, dtype=float).reshape(-1, 2)
+    found = _CoverageIndex(poas).lookup(points)
+    assert np.array_equal(found, dense_lookup(poas, points))
+    ids = sorted(p.poa_id for p in poas)
+    return [ids[i] if i >= 0 else None for i in found.tolist()]
 
 
 def lookup_one(poas, x_m, y_m):
     return lookup_ids(poas, [[x_m, y_m]])[0]
+
+
+@st.composite
+def coverage_blocks(draw):
+    """A few PoAs, in any id order, and a (steps x vehicles x 2) block of
+    positions. Coordinates and ranges are mostly small integers, so squared
+    distances are exact: positions fall on range boundaries and halfway
+    between PoAs. Some vehicles are NaN (absent) at some steps."""
+    ids = draw(st.lists(st.integers(0, 50), max_size=4, unique=True))
+    poas = [
+        PoA(
+            poa_id=pid,
+            x_m=float(draw(st.integers(0, 6))),
+            y_m=float(draw(st.integers(0, 6))),
+            range_m=float(draw(st.sampled_from([1, 2, 3, 5]))),
+        )
+        for pid in ids
+    ]
+    steps, vehicles = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    coords = st.one_of(
+        st.integers(-2, 8).map(float),
+        st.floats(-3.0, 9.0, allow_nan=False),
+        st.just(math.nan),
+    )
+    block = np.array(
+        draw(st.lists(coords, min_size=2 * steps * vehicles, max_size=2 * steps * vehicles)),
+        dtype=float,
+    ).reshape(steps, vehicles, 2)
+    absent = np.array(draw(st.lists(st.booleans(), min_size=steps * vehicles,
+                                    max_size=steps * vehicles)), dtype=bool)
+    block[absent.reshape(steps, vehicles)] = np.nan
+    return poas, block
 
 
 class TestCoverage:
@@ -214,6 +286,23 @@ class TestCoverage:
 
     def test_no_poas(self):
         assert lookup_ids([], [(0.0, 0.0), (150.0, 0.0)]) == [None, None]
+
+    def test_infinite_distances_as_the_dense_lookup(self):
+        # a range of 1e200 m squares to inf, and so do distances of 1e170 m
+        # and more: an inf distance covers nothing, even in an inf range
+        poas = [PoA(0, 0.0, 0.0, 150.0), PoA(1, 400.0, 0.0, 1e200)]
+        with np.errstate(over="ignore"):
+            found = lookup_ids(poas, [(1e200, 0.0), (1e170, 0.0), (1e6, 0.0), (10.0, 0.0)])
+        assert found == [None, None, 1, 0]
+
+    @given(coverage_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_block_equals_dense_rows(self, drawn):
+        poas, block = drawn
+        found = _CoverageIndex(poas).lookup(block)
+        assert found.shape == block.shape[:-1] and found.dtype == np.int64
+        for step, row in enumerate(block):
+            assert np.array_equal(found[step], dense_lookup(poas, row))
 
 
 def tiny_scenario(strategy="volfied", steps=3, **cfg_over):
@@ -750,3 +839,42 @@ class TestCacheSizePass:
         cfg, trace, ads, profiles, poas = tiny_scenario()
         with pytest.raises(ValueError, match="^cache_size must be >= 0, got -1$"):
             run_cache_sizes(cfg, [0, -1], trace, ads, profiles, poas)
+
+
+class TestStepBlocks:
+    """Coverage and dwell changes a block of steps at a time give the
+    bytes of the per-step reference loop at any block size."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, volfied.sim._STEP_BLOCK])
+    @given(small_worlds(), st.integers(1, 4), st.sampled_from([0.5, 0.7]),
+           st.lists(st.sampled_from([0, 1, 3]), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_any_block_equals_reference_loop(self, block, world, extra, detection, sizes):
+        # vehicles leave and come back across block boundaries, and the run
+        # goes on past the end of the trace
+        cfg, trace, ads, profiles = world
+        cfg = dataclasses.replace(
+            cfg, steps=trace.n_steps + extra, detection_accuracy=detection
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(volfied.sim, "_STEP_BLOCK", block)
+            grouped = run_cache_sizes(cfg, sizes, trace, ads, profiles, _ROW_POAS)
+        for size, (metrics, summary) in zip(sizes, grouped):
+            sized = dataclasses.replace(cfg, cache_size=size)
+            want_metrics, want_summary = reference_run(sized, trace, ads, profiles, _ROW_POAS)
+            assert render_metrics_csv(cfg.strategy, metrics) == render_metrics_csv(
+                cfg.strategy, want_metrics
+            )
+            assert summary == want_summary
+
+    def test_blocks_of_a_long_run(self):
+        # 150 steps cross two default block boundaries; half the vehicles
+        # leave the trace for steps 60-69 and come back
+        cfg, trace, ads, profiles, poas = random_run_scenario(seed=3, steps=150)
+        positions = trace.positions.copy()
+        positions[60:70, ::2] = np.nan
+        trace = MobilityTrace(positions=positions, ids=trace.ids)
+        cfg = dataclasses.replace(cfg, steps=160, detection_accuracy=0.7, cache_size=2)
+        out = run(cfg, trace, ads, profiles, poas)
+        assert out[1]["impressions"] > 0
+        assert out == reference_run(cfg, trace, ads, profiles, poas)
