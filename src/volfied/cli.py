@@ -76,13 +76,21 @@ _JSON_TYPES = {
 }
 
 
+def _load_json(path: str):
+    """The document in a JSON file; ValueError naming the file on a syntax error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_config(path: str | None) -> SimConfig:
     """Config file must carry every field, each a JSON value of the field's
     type; None means built-in defaults."""
     if path is None:
         return SimConfig()
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
     missing = sorted(_CONFIG_FIELDS.keys() - doc.keys())
@@ -201,9 +209,7 @@ def _cmd_sparsify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    with open(args.instance) as fh:
-        doc = json.load(fh)
-    result = solve_exact(instance_from_json(doc))
+    result = solve_exact(instance_from_json(_load_json(args.instance)))
     payload = json.dumps(result_to_json(result), indent=2)
     print(payload)
     if args.out:

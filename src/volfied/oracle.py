@@ -4,17 +4,28 @@ Small instances decompose per PoA because each vehicle associates with at
 most one PoA and display history is fixed within the step, so the optimal
 broadcast for one PoA is independent of the others. `simulate_display`
 and `solve_exact` take the vehicles' menus from one builder: per PoA, one
-distance block and `model.rank_relevant` per covered vehicle. Per PoA,
-every subset of eligible ads up to size k is priced in one pass:
+(covered vehicles x ads) distance block, one relevant/in-scope/unseen
+mask over it and one `lexsort` of the kept entries by (vehicle, distance,
+ad id). Per PoA, every subset of eligible ads up to size k is priced in
+one pass:
 
-- a cached membership table has one column per subset, in
-  `itertools.combinations` order for r = 1..k, and one row per candidate;
-- vehicles in ascending id, menu in rank order, an ad adds its value to
-  every column that holds it and has shown fewer than m ads to that
-  vehicle (and 0.0, which is exact, to the others), so each subset's
-  revenue has the bits of that subset priced on its own;
+- a cached table lists the subsets, one column each, in lexicographic
+  order of their candidate positions (the candidates sorted by ad id),
+  and for each candidate the columns that hold it;
+- each vehicle with a non-empty menu fills min(m, k, menu length) reused
+  slot rows, all 0.0 at first, by walking its menu backwards: an entry
+  shifts slot r-1 into slot r in the columns that hold its ad, then
+  writes its value into slot 0 there. Slot r then holds the value of each
+  subset's r-th menu ad, the ad it shows r-th, and 0.0 where the subset
+  has fewer such ads. The vehicles, in ascending id, add their slots
+  1..m to the revenue row;
+- so each column adds the same non-zero terms, in the same order, as that
+  subset priced on its own; every other term is an exact +0.0, which
+  leaves a sum of positive values unchanged, and each column keeps the
+  bits of the per-subset sum;
 - the best revenue wins, ties going to the lexicographically smallest ad
-  id tuple whatever its size; a best revenue of 0 gives no broadcast;
+  id tuple whatever its size, which is the first best column; a best
+  revenue of 0 gives no broadcast;
 - the reported revenue adds the winning columns in ascending PoA id, the
   sum `simulate_display` makes for the chosen broadcast.
 """
@@ -35,7 +46,6 @@ from .model import (
     VehicleProfile,
     ad_value,
     paired_distances,
-    rank_relevant,
 )
 # perfbench/tracer.py wraps `distance` under this module's name.
 from .model import distance  # noqa: F401
@@ -122,20 +132,25 @@ def simulate_display(
     displays: dict[int, list[int]] = {v.vehicle_id: [] for v in instance.vehicles}
     revenue = 0.0
     for poa, menus in _menus(instance, clean):
+        ads = clean[poa]
         subtotal = 0.0
         for vid, menu in menus:
-            for ad, _ in menu[: params.m]:
-                displays[vid].append(ad.ad_id)
-                subtotal += ad_value(ad, poa)
+            for j in menu[: params.m]:
+                displays[vid].append(ads[j].ad_id)
+                subtotal += ad_value(ads[j], poa)
         revenue += subtotal
     return displays, revenue
 
 
-def _menus(instance: OracleInstance, offered: Mapping[int, Sequence[Ad]]) -> Iterator[tuple]:
+def _menus(
+    instance: OracleInstance, offered: Mapping[int, Sequence[Ad]]
+) -> Iterator[tuple[int, list[tuple[int, list[int]]]]]:
     """(PoA id, [(vehicle id, menu)]) per PoA with offered ads and covered
-    vehicles, both ascending. A menu is `model.rank_relevant` over the
-    PoA's ads less those the vehicle has shown, with the distances of one
-    `paired_distances` block of (covered vehicles x offered ads)."""
+    vehicles, both ascending; a vehicle with an empty menu is left out. A
+    menu lists positions in `offered[poa]`: the ads in scope at the PoA,
+    within d_max and not yet shown, by (distance, ad id). The distances
+    are one `paired_distances` block of (covered vehicles x offered ads),
+    and one `lexsort` orders the whole block's entries."""
     params = instance.params
     by_vid = {v.vehicle_id: v for v in instance.vehicles}
     for poa in sorted({p for p in instance.coverage.values() if offered.get(p)}):
@@ -149,24 +164,40 @@ def _menus(instance: OracleInstance, offered: Mapping[int, Sequence[Ad]]) -> Ite
                 f"ads have {features.shape[1]}"
             )
         dists = paired_distances(params.metric, interests[:, None, :], features[None, :, :])
+        keep = dists <= params.d_max
+        keep[:, [ad_value(a, poa) <= 0.0 for a in ads]] = False
+        at = {a.ad_id: j for j, a in enumerate(ads)}
+        for i, vid in enumerate(vids):
+            for ad_id in instance.displayed.get(vid, ()):
+                if ad_id in at:
+                    keep[i, at[ad_id]] = False
+        rows, cols = np.nonzero(keep)
+        ids = np.array([a.ad_id for a in ads])
+        order = np.lexsort((ids[cols], dists[rows, cols], rows))
+        rows, cols = rows[order], cols[order].tolist()
+        starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
         yield poa, [
-            (vid, rank_relevant(ads, row, poa, params.d_max, instance.displayed.get(vid, ())))
-            for vid, row in zip(vids, dists.tolist())
+            (vids[rows[a]], cols[a:b]) for a, b in zip(starts, starts[1:] + [len(cols)])
         ]
 
 
 @functools.cache
-def _subset_table(n: int, k: int) -> np.ndarray:
-    """Read-only (n, subsets) membership table of every subset of n
-    candidate positions up to size k, one column per subset in
-    `itertools.combinations` order for r = 1..min(k, n). The cache hands
-    the same table to every caller."""
-    combos = [c for r in range(1, min(k, n) + 1) for c in itertools.combinations(range(n), r)]
-    table = np.zeros((n, len(combos)), dtype=bool)
-    for col, combo in enumerate(combos):
-        table[combo, col] = True
-    table.flags.writeable = False
-    return table
+def _subset_table(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
+    """Every subset of n candidate positions up to size k, as sorted
+    position tuples in lexicographic order, and per position the ascending
+    indices of the subsets that hold it (read-only). The cache hands the
+    same table to every caller."""
+    subsets = tuple(
+        sorted(c for r in range(1, min(k, n) + 1) for c in itertools.combinations(range(n), r))
+    )
+    members = tuple([] for _ in range(n))
+    for col, subset in enumerate(subsets):
+        for p in subset:
+            members[p].append(col)
+    held = tuple(np.array(cols, dtype=np.intp) for cols in members)
+    for cols in held:
+        cols.flags.writeable = False
+    return subsets, held
 
 
 def solve_exact(instance: OracleInstance) -> OracleResult:
@@ -195,25 +226,31 @@ def solve_exact(instance: OracleInstance) -> OracleResult:
     broadcasts: dict[int, tuple[int, ...]] = dict.fromkeys(candidates, ())
     revenue = 0.0
     for poa, menus in _menus(instance, candidates):
-        table = _subset_table(len(candidates[poa]), params.k)
-        pos = {a.ad_id: i for i, a in enumerate(candidates[poa])}
-        rev = np.zeros(table.shape[1])
+        subsets, held = _subset_table(len(candidates[poa]), params.k)
+        values = [ad_value(a, poa) for a in candidates[poa]]
+        rev = np.zeros(len(subsets))
+        slots = np.empty((min(params.m, params.k), len(subsets)))
         for _, menu in menus:
-            shown = np.zeros(table.shape[1], dtype=np.int64)
-            for ad, _ in menu:
-                hit = table[pos[ad.ad_id]] & (shown < params.m)
-                # adding 0.0 where the ad is not shown leaves those sums exact
-                rev += hit * ad_value(ad, poa)
-                shown += hit
-        best = rev.max()
-        if best > 0.0:
-            combo = min(
-                tuple(np.flatnonzero(table[:, col]).tolist())
-                for col in np.flatnonzero(rev == best).tolist()
-            )
-            broadcasts[poa] = tuple(candidates[poa][i].ad_id for i in combo)
+            # Walked backwards, the menu leaves in slot r the value of each
+            # subset's r-th menu ad, 0.0 past its last: rev gets the terms
+            # it would if every subset were priced on its own, in order.
+            slot = slots[: min(len(menu), len(slots))]
+            slot.fill(0.0)
+            first = slot[0]
+            for p in reversed(menu):
+                cols = held[p]
+                if len(slot) > 1:
+                    slot[1:, cols] = slot[:-1, cols]
+                first[cols] = values[p]
+            for row in slot:
+                rev += row
+        # subsets run in lexicographic order, so the first best is the
+        # tie-break's choice
+        col = int(np.argmax(rev))
+        if rev[col] > 0.0:
+            broadcasts[poa] = tuple(candidates[poa][i].ad_id for i in subsets[col])
             # the winning column holds what simulate_display would add up
-            revenue += float(best)
+            revenue += float(rev[col])
     return OracleResult(broadcasts=broadcasts, revenue=revenue)
 
 

@@ -1,12 +1,23 @@
 """Shared helpers: random single-step instances, realized-revenue runs, the
-simulator's step loop as a loop over events and vehicles with a dense
-coverage lookup, and the block greedy that `select_volfied` must equal."""
+one-subset-at-a-time oracle that `solve_exact` must equal, the simulator's
+step loop as a loop over events and vehicles with a dense coverage lookup,
+and the block greedy that `select_volfied` must equal."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from volfied.broker import RevenueEstimator, SelectionParams, SelectionStats
-from volfied.model import Ad, AdTable, DistanceMetric, VehicleProfile, paired_distances
+from volfied.model import (
+    Ad,
+    AdTable,
+    DistanceMetric,
+    VehicleProfile,
+    ad_value,
+    paired_distances,
+    rank_for_profile,
+)
 from volfied.oracle import OracleInstance, simulate_display
 from volfied.sim import (
     STRATEGIES,
@@ -178,6 +189,49 @@ def realized_revenue(instance, strategy, rng=None):
     est = estimator_for(instance)
     poa_ids = sorted({p for p in instance.coverage.values() if p is not None})
     broadcasts = {pid: select(est, pid, instance.params, None, rng) for pid in poa_ids}
+    _, revenue = simulate_display(broadcasts, instance)
+    return broadcasts, revenue
+
+
+def reference_solve(instance):
+    """solve_exact priced one subset at a time: per PoA, each vehicle's
+    menu from `rank_for_profile`, then every subset in combinations order
+    summed over the menus, kept if it earns more than the best so far or
+    as much with a smaller id tuple."""
+    params = instance.params
+    by_vid = {v.vehicle_id: v for v in instance.vehicles}
+    broadcasts = {}
+    for poa in sorted({p for p in instance.coverage.values() if p is not None}):
+        candidates = sorted(
+            (a for a in instance.ads if ad_value(a, poa) > 0.0), key=lambda a: a.ad_id
+        )
+        menus = []
+        for vid in sorted(vid for vid, p in instance.coverage.items() if p == poa):
+            seen = instance.displayed.get(vid, frozenset())
+            ranked = rank_for_profile(
+                candidates, by_vid[vid], poa, params.d_max, params.metric, seen
+            )
+            if ranked:
+                menus.append([(ad.ad_id, ad_value(ad, poa)) for ad, _ in ranked])
+        cand_ids = [a.ad_id for a in candidates]
+        best_rev = 0.0
+        best_ids = ()
+        for r in range(1, min(params.k, len(cand_ids)) + 1):
+            for combo in itertools.combinations(cand_ids, r):
+                chosen = frozenset(combo)
+                rev = 0.0
+                for menu in menus:
+                    shown = 0
+                    for ad_id, value in menu:
+                        if ad_id in chosen:
+                            rev += value
+                            shown += 1
+                            if shown == params.m:
+                                break
+                if rev > best_rev or (rev == best_rev and combo < best_ids):
+                    best_rev = rev
+                    best_ids = combo
+        broadcasts[poa] = best_ids
     _, revenue = simulate_display(broadcasts, instance)
     return broadcasts, revenue
 

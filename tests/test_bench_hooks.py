@@ -7,10 +7,13 @@ without a result, so the hooks are tried in the test suite.
 """
 
 import importlib
+import json
+import math
 import os
 import pathlib
 
-from volfied import cli, sim
+from volfied import cli, scenario, sim
+from volfied.oracle import OracleInstance, instance_to_json
 from volfied.scenario import build_scenario
 from volfied.sim import MobilityTrace, SimConfig
 
@@ -52,3 +55,35 @@ def test_select_spans_count_the_run_evals(monkeypatch):
     assert len(evals) == cfg.steps * cfg.n_poas
     assert summary["distance_evals"] > 0
     assert sum(evals) == summary["distance_evals"]
+
+
+def test_traced_oracle_command_counts_every_subset(monkeypatch, tmp_path, capsys):
+    """The catalog workload's `volfied oracle` call, traced: one
+    `oracle.solve` span whose `subsets` count is every subset of up to k of
+    the instance's ads (all Global), and the bytes of an untraced call."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    config = importlib.import_module("workloads").ORACLE_CONFIG
+    profiles = scenario.gen_profiles(config, 1)
+    instance = OracleInstance(
+        ads=scenario.gen_ads(config, 1),
+        vehicles=profiles,
+        coverage={p.vehicle_id: 0 for p in profiles},
+        params=config.selection_params,
+    )
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(instance)) + "\n")
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert cli.main(["oracle", str(path), "--out", str(plain)]) == 0
+    printed = capsys.readouterr().out
+    try:
+        tracer.install()
+        assert cli.main(["oracle", str(path), "--out", str(traced)]) == 0
+    finally:
+        assert tracer.uninstall() == []
+    assert capsys.readouterr().out == printed
+    result = "oracle_result.json"
+    assert (traced / result).read_bytes() == (plain / result).read_bytes()
+    n, k = len(instance.ads), config.k
+    solves = [span[5] for span in tracer.spans if span[2] == "oracle.solve"]
+    assert solves == [{"subsets": sum(math.comb(n, r) for r in range(1, k + 1))}]

@@ -153,6 +153,16 @@ class TestRun:
         assert "'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_json_syntax_error_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"k": 5 "m": 1}')
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: Expecting ',' delimiter: line 1 column 9 (char 8)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value, expected",
         [
@@ -649,6 +659,16 @@ class TestOracleCmd:
         inst = example1_instance(tmp_path, n_ads=0)
         assert main(["oracle", str(inst)]) == 0
         assert json.loads(capsys.readouterr().out)["revenue"] == 0.0
+
+    def test_json_syntax_error_names_the_file(self, tmp_path, capsys):
+        inst = tmp_path / "bad.json"
+        inst.write_text('{"params": }')
+        out = tmp_path / "out"
+        assert main(["oracle", str(inst), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {inst}: Expecting value: line 1 column 12 (char 11)\n"
+        )
+        assert not out.exists()
 
     def test_budget_error(self, tmp_path, capsys):
         inst = example1_instance(tmp_path, n_ads=30)

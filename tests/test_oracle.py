@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import itertools
 import json
 import re
 import warnings
@@ -17,19 +16,19 @@ from conftest import (
     estimator_for,
     random_instance,
     realized_revenue,
+    reference_solve,
 )
 from volfied.broker import SelectionParams, select_volfied
 from volfied.model import (
     Ad,
     DistanceMetric,
     VehicleProfile,
-    ad_value,
     distance,
     distances_to,
-    rank_for_profile,
 )
 from volfied.oracle import (
     MAX_CANDIDATES,
+    MAX_K,
     OracleInstance,
     instance_from_json,
     instance_to_json,
@@ -196,6 +195,29 @@ class TestSolveExact:
         assert result.broadcasts == {0: (1, 3)}
         assert result.revenue == 4.0
 
+    def test_terms_add_in_menu_order(self):
+        # m=2: both vehicles show ad 1 (d 0, value 0.1) before ad 2 (d 0.1,
+        # value 0.7). 0.1 + 0.7 + 0.1 + 0.7 rounds to 1.5999999999999999;
+        # adding each vehicle's 0.7 before its 0.1 would give 1.6.
+        ads = (
+            Ad(ad_id=1, features=np.array([0.0]), base_value=0.1),
+            Ad(ad_id=2, features=np.array([0.1]), base_value=0.7),
+        )
+        vehicles = (
+            VehicleProfile(vehicle_id=0, interests=np.array([0.0])),
+            VehicleProfile(vehicle_id=1, interests=np.array([0.0])),
+        )
+        inst = OracleInstance(
+            ads=ads,
+            vehicles=vehicles,
+            coverage={0: 0, 1: 0},
+            params=SelectionParams(k=2, m=2, d_max=0.15, metric=EUCL),
+        )
+        result = solve_exact(inst)
+        assert result.broadcasts == {0: (1, 2)}
+        assert result.revenue == 1.5999999999999999
+        assert simulate_display(result.broadcasts, inst)[1] == 1.5999999999999999
+
     def test_zero_best_revenue_broadcasts_nothing(self):
         # ad 1 is too far and ad 2 was already displayed: every subset earns 0
         ads = (
@@ -316,49 +338,6 @@ class TestSolveExact:
             simulate_display({0: [1, 2]}, inst)
 
 
-def reference_solve(instance):
-    """solve_exact priced one subset at a time: per PoA, each vehicle's
-    menu from `rank_for_profile`, then every subset in combinations order
-    summed over the menus, kept if it earns more than the best so far or
-    as much with a smaller id tuple."""
-    params = instance.params
-    by_vid = {v.vehicle_id: v for v in instance.vehicles}
-    broadcasts = {}
-    for poa in sorted({p for p in instance.coverage.values() if p is not None}):
-        candidates = sorted(
-            (a for a in instance.ads if ad_value(a, poa) > 0.0), key=lambda a: a.ad_id
-        )
-        menus = []
-        for vid in sorted(vid for vid, p in instance.coverage.items() if p == poa):
-            seen = instance.displayed.get(vid, frozenset())
-            ranked = rank_for_profile(
-                candidates, by_vid[vid], poa, params.d_max, params.metric, seen
-            )
-            if ranked:
-                menus.append([(ad.ad_id, ad_value(ad, poa)) for ad, _ in ranked])
-        cand_ids = [a.ad_id for a in candidates]
-        best_rev = 0.0
-        best_ids = ()
-        for r in range(1, min(params.k, len(cand_ids)) + 1):
-            for combo in itertools.combinations(cand_ids, r):
-                chosen = frozenset(combo)
-                rev = 0.0
-                for menu in menus:
-                    shown = 0
-                    for ad_id, value in menu:
-                        if ad_id in chosen:
-                            rev += value
-                            shown += 1
-                            if shown == params.m:
-                                break
-                if rev > best_rev or (rev == best_rev and combo < best_ids):
-                    best_rev = rev
-                    best_ids = combo
-        broadcasts[poa] = best_ids
-    _, revenue = simulate_display(broadcasts, instance)
-    return broadcasts, revenue
-
-
 @st.composite
 def multi_poa_instances(draw):
     """Up to 3 covered PoAs, up to 15 Global and Local ads (some Local ones
@@ -415,6 +394,36 @@ class TestReferenceEquality:
     @given(multi_poa_instances())
     @settings(max_examples=200, deadline=None)
     def test_solve_exact_is_reference(self, inst):
+        result = solve_exact(inst)
+        broadcasts, revenue = reference_solve(inst)
+        assert result.broadcasts == broadcasts
+        assert np.float64(result.revenue).tobytes() == np.float64(revenue).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_at_the_enumeration_budget(self, m):
+        """15 candidates, 40 vehicles, k = 5: every subset column of the
+        largest table. Points on a coarse 2-D grid and base values of 0.1
+        or 0.7 make distances and revenues tie: 179 subsets share the best
+        revenue at m = 1, and 48 at m = 2."""
+        rng = np.random.default_rng(2)
+        ads = tuple(
+            Ad(
+                ad_id=i,
+                features=rng.integers(1, 5, 2) / 4.0,
+                base_value=float(rng.choice([0.1, 0.7])),
+            )
+            for i in range(MAX_CANDIDATES)
+        )
+        vehicles = tuple(
+            VehicleProfile(vehicle_id=v, interests=rng.integers(1, 5, 2) / 4.0)
+            for v in range(40)
+        )
+        inst = OracleInstance(
+            ads=ads,
+            vehicles=vehicles,
+            coverage={v.vehicle_id: 0 for v in vehicles},
+            params=SelectionParams(k=MAX_K, m=m, d_max=0.56, metric=EUCL),
+        )
         result = solve_exact(inst)
         broadcasts, revenue = reference_solve(inst)
         assert result.broadcasts == broadcasts
